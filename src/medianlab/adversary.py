@@ -32,7 +32,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .distances import ExactDistance
-from .metric import HopMetric, Transcript
+from .metric import HopMetric, Transcript, bfs_hop_row
 from .expander import NotRegularError, RegularGraph
 
 __all__ = [
@@ -41,7 +41,6 @@ __all__ = [
     "PadOverflowError",
     "Adversary",
     "Certificate",
-    "LiveAdversaryBacking",
     "minimal_cap",
     "verify_consistency",
     "verify_path_discipline",
@@ -104,13 +103,9 @@ class Adversary:
         self.anchor = anchor
 
         self._adj = ~np.eye(n, dtype=bool)
-        self._perm = np.zeros((n, n), dtype=bool)
-        self._perm_deg = np.zeros(n, dtype=np.int64)
+        self._perm = anchor.adjacency().copy()
+        self._perm_deg = np.full(n, degree, dtype=np.int64)
         self._pruned = np.zeros(n, dtype=bool)
-        for u, v in anchor.edges:
-            self._perm[u, v] = self._perm[v, u] = True
-            self._perm_deg[u] += 1
-            self._perm_deg[v] += 1
         exp = np.asarray(anchor.edges, dtype=np.int64)
         self._exp_u, self._exp_v = exp[:, 0], exp[:, 1]
 
@@ -118,6 +113,15 @@ class Adversary:
         self.paths: list[tuple[int, ...]] = []
         self.removal_log: list[tuple[Edge, ...]] = []
         self.rounds_served = 0
+
+    # -- backing interface, so a CountingOracle can front the game -----
+
+    @property
+    def epsilon(self) -> Fraction:
+        return Fraction(1, 2**self.n)
+
+    def distance(self, a: int, b: int) -> ExactDistance:
+        return ExactDistance(self.answer(a, b))
 
     # -- play ----------------------------------------------------------
 
@@ -134,7 +138,8 @@ class Adversary:
         self.removal_log.append(tuple(removed))
         self.transcript.append(a, b, ExactDistance(dist))
         self.rounds_served += 1
-        assert self._adj[self._exp_u, self._exp_v].all(), "anchor edge lost"
+        if not self._adj[self._exp_u, self._exp_v].all():
+            raise AssertionError("anchor edge lost")
         return dist
 
     def _distance_and_path(self, a: int, b: int) -> tuple[int, list[int]]:
@@ -143,20 +148,9 @@ class Adversary:
         adj = self._adj
         if adj[a, b]:
             return 1, [a, b]
-        dist = np.full(self.n, -1, dtype=np.int64)
-        dist[a] = 0
-        frontier = np.zeros(self.n, dtype=bool)
-        frontier[a] = True
-        level = 0
-        while True:
-            level += 1
-            reached = adj[frontier].any(axis=0) & (dist < 0)
-            if not reached.any():
-                raise AssertionError("adversary graph lost connectivity")
-            dist[reached] = level
-            if reached[b]:
-                break
-            frontier = reached
+        dist = bfs_hop_row(adj, a, target=b)
+        if dist[b] < 0:
+            raise AssertionError("adversary graph lost connectivity")
         # walk back choosing the lowest-index predecessor at every step;
         # any shortest path is valid, this one is deterministic
         path = [b]
@@ -166,12 +160,13 @@ class Adversary:
             cur = int(prev[0])
             path.append(cur)
         path.reverse()
-        return level, path
+        return int(dist[b]), path
 
     def _mark_path(self, path: Sequence[int]) -> set[int]:
         touched: set[int] = set()
         for u, v in zip(path, path[1:]):
-            assert self._adj[u, v], "reply path uses a missing edge"
+            if not self._adj[u, v]:
+                raise AssertionError("reply path uses a missing edge")
             if not self._perm[u, v]:
                 self._perm[u, v] = self._perm[v, u] = True
                 self._perm_deg[u] += 1
@@ -218,7 +213,8 @@ class Adversary:
         final = HopMetric(self._adj)
         bad = tuple(int(v) for v in np.nonzero(self._perm_deg >= self.cap)[0])
         good = sorted(set(range(self.n)) - set(bad))
-        assert good, "fewer than half the points may go bad"
+        if not good:
+            raise AssertionError("fewer than half the points may go bad")
         z_cost = final.cost_of(output)
         y, y_cost = final.cheapest(good)
         return Certificate(
@@ -273,24 +269,6 @@ class Certificate:
             for u, v in removed:
                 adj[u, v] = adj[v, u] = False
         return adj
-
-
-class LiveAdversaryBacking:
-    """Adapter so a CountingOracle can front a running game."""
-
-    def __init__(self, adversary: Adversary):
-        self._adv = adversary
-
-    @property
-    def n(self) -> int:
-        return self._adv.n
-
-    @property
-    def epsilon(self) -> Fraction:
-        return Fraction(1, 2**self._adv.n)
-
-    def distance(self, a: int, b: int) -> ExactDistance:
-        return ExactDistance(self._adv.answer(a, b))
 
 
 # -- auditors -----------------------------------------------------------
@@ -353,7 +331,9 @@ def good_point_bound(cert: Certificate) -> tuple[int, int]:
 
 def ball_growth_ok(cert: Certificate) -> bool:
     """Permanent-graph balls around the output grow at most like (C+2)^k."""
-    hops = _perm_hops(cert.perm, cert.z_star)
+    hops = bfs_hop_row(cert.perm, cert.z_star)
+    if (hops < 0).any():
+        raise AssertionError("permanent graph must stay connected (it holds the anchor)")
     base = cert.cap + 2
     reach = 1
     bound = 1
@@ -365,25 +345,6 @@ def ball_growth_ok(cert: Certificate) -> bool:
         if reach > bound:
             return False
     return True
-
-
-def _perm_hops(perm: np.ndarray, source: int) -> np.ndarray:
-    n = perm.shape[0]
-    dist = np.full(n, -1, dtype=np.int64)
-    dist[source] = 0
-    frontier = np.zeros(n, dtype=bool)
-    frontier[source] = True
-    level = 0
-    while frontier.any():
-        level += 1
-        reached = perm[frontier].any(axis=0) & (dist < 0)
-        if not reached.any():
-            break
-        dist[reached] = level
-        frontier = reached
-    if (dist < 0).any():
-        raise AssertionError("permanent graph must stay connected (it holds the anchor)")
-    return dist
 
 
 def _anchor_preserved(cert: Certificate) -> bool:

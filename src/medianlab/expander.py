@@ -10,9 +10,10 @@ deliberately independent of each other:
 * spectral: alpha >= (d - lambda2) / (2d) from the second-largest
   adjacency eigenvalue.
 
-Construction samples the uniform pairing model under a fixed seed and
-retries deterministically (seed + attempt) until the sample is a simple
-connected graph whose lambda2 clears the acceptance threshold.
+Construction starts from a deterministic circulant graph and shuffles
+it with seeded double-edge swaps, which keep it simple and d-regular,
+swapping on until the graph is connected and its lambda2 clears the
+acceptance threshold.
 """
 
 from __future__ import annotations
@@ -276,20 +277,8 @@ def bfs_levels(g: RegularGraph, root_set: Iterable[int]) -> list[list[int]]:
     roots = sorted(set(int(v) for v in root_set))
     if not roots:
         raise ValueError("root set is empty")
-    adj = g.adjacency()
-    dist = np.full(g.n, -1, dtype=np.int64)
-    dist[roots] = 0
-    frontier = np.zeros(g.n, dtype=bool)
-    frontier[roots] = True
-    levels = [roots]
-    while True:
-        reached = adj[frontier].any(axis=0) & (dist < 0)
-        if not reached.any():
-            break
-        dist[reached] = len(levels)
-        levels.append([int(v) for v in np.nonzero(reached)[0]])
-        frontier = reached
-    return levels
+    dist = bfs_hop_row(g.adjacency(), roots)
+    return [np.flatnonzero(dist == k).tolist() for k in range(int(dist.max()) + 1)]
 
 
 def boundary_distance_sum(g: RegularGraph, U: Sequence[int]) -> int:

@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .adversary import Adversary, Certificate, LiveAdversaryBacking, minimal_cap, verify_certificate
+from .adversary import Adversary, Certificate, minimal_cap, verify_certificate
 from .expander import build_regular
 from .metric import (
     CountingOracle,
@@ -224,7 +224,7 @@ def play_adversary_game(
     if cap is None:
         cap = minimal_cap(n, rounds, degree)
     adv = Adversary(n, rounds, degree, cap, anchor)
-    oracle = CountingOracle(LiveAdversaryBacking(adv), record_transcript=False)
+    oracle = CountingOracle(adv, record_transcript=False)
     output = player.run(oracle, n)
     cert = adv.finalize(output)
     checks = verify_certificate(cert, metric_axioms_cap=metric_axioms_cap)

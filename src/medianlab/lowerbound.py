@@ -18,6 +18,7 @@ fixed query budget, which is the whole point of the construction.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -26,7 +27,6 @@ import numpy as np
 from .adversary import (
     Adversary,
     Certificate,
-    LiveAdversaryBacking,
     minimal_cap,
     verify_certificate,
 )
@@ -264,10 +264,24 @@ class GameReport:
             "glued_cost_z": {"units": self.glued_cost_z.units, "eps_count": self.glued_cost_z.eps_count},
             "glued_cost_y": {"units": self.glued_cost_y.units, "eps_count": self.glued_cost_y.eps_count},
             "ratio": self.ratio_float,
-            "ratio_exact": f"{self.ratio.numerator}/{self.ratio.denominator}",
+            "ratio_exact": _fraction_text(self.ratio),
             "f_hat": self.f_hat,
             "checks": dict(sorted(self.checks.items())),
         }
+
+
+def _fraction_text(value: Fraction) -> str:
+    """Exact "num/den" in decimal, past the interpreter's int->str digit limit.
+
+    The denominator carries 2**n, which outgrows the default 4300-digit
+    limit from n = 16384 on; the limit is restored before returning.
+    """
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return f"{value.numerator}/{value.denominator}"
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def _safe_eps_float(n: int) -> float:
@@ -299,7 +313,7 @@ def hard_instance_game(
     if cap is None:
         cap = minimal_cap(m, rounds, degree)
     adv = Adversary(m, rounds, degree, cap, anchor)
-    oracle = CountingOracle(LiveAdversaryBacking(adv), record_transcript=False)
+    oracle = CountingOracle(adv, record_transcript=False)
 
     run = run_renamed(algorithm, oracle, n, q)
     cert = adv.finalize(run.output_name)

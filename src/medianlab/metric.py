@@ -70,27 +70,24 @@ class Violation:
     points: tuple
 
 
-def bfs_hop_row(adjacency: np.ndarray, source: int) -> np.ndarray:
+def bfs_hop_row(adjacency: np.ndarray, source, target: int | None = None) -> np.ndarray:
     """Hop distances from source over a boolean adjacency matrix.
 
-    Returns an int64 vector with -1 for unreachable vertices.  The level
+    ``source`` is one vertex or a list of vertices; every source sits at
+    level 0.  Returns an int64 vector with -1 for unreachable vertices.
+    With a ``target``, the walk stops after the level that reaches it,
+    so vertices farther out than the target also read -1.  The level
     expansion is a vectorized row-gather, which is what makes the nearly
     complete graphs used by the adversary cheap to probe.
     """
-    n = adjacency.shape[0]
-    dist = np.full(n, -1, dtype=np.int64)
+    dist = np.full(adjacency.shape[0], -1, dtype=np.int64)
     dist[source] = 0
-    frontier = np.zeros(n, dtype=bool)
-    frontier[source] = True
+    frontier = dist == 0
     level = 0
-    while frontier.any():
+    while frontier.any() and (target is None or dist[target] < 0):
         level += 1
-        reached = adjacency[frontier].any(axis=0)
-        fresh = reached & (dist < 0)
-        if not fresh.any():
-            break
-        dist[fresh] = level
-        frontier = fresh
+        frontier = adjacency[frontier].any(axis=0) & (dist < 0)
+        dist[frontier] = level
     return dist
 
 

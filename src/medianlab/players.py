@@ -13,7 +13,7 @@ import math
 import random
 from typing import Protocol
 
-from .distances import ZERO
+from .metric import exact_median
 from .solvers import PivotInner, _sampling_over_points
 
 __all__ = [
@@ -50,15 +50,7 @@ class ExactOnPrefix:
         self.name = "exact"
 
     def run(self, oracle, n: int) -> int:
-        s = largest_prefix_for_budget(n, self.budget)
-        pts = list(range(s))
-        cost = {p: ZERO for p in pts}
-        for i, p in enumerate(pts):
-            for q in pts[i + 1 :]:
-                d = oracle.query(p, q)
-                cost[p] = cost[p] + d
-                cost[q] = cost[q] + d
-        return min(pts, key=lambda p: (cost[p], p))
+        return exact_median(oracle, range(largest_prefix_for_budget(n, self.budget)))[0]
 
 
 class PivotOnPrefix:

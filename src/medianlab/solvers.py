@@ -32,8 +32,6 @@ __all__ = [
     "ExactInner",
     "PivotInner",
     "SamplingInner",
-    "inner_exact",
-    "inner_pivot_tournament",
     "solve_on_subset",
     "restrict_and_solve",
     "sampling_baseline",
@@ -167,14 +165,6 @@ class SamplingInner:
         before = oracle.queries_made
         res = _sampling_over_points(oracle, pts, k, self.rng_seed)
         return SolverResult(res.output, oracle.queries_made - before, res.claimed_beta)
-
-
-def inner_exact(oracle, S: Sequence[int]) -> SolverResult:
-    return ExactInner().solve(oracle, S)
-
-
-def inner_pivot_tournament(oracle, S: Sequence[int]) -> SolverResult:
-    return PivotInner().solve(oracle, S)
 
 
 def solve_on_subset(oracle, S: Sequence[int], inner) -> SolverResult:

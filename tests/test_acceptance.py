@@ -13,9 +13,13 @@ in which case the tolerance is stated inline.
 
 from __future__ import annotations
 
+import hashlib
+import json
 import math
 import random
+import sys
 import time
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -165,6 +169,21 @@ def test_criterion_3_adversary_consistency(adversary_games):
         assert checks["consistency"], params
 
 
+# sha256 over every certificate of the adversary_games grid; any change to
+# a reply path, a pruning decision or the graded output moves it
+GOLDEN_GAME_CERTIFICATES = "90b20545c7e7f396674076d6ae3efe2d7d8d0cf93e765c9843b3eaa3430a2960"
+
+
+def test_golden_game_certificates(adversary_games):
+    digest = hashlib.sha256()
+    for params, cert, _ in adversary_games:
+        transcript = [(e.a, e.b, e.answer.units, e.answer.eps_count) for e in cert.transcript]
+        digest.update(repr((params, transcript, cert.paths, cert.removal_log)).encode())
+        digest.update(cert.perm.tobytes())
+        digest.update(repr((cert.bad, cert.z_star, cert.best_good, cert.ratio)).encode())
+    assert digest.hexdigest() == GOLDEN_GAME_CERTIFICATES
+
+
 # ---------------------------------------------------------------------------
 # criterion 4: structural invariants of every finished game
 # ---------------------------------------------------------------------------
@@ -272,6 +291,12 @@ def test_criterion_7_lower_bound_trend():
             player, n=n, q=q, degree=8, seed=2, metric_axioms_cap=0
         )
         assert report.all_ok, (n, report.checks)
+        digit_limit = sys.get_int_max_str_digits()
+        payload = json.loads(json.dumps(report.to_json_dict()))
+        # Decimal reads digit strings past the interpreter's int limit
+        num, den = (int(Decimal(part)) for part in payload["ratio_exact"].split("/"))
+        assert Fraction(num, den) == report.ratio, n
+        assert sys.get_int_max_str_digits() == digit_limit
         ratios.append(report.ratio)
     # strictly increasing as exact rationals
     for lo, hi in zip(ratios, ratios[1:]):

@@ -1,5 +1,9 @@
 import dataclasses
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +12,6 @@ from medianlab.adversary import (
     Adversary,
     BadConstantError,
     BudgetExhaustedError,
-    LiveAdversaryBacking,
     PadOverflowError,
     ball_growth_ok,
     good_point_bound,
@@ -36,7 +39,7 @@ def finished_game(n=32, degree=4, q=8, seed=4, algo="exact"):
     rounds = q + n
     cap = minimal_cap(n, rounds, degree)
     adv = Adversary(n, rounds, degree, cap, anchor)
-    oracle = CountingOracle(LiveAdversaryBacking(adv))
+    oracle = CountingOracle(adv)
     player = make_player(algo, budget=q, seed=seed)
     output = player.run(oracle, n)
     return adv.finalize(output), oracle
@@ -202,7 +205,7 @@ def test_answers_are_deterministic():
 
 def test_live_backing_counts_rounds():
     adv = small_game(n=8, rounds=20)
-    oracle = CountingOracle(LiveAdversaryBacking(adv))
+    oracle = CountingOracle(adv)
     oracle.query(0, 1)
     oracle.query(0, 1)
     assert adv.rounds_served == 2
@@ -221,3 +224,26 @@ def test_answers_never_shrink_per_pair():
         else:
             adv.answer(rng.randrange(16), rng.randrange(16))
     assert seen == sorted(seen)
+
+
+def test_invariants_raise_under_optimize_flag():
+    # the invariant checks are real raises, so python -O keeps them
+    script = """
+from medianlab.adversary import Adversary, minimal_cap
+from medianlab.expander import build_regular
+anchor = build_regular(8, 3, 4)
+adv = Adversary(8, 20, 3, minimal_cap(8, 20, 3), anchor)
+u, v = anchor.edges[0]
+adv._adj[u, v] = adv._adj[v, u] = False
+try:
+    adv.answer(0, 1)
+except AssertionError as exc:
+    print(exc)
+"""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True, text=True, check=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert out.stdout.strip() == "anchor edge lost"
