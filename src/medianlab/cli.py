@@ -10,7 +10,9 @@ Subcommands:
 
 All output goes to stdout as JSON (default) or CSV where tabular.  Runs
 are deterministic for a fixed --seed; timings never enter the payload.
-Exit status is 0 only when every reported check passed.
+Exit status is 0 only when every reported check passed.  Bad input
+(a ValueError or OSError) prints {"error": "<Type>: <message>"} and
+exits 1.
 """
 
 from __future__ import annotations
@@ -132,7 +134,7 @@ def _axioms_cap(args) -> int:
 
 def _cmd_adversary(args) -> int:
     if args.algo == "extern":
-        player = StreamPlayer(sys.stdin, sys.stdout)
+        player = StreamPlayer(sys.stdin, sys.stdout, budget=args.q)
     else:
         player = make_player(args.algo, budget=args.q, seed=args.seed)
     cert, checks = play_adversary_game(
@@ -334,6 +336,12 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except BrokenPipeError:
+        return 1
+    except (ValueError, OSError) as exc:
+        # bad input (infeasible sizes, invalid constants, missing or
+        # malformed files, protocol lines) is reported, not traced back;
+        # broken invariants raise AssertionError and still propagate
+        print(json.dumps({"error": f"{type(exc).__name__}: {exc}"}))
         return 1
 
 

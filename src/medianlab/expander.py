@@ -45,6 +45,11 @@ __all__ = [
 
 EXHAUSTIVE_LIMIT = 24
 _ALPHA_GRAIN = 10**9  # spectral bounds are floored to this grid, conservatively
+_WORD_CHUNK = 4096  # Mersenne Twister words replayed per refill in _swap_randomize
+_ANCHOR_MEMO_SIZE = 8  # successful build_regular results kept per process
+
+# (n, d, seed, threshold, max_attempts) -> (int32 edge array, attempts, report)
+_anchor_memo: dict[tuple, tuple[np.ndarray, int, "ExpansionReport"]] = {}
 
 
 class InfeasibleError(ValueError):
@@ -131,29 +136,78 @@ def _swap_randomize(n: int, edges: set[tuple[int, int]], swaps: int, rng: random
     Each accepted move replaces edges (a,b),(c,e) with (a,c),(b,e),
     which preserves every degree; moves creating loops or parallel
     edges are skipped.  Simplicity is therefore invariant.
+
+    A move draws i = rng.randrange(L), j = rng.randrange(L) and, when
+    i != j, a flip bit rng.getrandbits(1).  Instead of one call per
+    draw, rng's Mersenne Twister words are replayed in chunks through
+    numpy's MT19937 under CPython's rules: randrange(L) is
+    getrandbits(L.bit_length()) with rejection, and getrandbits(k) is
+    the top k bits of one 32-bit word.  On return rng stands exactly
+    where the per-call draws would have left it.
     """
     pool = list(edges)
-    for _ in range(swaps):
-        i = rng.randrange(len(pool))
-        j = rng.randrange(len(pool))
-        if i == j:
-            continue
-        a, b = pool[i]
-        c, e = pool[j]
-        if rng.getrandbits(1):
-            c, e = e, c
-        if len({a, b, c, e}) < 4:
-            continue
-        new1 = (min(a, c), max(a, c))
-        new2 = (min(b, e), max(b, e))
-        if new1 in edges or new2 in edges:
-            continue
-        edges.discard((min(a, b), max(a, b)))
-        edges.discard((min(c, e), max(c, e)))
-        edges.add(new1)
-        edges.add(new2)
-        pool[i] = new1
-        pool[j] = new2
+    size = len(pool)
+    bits = size.bit_length()
+    shift = 32 - bits
+    half = 1 << (bits - 1)  # a drawn value >= half has its word's top bit set
+    version, internal, gauss_next = rng.getstate()
+    mt = np.random.MT19937()
+    mt.state = {
+        "bit_generator": "MT19937",
+        "state": {"key": np.array(internal[:-1], dtype=np.uint32), "pos": internal[-1]},
+    }
+    mark = mt.state  # generator state just before words[0]
+    words = (mt.random_raw(_WORD_CHUNK) >> shift).tolist()
+    p = start = 0
+    move = 0
+    while move < swaps:
+        try:
+            for move in range(move, swaps):
+                start = p
+                i = words[p]
+                p += 1
+                while i >= size:
+                    i = words[p]
+                    p += 1
+                j = words[p]
+                p += 1
+                while j >= size:
+                    j = words[p]
+                    p += 1
+                if i == j:
+                    continue
+                flip = words[p] >= half
+                p += 1
+                a, b = old1 = pool[i]
+                old2 = pool[j]
+                if flip:
+                    e, c = old2
+                else:
+                    c, e = old2
+                if a == c or a == e or b == c or b == e:
+                    continue
+                new1 = (a, c) if a < c else (c, a)
+                new2 = (b, e) if b < e else (e, b)
+                if new1 in edges or new2 in edges:
+                    continue
+                edges.discard(old1)
+                edges.discard(old2)
+                edges.add(new1)
+                edges.add(new2)
+                pool[i] = new1
+                pool[j] = new2
+            move = swaps
+        except IndexError:
+            # the chunk ran dry mid-move: refill from the move's first word
+            mt.state = mark
+            mt.random_raw(start)
+            mark = mt.state
+            words = (mt.random_raw(_WORD_CHUNK) >> shift).tolist()
+            p = 0
+    mt.state = mark
+    mt.random_raw(p)
+    state = mt.state["state"]
+    rng.setstate((version, tuple(state["key"].tolist()) + (state["pos"],), gauss_next))
 
 
 def build_regular(
@@ -169,6 +223,11 @@ def build_regular(
     swaps (so the graph stays simple and d-regular by construction),
     then keeps swapping until the sample is connected with lambda2 at
     or below the threshold.  Deterministic for a fixed (n, d, seed).
+
+    Successful builds are memoised per process (the last
+    _ANCHOR_MEMO_SIZE of them, as compact edge arrays); a repeat call
+    returns a fresh RegularGraph equal to a cold build without
+    swapping or certifying again.
     """
     if d < 3:
         raise InfeasibleError("need degree at least 3")
@@ -177,6 +236,27 @@ def build_regular(
     if (n * d) % 2 != 0:
         raise InfeasibleError(f"no {d}-regular graph exists on {n} vertices (odd stub count)")
     threshold = default_lambda2_threshold(d) if lambda2_threshold is None else lambda2_threshold
+    # seed=None draws fresh OS entropy on every call, so it is never memoised
+    key = None if seed is None else (n, d, seed, threshold, max_attempts)
+    hit = _anchor_memo.pop(key, None)
+    if hit is not None:
+        _anchor_memo[key] = hit  # reinsert as most recently used
+        edge_array, attempts, report = hit
+        g = RegularGraph(n, d, map(tuple, edge_array.tolist()))
+    else:
+        g, attempts, report = _build_certified(n, d, seed, threshold, max_attempts)
+        if key is not None:
+            if len(_anchor_memo) >= _ANCHOR_MEMO_SIZE:
+                del _anchor_memo[next(iter(_anchor_memo))]
+            _anchor_memo[key] = (np.array(g.edges, dtype=np.int32), attempts, report)
+    g.build_attempts = attempts
+    g.expansion = report
+    return g
+
+
+def _build_certified(
+    n: int, d: int, seed: int | None, threshold: float, max_attempts: int
+) -> tuple[RegularGraph, int, ExpansionReport]:
     rng = random.Random(seed)
     edges = _circulant_base(n, d)
     swaps = max(2000, 10 * n * d)
@@ -188,9 +268,7 @@ def build_regular(
         except DisconnectedGraphError:
             continue
         if report.lambda2 is not None and report.lambda2 <= threshold:
-            g.build_attempts = attempt + 1
-            g.expansion = report
-            return g
+            return g, attempt + 1, report
     raise RuntimeError(f"no acceptable {d}-regular graph on {n} vertices after {max_attempts} attempts")
 
 

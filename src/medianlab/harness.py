@@ -219,6 +219,8 @@ def play_adversary_game(
     The adversary is budgeted q + n rounds so its finalization padding
     always fits after the player's q queries.
     """
+    if q < 0:
+        raise ValueError(f"query budget must be nonnegative, got {q}")
     anchor = build_regular(n, degree, seed)
     rounds = q + n
     if cap is None:

@@ -23,6 +23,7 @@ __all__ = [
     "SamplingPlayer",
     "RandomFuzzer",
     "StreamPlayer",
+    "ProtocolError",
     "make_player",
     "largest_prefix_for_budget",
 ]
@@ -95,35 +96,58 @@ class RandomFuzzer:
         return rng.randrange(n)
 
 
+class ProtocolError(ValueError):
+    """An external player broke the QUERY/OUTPUT line protocol."""
+
+
 class StreamPlayer:
     """Bridge to an external process speaking the line protocol.
 
     Reads "QUERY a b" / "OUTPUT z" lines (1-based points) from
     ``infile``, writes "ANSWER v" lines to ``outfile``, and returns the
     announced output.  Used by the CLI to host foreign algorithms.
+    Points outside 1..n, non-integer tokens and queries beyond
+    ``budget`` raise ProtocolError.
     """
 
-    def __init__(self, infile, outfile):
+    def __init__(self, infile, outfile, budget: int):
         self.infile = infile
         self.outfile = outfile
+        self.budget = budget
         self.name = "extern"
 
     def run(self, oracle, n: int) -> int:
+        queries = 0
         for raw in self.infile:
             line = raw.strip()
             if not line:
                 continue
             parts = line.split()
             if parts[0] == "QUERY" and len(parts) == 3:
-                a, b = int(parts[1]) - 1, int(parts[2]) - 1
+                a, b = _points(line, parts[1:], n)
+                queries += 1
+                if queries > self.budget:
+                    raise ProtocolError(f"query {queries} exceeds the budget of {self.budget}")
                 answer = oracle.query(a, b)
                 self.outfile.write(f"ANSWER {answer.units}\n")
                 self.outfile.flush()
             elif parts[0] == "OUTPUT" and len(parts) == 2:
-                return int(parts[1]) - 1
+                return _points(line, parts[1:], n)[0]
             else:
-                raise ValueError(f"malformed protocol line: {line!r}")
-        raise ValueError("stream ended before an OUTPUT line")
+                raise ProtocolError(f"malformed protocol line: {line!r}")
+        raise ProtocolError("stream ended before an OUTPUT line")
+
+
+def _points(line: str, tokens: list[str], n: int) -> list[int]:
+    """1-based point tokens of a protocol line, as 0-based indices."""
+    try:
+        points = [int(tok) - 1 for tok in tokens]
+    except ValueError:
+        raise ProtocolError(f"non-integer point in protocol line: {line!r}") from None
+    for p in points:
+        if not 0 <= p < n:
+            raise ProtocolError(f"point {p + 1} outside 1..{n} in protocol line: {line!r}")
+    return points
 
 
 def make_player(name: str, budget: int, seed: int = 0) -> QueryAlgorithm:

@@ -1,3 +1,4 @@
+import io
 import json
 import subprocess
 import sys
@@ -77,8 +78,38 @@ def test_adversary_json(capsys):
 
 
 def test_adversary_rejects_bad_cap(capsys):
-    with pytest.raises(Exception):
-        run_cli(capsys, "adversary", "--n", "24", "--q", "12", "--d", "4", "--C", "3")
+    code, out = run_cli(capsys, "adversary", "--n", "24", "--q", "12", "--d", "4", "--C", "3")
+    assert code == 1
+    assert json.loads(out)["error"].startswith("BadConstantError: cap 3 must exceed")
+
+
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        (("expander", "--n", "9", "--d", "3"),
+         "InfeasibleError: no 3-regular graph exists on 9 vertices (odd stub count)"),
+        (("adversary", "--n", "17", "--q", "4", "--d", "3"),
+         "InfeasibleError: no 3-regular graph exists on 17 vertices (odd stub count)"),
+        (("adversary", "--n", "16", "--q", "-3", "--d", "4", "--algo", "pivot"),
+         "ValueError: query budget must be nonnegative, got -3"),
+        (("verify", "--metric", "no-such-metric.txt"),
+         "FileNotFoundError: [Errno 2] No such file or directory: 'no-such-metric.txt'"),
+    ],
+    ids=["expander-odd-stubs", "adversary-odd-stubs", "negative-budget", "missing-file"],
+)
+def test_bad_input_reports_json_error(capsys, argv, error):
+    code, out = run_cli(capsys, *argv)
+    assert code == 1
+    assert json.loads(out) == {"error": error}
+
+
+def test_invariant_failures_still_raise(capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise AssertionError("anchor edge removed")
+
+    monkeypatch.setattr("medianlab.cli.build_regular", broken)
+    with pytest.raises(AssertionError):
+        run_cli(capsys, "expander", "--n", "16", "--d", "4")
 
 
 def test_lowerbound_single_json(capsys):
@@ -166,3 +197,37 @@ def test_extern_protocol_over_pipes():
     assert report["output"] == 7
     assert all(report["checks"].values())
     assert proc.returncode == 0
+
+
+def run_extern(capsys, monkeypatch, script, q=4):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(script))
+    code, out = run_cli(capsys, "adversary", "--n", "16", "--q", str(q), "--d", "4", "--algo", "extern")
+    lines = out.splitlines()
+    answers = [line for line in lines if line.startswith("ANSWER ")]
+    return code, answers, json.loads("\n".join(lines[len(answers):]))
+
+
+def test_extern_rejects_zero_based_point(capsys, monkeypatch):
+    code, answers, payload = run_extern(capsys, monkeypatch, "QUERY 1 2\nQUERY 0 2\nOUTPUT 1\n")
+    assert code == 1
+    assert answers == ["ANSWER 1"]
+    assert payload == {"error": "ProtocolError: point 0 outside 1..16 in protocol line: 'QUERY 0 2'"}
+    code, _, payload = run_extern(capsys, monkeypatch, "OUTPUT 17\n")
+    assert code == 1
+    assert payload == {"error": "ProtocolError: point 17 outside 1..16 in protocol line: 'OUTPUT 17'"}
+
+
+def test_extern_rejects_non_integer_token(capsys, monkeypatch):
+    code, answers, payload = run_extern(capsys, monkeypatch, "QUERY 1 x\nOUTPUT 1\n")
+    assert code == 1
+    assert answers == []
+    assert payload == {"error": "ProtocolError: non-integer point in protocol line: 'QUERY 1 x'"}
+
+
+def test_extern_enforces_query_budget(capsys, monkeypatch):
+    script = "".join(f"QUERY 1 {b}\n" for b in range(2, 12)) + "OUTPUT 1\n"
+    code, answers, payload = run_extern(capsys, monkeypatch, script, q=4)
+    assert code == 1
+    assert len(answers) == 4
+    assert payload == {"error": "ProtocolError: query 5 exceeds the budget of 4"}
+

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -5,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from medianlab import expander
 from medianlab.expander import (
     EXHAUSTIVE_LIMIT,
     InfeasibleError,
@@ -164,3 +166,155 @@ def test_exhaustive_alpha_agrees_with_bruteforce_tiny():
         )
         best = min(best, Fraction(cut, 3 * size))
     assert certify_expansion(g, "exhaustive").alpha_lower == best
+
+
+def _reference_swap_randomize(n, edges, swaps, rng):
+    """The per-call swap loop the bulk kernel must reproduce draw for draw."""
+    pool = list(edges)
+    for _ in range(swaps):
+        i = rng.randrange(len(pool))
+        j = rng.randrange(len(pool))
+        if i == j:
+            continue
+        a, b = pool[i]
+        c, e = pool[j]
+        if rng.getrandbits(1):
+            c, e = e, c
+        if len({a, b, c, e}) < 4:
+            continue
+        new1 = (min(a, c), max(a, c))
+        new2 = (min(b, e), max(b, e))
+        if new1 in edges or new2 in edges:
+            continue
+        edges.discard((min(a, b), max(a, b)))
+        edges.discard((min(c, e), max(c, e)))
+        edges.add(new1)
+        edges.add(new2)
+        pool[i] = new1
+        pool[j] = new2
+
+
+# pool sizes n*d/2: 32 and 4096 are powers of two (half of all draws are
+# rejected), 45, 96 and 5044 are not
+@pytest.mark.parametrize(
+    "n, d, swaps",
+    [(16, 4, 3000), (1024, 8, 9000), (30, 3, 2500), (24, 8, 2000), (1261, 8, 6000)],
+)
+def test_swap_kernel_replays_the_per_call_stream(n, d, swaps):
+    ref_rng, rng = random.Random(n * 7 + d), random.Random(n * 7 + d)
+    ref_rng.gauss(0.0, 1.0)  # leaves a cached gauss value in the state
+    rng.gauss(0.0, 1.0)
+    ref_edges, edges = expander._circulant_base(n, d), expander._circulant_base(n, d)
+    for _ in range(2):  # a second call continues the same stream, as a retry does
+        _reference_swap_randomize(n, ref_edges, swaps, ref_rng)
+        expander._swap_randomize(n, edges, swaps, rng)
+        assert edges == ref_edges
+        assert list(edges) == list(ref_edges)
+        assert rng.getstate() == ref_rng.getstate()
+    assert rng.random() == ref_rng.random()
+
+
+@pytest.fixture()
+def fresh_memo(monkeypatch):
+    memo: dict = {}
+    # raising=False keeps the golden test runnable on a build without a memo
+    monkeypatch.setattr(expander, "_anchor_memo", memo, raising=False)
+    return memo
+
+
+def _anchor_digest(cases) -> str:
+    h = hashlib.sha256()
+    for n, d, seed, threshold, attempts in cases:
+        g = build_regular(n, d, seed, lambda2_threshold=threshold, max_attempts=attempts)
+        rep = g.expansion
+        alpha = f"{rep.alpha_lower.numerator}/{rep.alpha_lower.denominator}"
+        fields = (n, d, seed, threshold, attempts, g.edges, g.build_attempts, rep.method, alpha)
+        h.update(repr(fields + (f"{rep.lambda2:.9f}",)).encode())
+    return h.hexdigest()
+
+
+# recorded with the per-call swap loop, before the bulk replay and the memo
+GOLDEN_ANCHOR_DIGEST = "f1484440effa7b2bfb551f9d30ba8560bc7bce1debcb55e2d38de1ee65e6a769"
+GOLDEN_ANCHOR_CASES = [(n, 8, s, None, 40) for n in (24, 64, 256, 1024, 1261) for s in (0, 1, 2)]
+GOLDEN_ANCHOR_CASES += [(16, 5, 0, None, 40), (30, 3, 1, None, 40)]
+# thresholds just below the first sample's lambda2 force 2, 3 and 2 attempts
+GOLDEN_RETRY_CASES = [(24, 8, 0, 3.9, 6), (64, 8, 0, 4.91, 6), (256, 8, 2, 5.17, 4)]
+
+
+def test_build_regular_golden_digest(fresh_memo):
+    retries = [build_regular(n, d, s, lambda2_threshold=t, max_attempts=m).build_attempts
+               for n, d, s, t, m in GOLDEN_RETRY_CASES]
+    assert retries == [2, 3, 2]
+    fresh_memo.clear()
+    assert _anchor_digest(GOLDEN_ANCHOR_CASES + GOLDEN_RETRY_CASES) == GOLDEN_ANCHOR_DIGEST
+
+
+def test_memo_hit_is_a_fresh_graph_equal_to_a_cold_build(fresh_memo):
+    a = build_regular(40, 4, seed=3)
+    b = build_regular(40, 4, seed=3)
+    fresh_memo.clear()
+    cold = build_regular(40, 4, seed=3)
+    assert b is not a and b is not cold
+    for g in (a, b):
+        assert g.edges == cold.edges
+        assert g.build_attempts == cold.build_attempts
+        assert g.expansion == cold.expansion
+    assert all(type(u) is int and type(v) is int for u, v in b.edges)
+
+
+def test_memo_hit_skips_certification(fresh_memo, monkeypatch):
+    calls = []
+    real = expander.certify_expansion
+
+    def counting(g, method="spectral"):
+        calls.append(g.n)
+        return real(g, method)
+
+    monkeypatch.setattr(expander, "certify_expansion", counting)
+    build_regular(40, 4, seed=3)
+    cold_calls = len(calls)
+    assert cold_calls >= 1
+    build_regular(40, 4, seed=3)
+    assert len(calls) == cold_calls
+    # a different threshold or attempt cap is a different build
+    build_regular(40, 4, seed=3, lambda2_threshold=default_lambda2_threshold(4) + 0.5)
+    assert len(calls) > cold_calls
+    cold_calls = len(calls)
+    build_regular(40, 4, seed=3, max_attempts=39)
+    assert len(calls) > cold_calls
+    assert len(fresh_memo) == 3
+
+
+def test_failed_builds_are_not_memoised(fresh_memo):
+    with pytest.raises(InfeasibleError):
+        build_regular(9, 3, 0)
+    with pytest.raises(RuntimeError):
+        build_regular(40, 4, 3, lambda2_threshold=-10.0, max_attempts=2)
+    assert fresh_memo == {}
+
+
+def test_memo_hit_owns_its_adjacency(fresh_memo):
+    cold = build_regular(40, 4, seed=3)
+    clean = cold.adjacency().copy()
+    hit = build_regular(40, 4, seed=3)
+    for g in (cold, hit):
+        g.adjacency()[:] = True
+    fresh = build_regular(40, 4, seed=3)
+    assert np.array_equal(fresh.adjacency(), clean)
+    assert fresh.neighbors(0) == [int(v) for v in np.flatnonzero(clean[0])]
+
+
+def test_unseeded_builds_are_not_memoised(fresh_memo):
+    g = build_regular(40, 4, seed=None)
+    assert g.expansion is not None
+    assert fresh_memo == {}
+
+
+def test_memo_keeps_the_most_recent_builds(fresh_memo):
+    size = expander._ANCHOR_MEMO_SIZE
+    for seed in range(size + 1):
+        build_regular(12, 4, seed)
+    assert len(fresh_memo) == size
+    assert (12, 4, 0, default_lambda2_threshold(4), 40) not in fresh_memo
+    build_regular(12, 4, 1)  # a hit becomes the most recent entry
+    assert next(reversed(fresh_memo))[2] == 1
