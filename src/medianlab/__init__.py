@@ -21,11 +21,9 @@ from .distances import EPS, ONE, ZERO, ExactDistance
 from .expander import RegularGraph, build_regular, certify_expansion, verify_level_decay
 from .harness import (
     INSTANCE_KINDS,
-    RunReport,
     SweepConfig,
     generate_instance,
     play_adversary_game,
-    replay_verify,
     sweep_upper_bound,
     verify_nonadaptive,
 )
@@ -41,6 +39,7 @@ from .metric import (
     graph_metric,
     is_metric,
     median_cost,
+    replay_verify,
     validate_metric,
 )
 from .players import ExactOnPrefix, PivotOnPrefix, RandomFuzzer, SamplingPlayer, make_player
@@ -77,7 +76,6 @@ __all__ = [
     "RandomFuzzer",
     "RegularGraph",
     "RestrictedOracle",
-    "RunReport",
     "SamplingInner",
     "SamplingPlayer",
     "SweepConfig",

@@ -32,7 +32,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .distances import ExactDistance
-from .metric import HopMetric, Transcript, bfs_hop_row
+from .metric import HopMetric, Transcript, bfs_hop_row, is_metric, replay_verify
 from .expander import NotRegularError, RegularGraph
 
 __all__ = [
@@ -276,16 +276,10 @@ class Certificate:
 
 def verify_consistency(cert: Certificate, transcript: Transcript | None = None) -> bool:
     """Every answer ever given equals the final metric's distance."""
-    tr = cert.transcript if transcript is None else transcript
-    for entry in tr:
-        if entry.answer.eps_count != 0:
-            return False
-        if int(cert.final_metric.row(entry.a)[entry.b]) != entry.answer.units:
-            return False
-    return True
+    return replay_verify(cert.transcript if transcript is None else transcript, cert.final_metric)
 
 
-def verify_path_discipline(source: Adversary | Certificate) -> bool:
+def verify_path_discipline(cert: Certificate) -> bool:
     """Re-derive the permanence timeline from the recorded reply paths.
 
     Checks, per round: the reply path contained at most one edge that
@@ -293,10 +287,8 @@ def verify_path_discipline(source: Adversary | Certificate) -> bool:
     edges touch any one vertex.  The recomputed final permanent edge set
     must also match the recorded one exactly.
     """
-    anchor = source.anchor.edges if isinstance(source, Adversary) else source.anchor_edges
-    paths = source.paths
-    perm: set[Edge] = set(anchor)
-    for path in paths:
+    perm: set[Edge] = set(cert.anchor_edges)
+    for path in cert.paths:
         edges = [_norm_edge(u, v) for u, v in zip(path, path[1:])]
         if len(edges) != len(set(edges)):
             return False  # reply paths are simple
@@ -310,15 +302,12 @@ def verify_path_discipline(source: Adversary | Certificate) -> bool:
         if per_vertex and max(per_vertex.values()) > 2:
             return False
         perm.update(edges)
-    if isinstance(source, Certificate):
-        recorded = {
-            _norm_edge(int(u), int(v))
-            for u, v in np.argwhere(source.perm)
-            if u < v
-        }
-        if recorded != perm:
-            return False
-    return True
+    recorded = {
+        _norm_edge(int(u), int(v))
+        for u, v in np.argwhere(cert.perm)
+        if u < v
+    }
+    return recorded == perm
 
 
 def good_point_bound(cert: Certificate) -> tuple[int, int]:
@@ -372,7 +361,5 @@ def verify_certificate(cert: Certificate, metric_axioms_cap: int = 0) -> dict[st
         "ratio_exact": cert.ratio == Fraction(cert.z_star_cost, cert.best_good[1]),
     }
     if metric_axioms_cap and cert.n <= metric_axioms_cap:
-        from .metric import is_metric
-
         checks["metric_axioms"] = is_metric(cert.final_metric.to_table(metric_axioms_cap))
     return checks

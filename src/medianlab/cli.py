@@ -33,7 +33,7 @@ from .harness import (
     rows_to_csv_text,
     sweep_upper_bound,
 )
-from .lowerbound import hard_instance_game
+from .lowerbound import _fraction_text, hard_instance_game
 from .metric import CountingOracle, brute_force_cost, brute_force_median, validate_metric
 from .players import StreamPlayer, make_player
 from .solvers import make_inner, restrict_and_solve, subset_size, transfer_bound
@@ -42,7 +42,7 @@ __all__ = ["main", "build_parser"]
 
 
 def _fraction_fields(name: str, value: Fraction) -> dict:
-    return {name: float(value), f"{name}_exact": f"{value.numerator}/{value.denominator}"}
+    return {name: float(value), f"{name}_exact": _fraction_text(value)}
 
 
 def _distance_fields(name: str, value: ExactDistance) -> dict:
@@ -53,12 +53,10 @@ def _distance_fields(name: str, value: ExactDistance) -> dict:
 
 
 def _emit(args, payload) -> None:
-    if args.out == "csv":
-        if isinstance(payload, list):
-            sys.stdout.write(rows_to_csv_text(payload))
-            return
-        payload = [payload]
-        sys.stdout.write(rows_to_csv_text([_flatten(p) for p in payload]))
+    # --out wins; otherwise tabular (list) payloads are CSV and the rest JSON
+    if (args.out or ("csv" if isinstance(payload, list) else "json")) == "csv":
+        rows = payload if isinstance(payload, list) else [_flatten(payload)]
+        sys.stdout.write(rows_to_csv_text(rows))
         return
     print(json.dumps(payload, sort_keys=True, indent=2))
 
@@ -168,47 +166,37 @@ def _cmd_adversary(args) -> int:
 
 
 def _sweep_budget(n: int) -> int:
+    if n < 2:
+        raise ValueError(f"the lower-bound game needs n >= 2, got {n}")
     return max(1, int(n / math.log2(n)))
 
 
 def _cmd_lowerbound(args) -> int:
-    if args.sweep:
-        sizes = [int(tok) for tok in args.sweep.split(",") if tok]
-        rows = []
-        ok = True
-        for n in sorted(sizes):
-            q = args.q if args.q is not None else _sweep_budget(n)
-            algorithm = make_player(args.algo, budget=q, seed=args.seed)
-            report = hard_instance_game(
-                algorithm, n, q, degree=args.d, seed=args.seed,
-                metric_axioms_cap=_axioms_cap(args),
-            )
-            ok = ok and report.all_ok
-            rows.append(
-                {
-                    "n": n,
-                    "q": q,
-                    "ratio": report.ratio_float,
-                    "log2_n": round(math.log2(n), 6),
-                    "f_hat": report.f_hat,
-                    "checks_ok": report.all_ok,
-                }
-            )
-        if args.out == "json":
-            _emit(args, rows)
-        else:
-            sys.stdout.write(rows_to_csv_text(rows))  # tabular output defaults to CSV
-        return 0 if ok else 1
-
-    if args.q is None:
-        args.q = _sweep_budget(args.n)
-    algorithm = make_player(args.algo, budget=args.q, seed=args.seed)
-    report = hard_instance_game(
-        algorithm, args.n, args.q, degree=args.d, seed=args.seed,
-        metric_axioms_cap=_axioms_cap(args),
-    )
-    _emit(args, report.to_json_dict())
-    return 0 if report.all_ok else 1
+    sizes = sorted(int(tok) for tok in args.sweep.split(",") if tok) if args.sweep else [args.n]
+    rows = []
+    ok = True
+    for n in sizes:
+        q = args.q if args.q is not None else _sweep_budget(n)
+        algorithm = make_player(args.algo, budget=q, seed=args.seed)
+        report = hard_instance_game(
+            algorithm, n, q, degree=args.d, seed=args.seed,
+            metric_axioms_cap=_axioms_cap(args),
+        )
+        ok = ok and report.all_ok
+        rows.append(
+            {
+                "n": n,
+                "q": q,
+                "ratio": report.ratio_float,
+                "log2_n": round(math.log2(n), 6),
+                "f_hat": report.f_hat,
+                "checks_ok": report.all_ok,
+            }
+            if args.sweep
+            else report.to_json_dict()
+        )
+    _emit(args, rows if args.sweep else rows[0])
+    return 0 if ok else 1
 
 
 def _cmd_expander(args) -> int:
@@ -245,12 +233,7 @@ def _cmd_sweep(args) -> int:
         for inner in inners
     ]
     rows = sweep_upper_bound(configs, brute_force_cap=args.brute_force_cap)
-    for row in rows:
-        row.pop("seconds", None)
-    if args.out == "json":
-        _emit(args, rows)
-    else:
-        sys.stdout.write(rows_to_csv_text(rows))  # tabular output defaults to CSV
+    _emit(args, rows)
     return 0 if all(r["bound_satisfied"] for r in rows) else 1
 
 

@@ -301,17 +301,11 @@ def _exhaustive_alpha(g: RegularGraph) -> Fraction:
         overlap = np.bitwise_count(np.bitwise_and(high, np.uint32(nbr[v])))
         internal[masks] = internal[high] + overlap.astype(np.int32)
     sizes = np.bitwise_count(np.arange(size, dtype=np.uint32)).astype(np.int32)
-    best: Fraction | None = None
-    for s in range(1, n // 2 + 1):
-        sel = sizes == s
-        if not sel.any():
-            continue
-        min_cut = int((d * s - 2 * internal[sel]).min())
-        cand = Fraction(min_cut, d * s)
-        if best is None or cand < best:
-            best = cand
-    assert best is not None
-    return best
+    # every size 1..n/2 occurs among the 2**n sets, and n > d >= 3
+    return min(
+        Fraction(int((d * s - 2 * internal[sizes == s]).min()), d * s)
+        for s in range(1, n // 2 + 1)
+    )
 
 
 def _lambda2(g: RegularGraph) -> float:

@@ -72,21 +72,35 @@ def write_metric_json(path: str, table: MetricTable) -> None:
         fh.write("\n")
 
 
+def _json_int(path: str, value, what: str) -> int:
+    # bool is an int subclass, a float such as 1.5 must not be truncated,
+    # and the table stores int64
+    if not isinstance(value, int) or isinstance(value, bool) or not -(2**63) <= value < 2**63:
+        raise ValueError(f"{path}: {what} must be a 64-bit integer, got {value!r}")
+    return value
+
+
 def read_metric_json(path: str) -> MetricTable:
     with open(path, "r", encoding="utf-8") as fh:
         blob = json.load(fh)
-    n = int(blob["n"])
+    if not isinstance(blob, dict) or "n" not in blob or "dist" not in blob:
+        raise ValueError(f'{path}: expected an object with "n" and "dist"')
+    n = _json_int(path, blob["n"], "n")
+    rows = blob["dist"]
+    if not isinstance(rows, list) or len(rows) != n:
+        raise ValueError(f"{path}: expected {n} rows")
     units = np.zeros((n, n), dtype=np.int64)
     eps = np.zeros((n, n), dtype=np.int64)
-    rows = blob["dist"]
-    if len(rows) != n:
-        raise ValueError(f"{path}: expected {n} rows")
     for i, row in enumerate(rows):
-        if len(row) != n:
-            raise ValueError(f"{path}: row {i} has {len(row)} entries, expected {n}")
+        if not isinstance(row, list) or len(row) != n:
+            raise ValueError(f"{path}: row {i} should be a list of {n} entries")
         for j, cell in enumerate(row):
-            units[i, j] = int(cell["units"])
-            eps[i, j] = int(cell["eps_count"])
+            if not isinstance(cell, dict) or "units" not in cell or "eps_count" not in cell:
+                raise ValueError(
+                    f'{path}: entry ({i}, {j}) should be {{"units": u, "eps_count": e}}, got {cell!r}'
+                )
+            units[i, j] = _json_int(path, cell["units"], f"units of entry ({i}, {j})")
+            eps[i, j] = _json_int(path, cell["eps_count"], f"eps_count of entry ({i}, {j})")
     return MetricTable(units, eps)
 
 

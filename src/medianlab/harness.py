@@ -1,21 +1,17 @@
 """Instance generators, experiment sweeps, and audit helpers.
 
 Everything here is deterministic in (kind, n, seed): generators use
-their own random.Random instances, sweeps sort their rows, and reports
-serialize to plain JSON dictionaries so two runs with the same inputs
-produce byte-identical artifacts.  Timings are carried for curiosity
-but excluded from equality so round-tripped reports still compare.
+their own random.Random instances and sweeps sort their rows, so two
+runs with the same inputs produce byte-identical artifacts.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-import json
 import math
 import random
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -30,6 +26,7 @@ from .metric import (
     brute_force_cost,
     brute_force_median,
     graph_metric,
+    replay_verify,
 )
 from .solvers import make_inner, restrict_and_solve, subset_schedule, subset_size, transfer_bound
 
@@ -41,7 +38,6 @@ __all__ = [
     "SweepConfig",
     "sweep_upper_bound",
     "play_adversary_game",
-    "RunReport",
     "write_csv",
     "rows_to_csv_text",
 ]
@@ -108,11 +104,6 @@ def generate_instance(kind: str, n: int, seed: int = 0) -> MetricTable:
     raise ValueError(f"unknown instance kind {kind!r} (have {', '.join(INSTANCE_KINDS)})")
 
 
-def replay_verify(transcript, metric) -> bool:
-    """True iff every recorded answer matches the metric it claims to describe."""
-    return all(metric.distance(e.a, e.b) == e.answer for e in transcript)
-
-
 def verify_nonadaptive(inner, s: int) -> bool:
     """Probe whether a solver's query sequence ignores the answers.
 
@@ -160,9 +151,7 @@ def sweep_upper_bound(configs: Sequence[SweepConfig], brute_force_cap: int = 409
             raise ValueError(f"n={cfg.n} exceeds the brute-force cap {brute_force_cap}")
         oracle = CountingOracle(table, record_transcript=False)
         inner = make_inner(cfg.inner, rng_seed=cfg.seed)
-        t0 = time.perf_counter()
         result = restrict_and_solve(oracle, cfg.n, cfg.f_of_n, inner)
-        elapsed = time.perf_counter() - t0
 
         s = subset_size(cfg.n, cfg.f_of_n)
         S = subset_schedule(cfg.n, s)
@@ -199,7 +188,6 @@ def sweep_upper_bound(configs: Sequence[SweepConfig], brute_force_cap: int = 409
                 "beta": float(beta),
                 "bound": float(bound),
                 "bound_satisfied": bool(ratio <= bound),
-                "seconds": round(elapsed, 6),
             }
         )
     return rows
@@ -231,39 +219,6 @@ def play_adversary_game(
     cert = adv.finalize(output)
     checks = verify_certificate(cert, metric_axioms_cap=metric_axioms_cap)
     return cert, checks
-
-
-@dataclass
-class RunReport:
-    """Config, measurements, and pass/fail audits for one experiment run."""
-
-    config: dict
-    measured: dict
-    checks: dict
-    timings: dict = field(default_factory=dict, compare=False)
-
-    @property
-    def all_ok(self) -> bool:
-        return all(self.checks.values())
-
-    def to_json(self) -> str:
-        payload = {
-            "config": self.config,
-            "measured": self.measured,
-            "checks": self.checks,
-            "timings": self.timings,
-        }
-        return json.dumps(payload, sort_keys=True, indent=2)
-
-    @classmethod
-    def from_json(cls, text: str) -> "RunReport":
-        data = json.loads(text)
-        return cls(
-            config=data["config"],
-            measured=data["measured"],
-            checks=data["checks"],
-            timings=data.get("timings", {}),
-        )
 
 
 def write_csv(rows: Sequence[dict], stream) -> None:

@@ -31,8 +31,8 @@ from .adversary import (
     verify_certificate,
 )
 from .distances import EPS, ExactDistance
-from .expander import build_regular
-from .metric import CountingOracle, HopMetric, MetricTable, is_metric
+from .expander import InfeasibleError, build_regular
+from .metric import CountingOracle, HopMetric, MetricTable, is_metric, replay_verify
 
 __all__ = [
     "BudgetExceededError",
@@ -306,6 +306,11 @@ def hard_instance_game(
     if q < 1:
         raise ValueError("the game needs a positive query budget")
     m = 2 * q + 1
+    if degree % 2:
+        raise InfeasibleError(
+            f"degree {degree} is odd and the arena's 2q+1 = {m} points are odd, "
+            f"so no {degree}-regular anchor exists; pick an even degree"
+        )
     if m >= n:
         raise ValueError(f"need n > 2q+1 = {m} so the glued cluster is nonempty")
     anchor = build_regular(m, degree, seed)
@@ -365,9 +370,7 @@ def _game_checks(run: RenamedRun, cert: Certificate, glued: GluedMetric, z: int,
     out["names_in_window"] = run.renaming.count <= 2 * q + 1 and all(0 <= v < m for v in names)
     out["budget_respected"] = run.queries_used <= q
     out["transcripts_aligned"] = _transcripts_aligned(run)
-    out["replay_glued"] = all(
-        glued.distance(e.a, e.b) == e.answer for e in cert.transcript
-    )
+    out["replay_glued"] = replay_verify(cert.transcript, glued)
     cost_z = glued.cost_of(z)
     cost_y = glued.cost_of(y)
     base_y = glued._base_row_sum(y)

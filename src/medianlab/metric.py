@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -37,6 +37,7 @@ __all__ = [
     "LineMetric",
     "TranscriptEntry",
     "Transcript",
+    "replay_verify",
     "CountingOracle",
     "RestrictedOracle",
     "StubOracle",
@@ -190,16 +191,15 @@ class HopMetric:
         degs = self._adj[cands].sum(axis=1)
         lower = 2 * (self.n - 1) - degs
         order = sorted(range(len(cands)), key=lambda i: (int(lower[i]), cands[i]))
-        best_cost: int | None = None
-        best_v = -1
-        for i in order:
-            if best_cost is not None and int(lower[i]) > best_cost:
+        best_v = cands[order[0]]
+        best_cost = self.cost_of(best_v)
+        for i in order[1:]:
+            if int(lower[i]) > best_cost:
                 break
             v = cands[i]
             c = self.cost_of(v)
-            if best_cost is None or (c, v) < (best_cost, best_v):
+            if (c, v) < (best_cost, best_v):
                 best_cost, best_v = c, v
-        assert best_cost is not None
         return best_v, best_cost
 
     def to_table(self, cap: int = 4096) -> MetricTable:
@@ -250,6 +250,11 @@ class Transcript:
 
     def __getitem__(self, i):
         return self.entries[i]
+
+
+def replay_verify(transcript, metric) -> bool:
+    """True iff every recorded answer matches the metric it claims to describe."""
+    return all(metric.distance(e.a, e.b) == e.answer for e in transcript)
 
 
 class CountingOracle:
@@ -327,6 +332,36 @@ class StubOracle:
         return self._answer
 
 
+def _argwhere_if_any(mask: np.ndarray):
+    # the .any() scan is cheap; argwhere only runs on a hit
+    return np.argwhere(mask) if mask.any() else ()
+
+
+def _violations(table: MetricTable) -> Iterator[Violation]:
+    """Yield every violated axiom instance: identity, positivity, symmetry, triangle."""
+    u, e = table.units, table.eps
+    n = table.n
+
+    for x in np.nonzero((np.diagonal(u) != 0) | (np.diagonal(e) != 0))[0]:
+        yield Violation("identity", (int(x),))
+
+    off = ~np.eye(n, dtype=bool)
+    for x, y in _argwhere_if_any((((u == 0) & (e == 0)) | (u < 0) | (e < 0)) & off):
+        if x < y or u[x, y] < 0 or e[x, y] < 0:
+            yield Violation("positivity", (int(x), int(y)))
+
+    for x, y in _argwhere_if_any((u != u.T) | (e != e.T)):
+        if x < y:
+            yield Violation("symmetry", (int(x), int(y)))
+
+    for y in range(n):
+        su = u[:, y, None] + u[None, y, :]
+        se = e[:, y, None] + e[None, y, :]
+        for x, z in _argwhere_if_any((u > su) | ((u == su) & (e > se))):
+            if x != y and z != y and x != z:
+                yield Violation("triangle", (int(x), int(y), int(z)))
+
+
 def validate_metric(table: MetricTable) -> list[Violation]:
     """Check all four metric axioms exactly and return every violation.
 
@@ -334,53 +369,12 @@ def validate_metric(table: MetricTable) -> list[Violation]:
     the rational order under the eps regime the glued constructions
     assert.  Returns an empty list iff the table is a metric.
     """
-    u, e = table.units, table.eps
-    n = table.n
-    out: list[Violation] = []
-
-    diag_bad = np.nonzero((np.diagonal(u) != 0) | (np.diagonal(e) != 0))[0]
-    for x in diag_bad:
-        out.append(Violation("identity", (int(x),)))
-
-    neg = (u < 0) | (e < 0)
-    zero = (u == 0) & (e == 0)
-    off = ~np.eye(n, dtype=bool)
-    for x, y in np.argwhere((zero | neg) & off):
-        if x < y or neg[x, y]:
-            out.append(Violation("positivity", (int(x), int(y))))
-
-    asym = (u != u.T) | (e != e.T)
-    for x, y in np.argwhere(asym):
-        if x < y:
-            out.append(Violation("symmetry", (int(x), int(y))))
-
-    for y in range(n):
-        su = u[:, y, None] + u[None, y, :]
-        se = e[:, y, None] + e[None, y, :]
-        bad = (u > su) | ((u == su) & (e > se))
-        for x, z in np.argwhere(bad):
-            if x != y and z != y and x != z:
-                out.append(Violation("triangle", (int(x), int(y), int(z))))
-    return out
+    return list(_violations(table))
 
 
 def is_metric(table: MetricTable) -> bool:
-    """Fast boolean form of :func:`validate_metric` (early exit per axiom)."""
-    u, e = table.units, table.eps
-    n = table.n
-    if (np.diagonal(u) != 0).any() or (np.diagonal(e) != 0).any():
-        return False
-    off = ~np.eye(n, dtype=bool)
-    if ((u < 0) | (e < 0)).any() or (((u == 0) & (e == 0)) & off).any():
-        return False
-    if (u != u.T).any() or (e != e.T).any():
-        return False
-    for y in range(n):
-        su = u[:, y, None] + u[None, y, :]
-        se = e[:, y, None] + e[None, y, :]
-        if ((u > su) | ((u == su) & (e > se))).any():
-            return False
-    return True
+    """Boolean form of :func:`validate_metric`, stopping at the first violation."""
+    return next(_violations(table), None) is None
 
 
 def graph_metric(n: int, edges: Iterable[tuple[int, int]]) -> MetricTable:
@@ -396,13 +390,7 @@ def graph_metric(n: int, edges: Iterable[tuple[int, int]]) -> MetricTable:
             raise ValueError("self loops are not allowed")
         adj[u, v] = True
         adj[v, u] = True
-    units = np.empty((n, n), dtype=np.int64)
-    for a in range(n):
-        row = bfs_hop_row(adj, a)
-        if (row < 0).any():
-            raise DisconnectedGraphError("graph is disconnected")
-        units[a] = row
-    return MetricTable(units)
+    return HopMetric(adj).to_table(cap=n)
 
 
 def median_cost(oracle, p: PointId, S: Iterable[PointId]) -> ExactDistance:

@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import os
 import random
@@ -247,3 +248,16 @@ except AssertionError as exc:
         env={**os.environ, "PYTHONPATH": src},
     )
     assert out.stdout.strip() == "anchor edge lost"
+
+
+def test_no_assert_statements_in_the_library():
+    # python -O strips assert statements, so invariants and input checks
+    # in the library must raise explicitly
+    src = Path(__file__).resolve().parents[1] / "src" / "medianlab"
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(src.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import subprocess
@@ -94,8 +95,16 @@ def test_adversary_rejects_bad_cap(capsys):
          "ValueError: query budget must be nonnegative, got -3"),
         (("verify", "--metric", "no-such-metric.txt"),
          "FileNotFoundError: [Errno 2] No such file or directory: 'no-such-metric.txt'"),
+        (("lowerbound", "--n", "100", "--q", "10", "--d", "3"),
+         "InfeasibleError: degree 3 is odd and the arena's 2q+1 = 21 points are odd, "
+         "so no 3-regular anchor exists; pick an even degree"),
+        (("lowerbound", "--n", "1"),
+         "ValueError: the lower-bound game needs n >= 2, got 1"),
+        (("lowerbound", "--sweep", "1,64"),
+         "ValueError: the lower-bound game needs n >= 2, got 1"),
     ],
-    ids=["expander-odd-stubs", "adversary-odd-stubs", "negative-budget", "missing-file"],
+    ids=["expander-odd-stubs", "adversary-odd-stubs", "negative-budget", "missing-file",
+         "lowerbound-odd-degree", "lowerbound-one-point", "lowerbound-sweep-one-point"],
 )
 def test_bad_input_reports_json_error(capsys, argv, error):
     code, out = run_cli(capsys, *argv)
@@ -155,6 +164,36 @@ def test_sweep_csv(capsys):
     assert lines[0].startswith("kind,n,f_of_n,inner,seed,")
     assert len(lines) == 5
     assert all(line.endswith("True") for line in lines[1:])
+
+
+# sha256 over the exit codes and stdout of the calls below, recorded
+# before the CLI's output paths were folded into one
+CLI_STDOUT_GOLDEN = "accfcdbf34ad38258683418fdf454759257e591d7fc94c509dea7a7769772dd9"
+
+
+def test_cli_stdout_golden(capsys, tmp_path):
+    t = generate_instance("table", 7, 3)
+    units, eps = t.units.copy(), t.eps.copy()
+    units[2, 2] = 1  # identity
+    units[0, 1] = units[1, 0] = 0  # positivity
+    units[3, 4] = -1  # positivity and symmetry
+    eps[1, 5] = 1  # symmetry, eps only
+    units[5, 6] = units[6, 5] = 40  # triangle
+    broken = str(tmp_path / "broken.json")
+    write_metric_json(broken, MetricTable(units, eps))
+    calls = [
+        ("verify", "--metric", broken),  # pins the violation order
+        ("lowerbound", "--sweep", "64,128", "--q", "10", "--d", "4"),
+        ("lowerbound", "--sweep", "64,128", "--q", "10", "--d", "4", "--out", "json"),
+        ("sweep", "--sizes", "16", "--factors", "1,4", "--kinds", "grid,table"),
+        ("adversary", "--n", "24", "--q", "12", "--out", "csv"),
+        ("lowerbound", "--n", "100", "--q", "10", "--d", "4", "--out", "csv"),
+    ]
+    digest = hashlib.sha256()
+    for argv in calls:
+        code, out = run_cli(capsys, *argv)
+        digest.update(f"{code}\n{out}".encode())
+    assert digest.hexdigest() == CLI_STDOUT_GOLDEN
 
 
 def test_global_flags_accepted_on_either_side(capsys, star_file):

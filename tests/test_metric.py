@@ -1,5 +1,9 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fractions import Fraction
 
@@ -31,7 +35,9 @@ from medianlab.metric import (
     is_metric,
     median_cost,
     validate_metric,
+    Violation,
 )
+from medianlab.harness import generate_instance
 
 from conftest import subset_size_grid
 
@@ -134,6 +140,90 @@ def test_validate_metric_triangle_is_eps_aware():
     # d(0,2) = 1+5eps > d(0,1) + d(1,2) = 1+eps
     kinds = {v.kind for v in validate_metric(t)}
     assert "triangle" in kinds
+
+
+def _reference_validate_metric(table):
+    # the two separate checkers this library had before they were folded
+    # into one generator; kept as the reference for order and verdicts
+    u, e = table.units, table.eps
+    n = table.n
+    out = []
+
+    diag_bad = np.nonzero((np.diagonal(u) != 0) | (np.diagonal(e) != 0))[0]
+    for x in diag_bad:
+        out.append(Violation("identity", (int(x),)))
+
+    neg = (u < 0) | (e < 0)
+    zero = (u == 0) & (e == 0)
+    off = ~np.eye(n, dtype=bool)
+    for x, y in np.argwhere((zero | neg) & off):
+        if x < y or neg[x, y]:
+            out.append(Violation("positivity", (int(x), int(y))))
+
+    asym = (u != u.T) | (e != e.T)
+    for x, y in np.argwhere(asym):
+        if x < y:
+            out.append(Violation("symmetry", (int(x), int(y))))
+
+    for y in range(n):
+        su = u[:, y, None] + u[None, y, :]
+        se = e[:, y, None] + e[None, y, :]
+        bad = (u > su) | ((u == su) & (e > se))
+        for x, z in np.argwhere(bad):
+            if x != y and z != y and x != z:
+                out.append(Violation("triangle", (int(x), int(y), int(z))))
+    return out
+
+
+def _reference_is_metric(table):
+    u, e = table.units, table.eps
+    n = table.n
+    if (np.diagonal(u) != 0).any() or (np.diagonal(e) != 0).any():
+        return False
+    off = ~np.eye(n, dtype=bool)
+    if ((u < 0) | (e < 0)).any() or (((u == 0) & (e == 0)) & off).any():
+        return False
+    if (u != u.T).any() or (e != e.T).any():
+        return False
+    for y in range(n):
+        su = u[:, y, None] + u[None, y, :]
+        se = e[:, y, None] + e[None, y, :]
+        if ((u > su) | ((u == su) & (e > se))).any():
+            return False
+    return True
+
+
+@st.composite
+def small_tables(draw):
+    n = draw(st.integers(1, 8))
+
+    def square(values):
+        return np.array(draw(st.lists(st.lists(values, min_size=n, max_size=n), min_size=n, max_size=n)),
+                        dtype=np.int64).reshape(n, n)
+
+    if draw(st.booleans()):
+        # a true metric with a few entries overwritten, so clean tables and
+        # lone triangle breaks are common
+        units = generate_instance("table", n, draw(st.integers(0, 50))).units.copy()
+        eps = np.zeros_like(units)
+        for _ in range(draw(st.integers(0, 2))):
+            i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+            units[i, j] = draw(st.integers(-1, 4))
+            eps[i, j] = draw(st.integers(-1, 1))
+    else:
+        units = square(st.integers(-1, 4))
+        eps = square(st.integers(-1, 1))
+    if draw(st.booleans()):
+        units = np.triu(units) + np.triu(units, 1).T
+        eps = np.triu(eps) + np.triu(eps, 1).T
+    return MetricTable(units, eps)
+
+
+@settings(max_examples=400, deadline=None)
+@given(small_tables())
+def test_axiom_checker_matches_reference(table):
+    assert validate_metric(table) == _reference_validate_metric(table)
+    assert is_metric(table) == _reference_is_metric(table)
 
 
 def test_submetric(p4):
@@ -278,6 +368,30 @@ def test_metric_json_roundtrip_keeps_eps(tmp_path):
     path = str(tmp_path / "m.json")
     write_metric_json(path, t)
     assert read_metric_json(path) == t
+
+
+@pytest.mark.parametrize(
+    "blob, message",
+    [
+        ({"n": 2}, 'expected an object with "n" and "dist"'),
+        ({"n": 2, "dist": [[1, 2], [3, 4]]}, 'entry (0, 0) should be {"units": u, "eps_count": e}, got 1'),
+        ([1, 2], 'expected an object with "n" and "dist"'),
+        ({"n": 2, "dist": [[{"units": 0, "eps_count": 0}, {"units": 1.5, "eps_count": 0}],
+                           [{"units": 1, "eps_count": 0}, {"units": 0, "eps_count": 0}]]},
+         "units of entry (0, 1) must be a 64-bit integer, got 1.5"),
+        ({"n": 2, "dist": [[{"units": 0, "eps_count": 0}, {"units": 0, "eps_count": 2**63}],
+                           [{"units": 1, "eps_count": 0}, {"units": 0, "eps_count": 0}]]},
+         f"eps_count of entry (0, 1) must be a 64-bit integer, got {2**63}"),
+    ],
+    ids=["missing-dist", "bare-numbers", "not-an-object", "fractional-entry", "entry-past-int64"],
+)
+def test_metric_json_rejects_malformed(tmp_path, blob, message):
+    path = str(tmp_path / "bad.json")
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(blob, fh)
+    with pytest.raises(ValueError) as info:
+        read_metric_json(path)
+    assert str(info.value) == f"{path}: {message}"
 
 
 def test_load_metric_any_dispatch(tmp_path, p4):
