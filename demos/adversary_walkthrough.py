@@ -29,13 +29,10 @@ def main() -> None:
     print(f"  ... {len(cert.transcript.entries) - 6} more rounds")
     print()
 
-    pruning_events = [
-        (i, removed) for i, removed in enumerate(cert.removal_log) if removed
-    ]
+    pruning_events = [(i, pruned) for i, pruned in enumerate(cert.pruned_log) if pruned]
     print(f"pruning events: {len(pruning_events)}")
-    for i, removed in pruning_events[:4]:
-        touched = sorted({v for e in removed for v in e})
-        print(f"  round {i:>3}: {len(removed)} edges dropped around {touched[:6]}")
+    for i, pruned in pruning_events:
+        print(f"  round {i:>3}: pruned {list(pruned)}")
     print()
 
     print(f"bad vertices (hit the cap): {len(cert.bad)} of {n}")

@@ -105,13 +105,12 @@ class Adversary:
         self._adj = ~np.eye(n, dtype=bool)
         self._perm = anchor.adjacency().copy()
         self._perm_deg = np.full(n, degree, dtype=np.int64)
-        self._pruned = np.zeros(n, dtype=bool)
         exp = np.asarray(anchor.edges, dtype=np.int64)
         self._exp_u, self._exp_v = exp[:, 0], exp[:, 1]
 
         self.transcript = Transcript()
         self.paths: list[tuple[int, ...]] = []
-        self.removal_log: list[tuple[Edge, ...]] = []
+        self.pruned_log: list[tuple[int, ...]] = []
         self.rounds_served = 0
 
     # -- backing interface, so a CountingOracle can front the game -----
@@ -133,9 +132,8 @@ class Adversary:
             raise IndexError(f"query ({a}, {b}) outside space of size {self.n}")
         dist, path = self._distance_and_path(a, b)
         touched = self._mark_path(path)
-        removed = self._prune(touched)
         self.paths.append(tuple(path))
-        self.removal_log.append(tuple(removed))
+        self.pruned_log.append(self._prune(touched))
         self.transcript.append(a, b, ExactDistance(dist))
         self.rounds_served += 1
         if not self._adj[self._exp_u, self._exp_v].all():
@@ -175,18 +173,18 @@ class Adversary:
                 touched.add(v)
         return touched
 
-    def _prune(self, touched: Iterable[int]) -> list[Edge]:
-        removed: list[Edge] = []
-        for v in sorted(touched):
-            if self._pruned[v] or self._perm_deg[v] <= self.cap:
-                continue
-            gone = self._adj[v] & ~self._perm[v]
-            idx = np.nonzero(gone)[0]
-            self._adj[v, idx] = False
-            self._adj[idx, v] = False
-            self._pruned[v] = True
-            removed.extend(_norm_edge(v, int(u)) for u in idx)
-        return removed
+    def _prune(self, touched: Iterable[int]) -> tuple[int, ...]:
+        """Cut every non-permanent edge at each touched vertex now over the cap.
+
+        A pruned vertex keeps only permanent edges, so it is never
+        touched again and never pruned twice.
+        """
+        pruned = tuple(v for v in sorted(touched) if self._perm_deg[v] > self.cap)
+        if pruned:
+            idx = list(pruned)
+            self._adj[idx] &= self._perm[idx]
+            self._adj[:, idx] &= self._perm[:, idx]
+        return pruned
 
     # -- settle --------------------------------------------------------
 
@@ -226,7 +224,7 @@ class Adversary:
             perm=self._perm.copy(),
             anchor_edges=self.anchor.edges,
             paths=tuple(self.paths),
-            removal_log=tuple(self.removal_log),
+            pruned_log=tuple(self.pruned_log),
             transcript=self.transcript,
             bad=bad,
             z_star=output,
@@ -248,7 +246,7 @@ class Certificate:
     perm: np.ndarray
     anchor_edges: tuple[Edge, ...]
     paths: tuple[tuple[int, ...], ...]
-    removal_log: tuple[tuple[Edge, ...], ...]
+    pruned_log: tuple[tuple[int, ...], ...]
     transcript: Transcript
     bad: tuple[int, ...]
     z_star: int
@@ -261,13 +259,20 @@ class Certificate:
         return int(self.perm.sum(axis=1).max())
 
     def snapshot_adjacency(self, i: int) -> np.ndarray:
-        """Adjacency after round i (0 = before any query)."""
-        if not (0 <= i <= len(self.removal_log)):
+        """Adjacency after round i (0 = before any query).
+
+        The permanent edges plus a clique on the vertices not pruned by
+        then.  Using the final ``perm`` is exact: an edge turns permanent
+        only while both its ends are unpruned, so every later one lies
+        inside that clique anyway.
+        """
+        if not (0 <= i <= len(self.pruned_log)):
             raise IndexError(f"round {i} out of range")
-        adj = ~np.eye(self.n, dtype=bool)
-        for removed in self.removal_log[:i]:
-            for u, v in removed:
-                adj[u, v] = adj[v, u] = False
+        alive = np.ones(self.n, dtype=bool)
+        for pruned in self.pruned_log[:i]:
+            alive[list(pruned)] = False
+        adj = self.perm | np.outer(alive, alive)
+        np.fill_diagonal(adj, False)
         return adj
 
 
@@ -280,15 +285,25 @@ def verify_consistency(cert: Certificate, transcript: Transcript | None = None) 
 
 
 def verify_path_discipline(cert: Certificate) -> bool:
-    """Re-derive the permanence timeline from the recorded reply paths.
+    """Re-derive the permanence timeline and the pruning from the reply paths.
 
     Checks, per round: the reply path contained at most one edge that
-    was not yet permanent when it was picked, and at most two of its
-    edges touch any one vertex.  The recomputed final permanent edge set
-    must also match the recorded one exactly.
+    was not yet permanent when it was picked, that edge did not touch a
+    pruned vertex, at most two of the path's edges touch any one vertex,
+    and the round pruned exactly the vertices whose permanent degree
+    first exceeded the cap in it.  The recomputed final permanent edge
+    set must match the recorded one, and the final graph must be those
+    edges plus a clique on the vertices never pruned.
     """
+    if len(cert.pruned_log) != len(cert.paths):
+        return False
     perm: set[Edge] = set(cert.anchor_edges)
-    for path in cert.paths:
+    degree = [0] * cert.n
+    for u, v in perm:
+        degree[u] += 1
+        degree[v] += 1
+    pruned_so_far: set[int] = set()
+    for path, pruned in zip(cert.paths, cert.pruned_log):
         edges = [_norm_edge(u, v) for u, v in zip(path, path[1:])]
         if len(edges) != len(set(edges)):
             return False  # reply paths are simple
@@ -301,13 +316,30 @@ def verify_path_discipline(cert: Certificate) -> bool:
             per_vertex[v] = per_vertex.get(v, 0) + 1
         if per_vertex and max(per_vertex.values()) > 2:
             return False
+        for u, v in fresh:
+            if u in pruned_so_far or v in pruned_so_far:
+                return False  # pruning cut every flexible edge at a pruned vertex
+            degree[u] += 1
+            degree[v] += 1
+        due = sorted({v for e in fresh for v in e if degree[v] > cert.cap})
+        if list(pruned) != due:
+            return False
+        pruned_so_far.update(due)
         perm.update(edges)
     recorded = {
         _norm_edge(int(u), int(v))
         for u, v in np.argwhere(cert.perm)
         if u < v
     }
-    return recorded == perm
+    if recorded != perm:
+        return False
+    never_pruned = np.ones(cert.n, dtype=bool)
+    never_pruned[list(pruned_so_far)] = False
+    expected = np.outer(never_pruned, never_pruned)
+    expected |= cert.perm
+    adj = cert.final_metric.adjacency
+    np.fill_diagonal(expected, adj.diagonal())  # compared off the diagonal only
+    return bool(np.array_equal(adj, expected))
 
 
 def good_point_bound(cert: Certificate) -> tuple[int, int]:
@@ -337,14 +369,8 @@ def ball_growth_ok(cert: Certificate) -> bool:
 
 
 def _anchor_preserved(cert: Certificate) -> bool:
-    anchor = set(cert.anchor_edges)
     adj = cert.final_metric.adjacency
-    if not all(adj[u, v] for u, v in anchor):
-        return False
-    for removed in cert.removal_log:
-        if anchor.intersection(removed):
-            return False
-    return True
+    return all(adj[u, v] for u, v in cert.anchor_edges)
 
 
 def verify_certificate(cert: Certificate, metric_axioms_cap: int = 0) -> dict[str, bool]:

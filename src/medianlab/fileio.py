@@ -37,15 +37,15 @@ def read_metric_file(path: str) -> MetricTable:
         tokens_by_line = [line.split() for line in fh if line.strip()]
     if not tokens_by_line:
         raise ValueError(f"{path}: empty metric file")
-    n = int(tokens_by_line[0][0])
+    (n,) = _token_ints(path, tokens_by_line[0][:1], ["n"])
     if len(tokens_by_line) != n + 1:
         raise ValueError(f"{path}: expected {n} rows, found {len(tokens_by_line) - 1}")
     units = np.zeros((n, n), dtype=np.int64)
     for i, row in enumerate(tokens_by_line[1:]):
         if len(row) != i + 1:
             raise ValueError(f"{path}: row {i} should hold {i + 1} entries, found {len(row)}")
-        for j, tok in enumerate(row):
-            units[i, j] = units[j, i] = int(tok)
+        values = _token_ints(path, row, (f"entry ({i}, {j})" for j in range(i + 1)))
+        units[i, : i + 1] = units[: i + 1, i] = values
     return MetricTable(units)
 
 
@@ -72,12 +72,32 @@ def write_metric_json(path: str, table: MetricTable) -> None:
         fh.write("\n")
 
 
+def _in_int64(value: int) -> bool:
+    # tables store int64; every reader applies this one range rule
+    return -(2**63) <= value < 2**63
+
+
 def _json_int(path: str, value, what: str) -> int:
-    # bool is an int subclass, a float such as 1.5 must not be truncated,
-    # and the table stores int64
-    if not isinstance(value, int) or isinstance(value, bool) or not -(2**63) <= value < 2**63:
+    # bool is an int subclass, and a float such as 1.5 must not be truncated
+    if not isinstance(value, int) or isinstance(value, bool) or not _in_int64(value):
         raise ValueError(f"{path}: {what} must be a 64-bit integer, got {value!r}")
     return value
+
+
+def _token_ints(path: str, tokens: list[str], names: Iterable[str]) -> list[int]:
+    """Text tokens as 64-bit integers; on failure, name the first bad one."""
+    try:
+        values = [int(tok) for tok in tokens]
+    except ValueError:
+        values = None
+    if values is None or not (_in_int64(min(values)) and _in_int64(max(values))):
+        for tok, what in zip(tokens, names):
+            try:
+                value = int(tok)
+            except ValueError:
+                value = tok  # not an integer: _json_int rejects it by name
+            _json_int(path, value, what)
+    return values
 
 
 def read_metric_json(path: str) -> MetricTable:
@@ -116,14 +136,14 @@ def read_edge_list(path: str) -> tuple[int, list[tuple[int, int]]]:
     edges: list[tuple[int, int]] = []
     hi = 0
     with open(path, "r", encoding="utf-8") as fh:
-        for raw in fh:
+        for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
             parts = line.split()
             if len(parts) != 2:
                 raise ValueError(f"{path}: malformed edge line {raw!r}")
-            u, v = int(parts[0]), int(parts[1])
+            u, v = _token_ints(path, parts, (f"vertex {k} of line {lineno}" for k in (1, 2)))
             if u < 1 or v < 1:
                 raise ValueError(f"{path}: vertices are 1-based, got {raw!r}")
             hi = max(hi, u, v)

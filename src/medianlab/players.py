@@ -14,7 +14,7 @@ import random
 from typing import Protocol
 
 from .metric import exact_median
-from .solvers import PivotInner, _sampling_over_points
+from .solvers import PivotInner, SamplingInner
 
 __all__ = [
     "QueryAlgorithm",
@@ -78,7 +78,7 @@ class SamplingPlayer:
         k = max(1, min(math.isqrt(max(self.budget, 1)), n))
         if k >= n and n * (n - 1) // 2 > self.budget:
             k = max(1, n - 1)
-        return _sampling_over_points(oracle, list(range(n)), k, self.seed).output
+        return SamplingInner(self.seed, k).solve(oracle, range(n)).output
 
 
 class RandomFuzzer:

@@ -160,11 +160,26 @@ class SamplingInner:
         return None
 
     def solve(self, oracle, S: Sequence[int]) -> SolverResult:
+        """Score k seeded candidates against k seeded evaluators.
+
+        With k >= |S| the routine degenerates to the exact median of S.
+        """
         pts = sorted(set(S))
         k = self.sample_size if self.sample_size is not None else max(1, math.isqrt(len(pts)))
+        if k < 1:
+            raise ValueError("sample size must be positive")
         before = oracle.queries_made
-        res = _sampling_over_points(oracle, pts, k, self.rng_seed)
-        return SolverResult(res.output, oracle.queries_made - before, res.claimed_beta)
+        if k >= len(pts):
+            point, _ = exact_median(oracle, pts)
+            return SolverResult(point, oracle.queries_made - before, Fraction(1))
+        rng = random.Random(self.rng_seed)
+        candidates = sorted(rng.sample(pts, k))
+        evaluation = sorted(rng.sample(pts, k))
+        score: dict[int, ExactDistance] = {}
+        for c in candidates:
+            score[c] = sum((oracle.query(c, e) for e in evaluation), ZERO)
+        output = min(candidates, key=lambda c: (score[c], c))
+        return SolverResult(output, oracle.queries_made - before, None)
 
 
 def solve_on_subset(oracle, S: Sequence[int], inner) -> SolverResult:
@@ -184,23 +199,6 @@ def restrict_and_solve(oracle, n: int, f_of_n: int, inner) -> SolverResult:
     return solve_on_subset(oracle, S, inner)
 
 
-def _sampling_over_points(oracle, pts: list[int], sample_size: int, rng_seed: int) -> SolverResult:
-    if sample_size < 1:
-        raise ValueError("sample size must be positive")
-    before = oracle.queries_made
-    if sample_size >= len(pts):
-        point, _ = exact_median(oracle, pts)
-        return SolverResult(point, oracle.queries_made - before, Fraction(1))
-    rng = random.Random(rng_seed)
-    candidates = sorted(rng.sample(pts, sample_size))
-    evaluation = sorted(rng.sample(pts, sample_size))
-    score: dict[int, ExactDistance] = {}
-    for c in candidates:
-        score[c] = sum((oracle.query(c, e) for e in evaluation), ZERO)
-    output = min(candidates, key=lambda c: (score[c], c))
-    return SolverResult(output, oracle.queries_made - before, None)
-
-
 def sampling_baseline(oracle, n: int, sample_size: int, rng_seed: int) -> SolverResult:
     """Estimate a median from a seeded sample of candidates and evaluators.
 
@@ -208,7 +206,7 @@ def sampling_baseline(oracle, n: int, sample_size: int, rng_seed: int) -> Solver
     evaluation sample of the same size.  With sample_size >= n the
     routine degenerates to the exact brute-force median.
     """
-    return _sampling_over_points(oracle, list(range(n)), sample_size, rng_seed)
+    return SamplingInner(rng_seed, sample_size).solve(oracle, range(n))
 
 
 def make_inner(name: str, rng_seed: int = 0, sample_size: int | None = None):

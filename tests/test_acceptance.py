@@ -174,11 +174,29 @@ def test_criterion_3_adversary_consistency(adversary_games):
 GOLDEN_GAME_CERTIFICATES = "90b20545c7e7f396674076d6ae3efe2d7d8d0cf93e765c9843b3eaa3430a2960"
 
 
+def _removal_tuples(cert):
+    """Each round's removed edges, rebuilt from pruned_log and perm.
+
+    Pruning v cuts the non-permanent edges from v to every vertex still
+    unpruned, listed in vertex order; this is the per-edge log the
+    certificate used to store, so the digest below is unchanged.
+    """
+    alive = np.ones(cert.n, dtype=bool)
+    log = []
+    for pruned in cert.pruned_log:
+        removed = []
+        for v in pruned:
+            alive[v] = False
+            removed.extend((min(v, int(u)), max(v, int(u))) for u in np.flatnonzero(alive & ~cert.perm[v]))
+        log.append(tuple(removed))
+    return tuple(log)
+
+
 def test_golden_game_certificates(adversary_games):
     digest = hashlib.sha256()
     for params, cert, _ in adversary_games:
         transcript = [(e.a, e.b, e.answer.units, e.answer.eps_count) for e in cert.transcript]
-        digest.update(repr((params, transcript, cert.paths, cert.removal_log)).encode())
+        digest.update(repr((params, transcript, cert.paths, _removal_tuples(cert))).encode())
         digest.update(cert.perm.tobytes())
         digest.update(repr((cert.bad, cert.z_star, cert.best_good, cert.ratio)).encode())
     assert digest.hexdigest() == GOLDEN_GAME_CERTIFICATES
@@ -205,7 +223,7 @@ def test_criterion_4_structural_invariants(adversary_games):
             continue
         anchor = {tuple(sorted(e)) for e in cert.anchor_edges}
         previous = None
-        rounds_served = len(cert.removal_log)
+        rounds_served = len(cert.pruned_log)
         for i in list(range(0, rounds_served, 17)) + [rounds_served]:
             adj = cert.snapshot_adjacency(i)
             for a, b in anchor:

@@ -22,7 +22,7 @@ from medianlab.adversary import (
     verify_path_discipline,
 )
 from medianlab.expander import RegularGraph, build_regular
-from medianlab.metric import CountingOracle, TranscriptEntry
+from medianlab.metric import CountingOracle, HopMetric, TranscriptEntry
 from medianlab.players import make_player
 
 K4_EDGES = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
@@ -189,6 +189,51 @@ def test_path_discipline_detects_tampering():
     wiped = dataclasses.replace(cert, perm=np.zeros_like(cert.perm))
     assert not verify_path_discipline(wiped)
 
+    # pruning must follow the cap rule round by round; this game prunes
+    # two vertices, each of which loses some flexible edges
+    cert, _ = finished_game(n=32, degree=4, q=8)
+    assert verify_path_discipline(cert)
+    log = list(cert.pruned_log)
+    r = next(i for i, pruned in enumerate(log) if pruned)
+    assert r + 1 < len(log)
+    v = log[r][0]
+
+    def relogged(changes):
+        return dataclasses.replace(cert, pruned_log=tuple(changes.get(i, p) for i, p in enumerate(log)))
+
+    # one pruned vertex dropped, then the same vertex pruned a round late
+    assert not verify_path_discipline(relogged({r: log[r][1:]}))
+    assert not verify_path_discipline(relogged({r: log[r][1:], r + 1: tuple(sorted(log[r + 1] + (v,)))}))
+    # a vertex that never reached the cap, pruned in round one
+    pruned_ever = {u for pruned in log for u in pruned}
+    never_due = min(set(range(cert.n)) - pruned_ever)
+    assert not verify_path_discipline(relogged({0: tuple(sorted(log[0] + (never_due,)))}))
+
+    # the final graph must keep every flexible edge between unpruned vertices
+    adj = cert.final_metric.adjacency.copy()
+    flexible = np.argwhere(np.triu(adj & ~cert.perm))
+    a, b = next((int(a), int(b)) for a, b in flexible if a not in pruned_ever and b not in pruned_ever)
+    adj[a, b] = adj[b, a] = False
+    thinned = dataclasses.replace(cert, final_metric=HopMetric(adj))
+    assert not verify_path_discipline(thinned)
+
+    # an extra round may not reopen an edge that pruning cut, even with
+    # the permanent set, the log and the final graph forged to match
+    w = next(
+        u for u in range(cert.n)
+        if u != v and not cert.perm[v, u] and u not in pruned_ever and cert.perm[u].sum() < cert.cap
+    )
+    perm = cert.perm.copy()
+    perm[v, w] = perm[w, v] = True
+    reopened = dataclasses.replace(
+        cert,
+        paths=cert.paths + ((v, w),),
+        pruned_log=cert.pruned_log + ((v,),),
+        perm=perm,
+        final_metric=HopMetric(cert.final_metric.adjacency | perm),
+    )
+    assert not verify_path_discipline(reopened)
+
 
 def test_answers_are_deterministic():
     runs = []
@@ -198,7 +243,7 @@ def test_answers_are_deterministic():
             (
                 [(e.a, e.b, e.answer.units) for e in cert.transcript],
                 cert.ratio,
-                cert.removal_log,
+                cert.pruned_log,
             )
         )
     assert runs[0] == runs[1]

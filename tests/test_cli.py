@@ -102,11 +102,16 @@ def test_adversary_rejects_bad_cap(capsys):
          "ValueError: the lower-bound game needs n >= 2, got 1"),
         (("lowerbound", "--sweep", "1,64"),
          "ValueError: the lower-bound game needs n >= 2, got 1"),
+        (("verify", "--metric", "overflow.txt"),
+         "ValueError: overflow.txt: entry (1, 0) must be a 64-bit integer, got 99999999999999999999"),
     ],
     ids=["expander-odd-stubs", "adversary-odd-stubs", "negative-budget", "missing-file",
-         "lowerbound-odd-degree", "lowerbound-one-point", "lowerbound-sweep-one-point"],
+         "lowerbound-odd-degree", "lowerbound-one-point", "lowerbound-sweep-one-point",
+         "metric-entry-overflow"],
 )
-def test_bad_input_reports_json_error(capsys, argv, error):
+def test_bad_input_reports_json_error(capsys, tmp_path, monkeypatch, argv, error):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "overflow.txt").write_text("2\n0\n99999999999999999999 0\n", encoding="utf-8")
     code, out = run_cli(capsys, *argv)
     assert code == 1
     assert json.loads(out) == {"error": error}

@@ -394,6 +394,31 @@ def test_metric_json_rejects_malformed(tmp_path, blob, message):
     assert str(info.value) == f"{path}: {message}"
 
 
+@pytest.mark.parametrize(
+    "reader, lines, message",
+    [
+        (read_metric_file, ["2", "0", "99999999999999999999 0"],
+         "entry (1, 0) must be a 64-bit integer, got 99999999999999999999"),
+        (read_metric_file, ["2", "0", f"1 {-(2**63) - 1}"],
+         f"entry (1, 1) must be a 64-bit integer, got {-(2**63) - 1}"),
+        (read_metric_file, ["2", "0", "1.5 0"], "entry (1, 0) must be a 64-bit integer, got '1.5'"),
+        (read_metric_file, ["two", "0", "1 0"], "n must be a 64-bit integer, got 'two'"),
+        (read_metric_file, ["3", "0", "1 0"], "expected 3 rows, found 2"),
+        (read_edge_list, ["# a path", "1 2", "2 x"], "vertex 2 of line 3 must be a 64-bit integer, got 'x'"),
+        (read_edge_list, ["1 2", f"{2**63} 1"], f"vertex 1 of line 2 must be a 64-bit integer, got {2**63}"),
+    ],
+    ids=["entry-past-int64", "entry-below-int64", "fractional-entry", "non-integer-n", "missing-row",
+         "edge-non-integer", "edge-past-int64"],
+)
+def test_metric_text_rejects_malformed(tmp_path, reader, lines, message):
+    path = str(tmp_path / "bad.txt")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
+    with pytest.raises(ValueError) as info:
+        reader(path)
+    assert str(info.value) == f"{path}: {message}"
+
+
 def test_load_metric_any_dispatch(tmp_path, p4):
     t_path = str(tmp_path / "m.txt")
     j_path = str(tmp_path / "m.json")

@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -23,6 +24,9 @@ from medianlab.solvers import (
     subset_size,
     transfer_bound,
 )
+
+from medianlab.harness import generate_instance
+from medianlab.players import SamplingPlayer
 
 from conftest import subset_size_grid
 
@@ -188,6 +192,32 @@ def test_sampling_baseline_smoke():
     res = sampling_baseline(o, 9, sample_size=3, rng_seed=1)
     assert 0 <= res.output < 9
     assert res.queries_used == o.queries_made <= 9
+
+
+# sha256 over the output, the query pairs and the claimed beta of
+# SamplingPlayer and sampling_baseline on a fixed set of cases, including
+# the degenerate exact fallback; any change to the sampled points, their
+# order or the scoring moves it
+GOLDEN_SAMPLING = "b2e6c48f27c9aa60459498239fc2d217b0ecacc135faaf945d8f77922977c9fd"
+
+
+def test_sampling_routines_golden():
+    digest = hashlib.sha256()
+    player_cases = [(9, 4, 0), (30, 50, 1), (30, 1000, 2), (64, 100, 3), (5, 3, 7), (12, 0, 4)]
+    for n, budget, seed in player_cases:
+        o = CountingOracle(generate_instance("random-graph", n, seed))
+        out = SamplingPlayer(budget, seed).run(o, n)
+        pairs = [(e.a, e.b) for e in o.transcript]
+        digest.update(repr(("player", n, budget, seed, out, pairs)).encode())
+    baseline_cases = [(9, 3, 1), (40, 6, 2), (12, 12, 0), (12, 20, 5), (25, 1, 9)]
+    for n, k, seed in baseline_cases:
+        o = CountingOracle(generate_instance("grid", n, seed))
+        res = sampling_baseline(o, n, sample_size=k, rng_seed=seed)
+        pairs = [(e.a, e.b) for e in o.transcript]
+        digest.update(
+            repr(("baseline", n, k, seed, res.output, res.queries_used, res.claimed_beta, pairs)).encode()
+        )
+    assert digest.hexdigest() == GOLDEN_SAMPLING
 
 
 def test_make_inner_names():
