@@ -115,10 +115,6 @@ class Adversary:
 
     # -- backing interface, so a CountingOracle can front the game -----
 
-    @property
-    def epsilon(self) -> Fraction:
-        return Fraction(1, 2**self.n)
-
     def distance(self, a: int, b: int) -> ExactDistance:
         return ExactDistance(self.answer(a, b))
 

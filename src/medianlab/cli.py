@@ -23,7 +23,7 @@ import math
 import sys
 from fractions import Fraction
 
-from .distances import ExactDistance
+from .distances import ExactDistance, eps_value
 from .expander import certify_expansion, build_regular
 from .fileio import load_metric_any, write_edge_list
 from .harness import (
@@ -94,7 +94,7 @@ def _cmd_solve(args) -> int:
 
     if n <= args.brute_force_cap:
         opt_point, opt_cost = brute_force_median(table)
-        eps = table.epsilon
+        eps = eps_value(n)
         ratio = brute_force_cost(table, result.output).to_fraction(eps) / opt_cost.to_fraction(eps)
         payload["opt"] = opt_point + 1
         payload.update(_distance_fields("opt_cost", opt_cost))

@@ -11,7 +11,8 @@ Ordering is lexicographic on (units, eps_count).  This agrees with the
 true rational order as long as every eps count that can take part in a
 comparison stays below 2**n; constructors of glued metrics assert that
 regime, and :meth:`ExactDistance.to_fraction` is available when a real
-rational value is needed.
+rational value is needed.  The value of eps on a space is a function of
+its size alone, :func:`eps_value`; no metric or oracle carries its own.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-__all__ = ["ExactDistance", "ZERO", "ONE", "EPS", "total"]
+__all__ = ["ExactDistance", "ZERO", "ONE", "EPS", "total", "eps_value", "eps_float"]
 
 
 @dataclass(frozen=True, order=True, slots=True)
@@ -67,6 +68,16 @@ class ExactDistance:
         if self.units == 0:
             return f"{self.eps_count}*eps"
         return f"{self.units}+{self.eps_count}*eps"
+
+
+def eps_value(n: int) -> Fraction:
+    """Exact value of one eps symbol on an n-point space: 1/2**n."""
+    return Fraction(1, 2**n)
+
+
+def eps_float(n: int) -> float:
+    """Float form of :func:`eps_value`, 0.0 once 2**-n underflows."""
+    return 2.0**-n if n < 1074 else 0.0
 
 
 ZERO = ExactDistance(0)

@@ -18,11 +18,11 @@ from typing import Sequence
 import numpy as np
 
 from .adversary import Adversary, Certificate, minimal_cap, verify_certificate
+from .distances import ExactDistance
 from .expander import build_regular
 from .metric import (
     CountingOracle,
     MetricTable,
-    StubOracle,
     brute_force_cost,
     brute_force_median,
     graph_metric,
@@ -34,6 +34,7 @@ __all__ = [
     "INSTANCE_KINDS",
     "generate_instance",
     "replay_verify",
+    "ConstantBacking",
     "verify_nonadaptive",
     "SweepConfig",
     "sweep_upper_bound",
@@ -104,10 +105,21 @@ def generate_instance(kind: str, n: int, seed: int = 0) -> MetricTable:
     raise ValueError(f"unknown instance kind {kind!r} (have {', '.join(INSTANCE_KINDS)})")
 
 
+@dataclass(frozen=True)
+class ConstantBacking:
+    """A backing that answers every pair, the diagonal too, with one constant."""
+
+    n: int
+    answer: int = 1
+
+    def distance(self, a: int, b: int) -> ExactDistance:
+        return ExactDistance(self.answer)
+
+
 def verify_nonadaptive(inner, s: int) -> bool:
     """Probe whether a solver's query sequence ignores the answers.
 
-    Runs the solver twice against constant oracles with different
+    Runs the solver twice against constant backings with different
     constants; both query sequences must exist, match each other, and
     match the schedule the solver publishes up front.
     """
@@ -117,9 +129,9 @@ def verify_nonadaptive(inner, s: int) -> bool:
         return False
     seqs = []
     for constant in (1, 3):
-        stub = StubOracle(s, constant)
-        inner.solve(stub, S)
-        seqs.append([(e.a, e.b) for e in stub.transcript])
+        oracle = CountingOracle(ConstantBacking(s, constant), record_transcript=True)
+        inner.solve(oracle, S)
+        seqs.append([(e.a, e.b) for e in oracle.transcript])
     return seqs[0] == seqs[1] == list(planned)
 
 
@@ -144,11 +156,13 @@ def sweep_upper_bound(configs: Sequence[SweepConfig], brute_force_cap: int = 409
     (integer cross-multiplication through Fraction); the ratio columns
     are floats for display only.
     """
-    rows = []
-    for cfg in sorted(configs, key=SweepConfig.key):
-        table = generate_instance(cfg.kind, cfg.n, cfg.seed)
+    configs = sorted(configs, key=SweepConfig.key)
+    for cfg in configs:
         if cfg.n > brute_force_cap:
             raise ValueError(f"n={cfg.n} exceeds the brute-force cap {brute_force_cap}")
+    rows = []
+    for cfg in configs:
+        table = generate_instance(cfg.kind, cfg.n, cfg.seed)
         oracle = CountingOracle(table, record_transcript=False)
         inner = make_inner(cfg.inner, rng_seed=cfg.seed)
         result = restrict_and_solve(oracle, cfg.n, cfg.f_of_n, inner)

@@ -30,7 +30,7 @@ from .adversary import (
     minimal_cap,
     verify_certificate,
 )
-from .distances import EPS, ExactDistance
+from .distances import EPS, ExactDistance, eps_float, eps_value
 from .expander import InfeasibleError, build_regular
 from .metric import CountingOracle, HopMetric, MetricTable, is_metric, replay_verify
 
@@ -81,8 +81,7 @@ class RenamedRun:
     output_name: int  # the same answer after renaming
     renaming: Renaming
     queries_used: int
-    inner_transcript: list[tuple[int, int, ExactDistance]]
-    outer_transcript: list[tuple[int, int, ExactDistance]]
+    inner_transcript: list[tuple[int, int, ExactDistance]]  # in the algorithm's coordinates
 
 
 class _RenamingProxy:
@@ -93,10 +92,6 @@ class _RenamingProxy:
         self.n = n
         self._budget = budget
         self._run = run
-
-    @property
-    def epsilon(self):
-        return self._oracle.epsilon
 
     @property
     def queries_made(self) -> int:
@@ -113,7 +108,6 @@ class _RenamingProxy:
         answer = self._oracle.query(na, nb)
         self._run.queries_used += 1
         self._run.inner_transcript.append((a, b, answer))
-        self._run.outer_transcript.append((na, nb, answer))
         return answer
 
 
@@ -124,7 +118,7 @@ def run_renamed(algorithm, oracle, n: int, budget: int) -> RenamedRun:
     sees names below 2*budget+1.  The output gets a name too (fresh if
     the algorithm returns a point it never queried).
     """
-    run = RenamedRun(-1, -1, Renaming(), 0, [], [])
+    run = RenamedRun(-1, -1, Renaming(), 0, [])
     proxy = _RenamingProxy(oracle, n, budget, run)
     output = algorithm.run(proxy, n)
     if not (0 <= output < n):
@@ -159,10 +153,6 @@ class GluedMetric:
         self.y = y
         self.n = n
         self.m = m
-
-    @property
-    def epsilon(self) -> Fraction:
-        return Fraction(1, 2**self.n)
 
     def _in_cluster(self, p: int) -> bool:
         return p == self.y or p >= self.m
@@ -284,10 +274,6 @@ def _fraction_text(value: Fraction) -> str:
         sys.set_int_max_str_digits(limit)
 
 
-def _safe_eps_float(n: int) -> float:
-    return 2.0**-n if n < 1074 else 0.0
-
-
 def hard_instance_game(
     algorithm,
     n: int,
@@ -328,9 +314,9 @@ def hard_instance_game(
     glued = glue_metric(cert.final_metric, y, n)
     cost_z = glued.cost_of(z)
     cost_y = glued.cost_of(y)
-    eps_val = glued.epsilon
+    eps_val = eps_value(n)
     ratio = cost_z.to_fraction(eps_val) / cost_y.to_fraction(eps_val)
-    eps_f = _safe_eps_float(n)
+    eps_f = eps_float(n)
     ratio_float = cost_z.approx_float(eps_f) / cost_y.approx_float(eps_f)
     dzy = int(cert.final_metric.row(z)[y])
 
@@ -369,7 +355,7 @@ def _game_checks(run: RenamedRun, cert: Certificate, glued: GluedMetric, z: int,
     out["renaming_injective"] = len(set(names)) == len(names)
     out["names_in_window"] = run.renaming.count <= 2 * q + 1 and all(0 <= v < m for v in names)
     out["budget_respected"] = run.queries_used <= q
-    out["transcripts_aligned"] = _transcripts_aligned(run)
+    out["transcripts_aligned"] = _transcripts_aligned(run, cert)
     out["replay_glued"] = replay_verify(cert.transcript, glued)
     cost_z = glued.cost_of(z)
     cost_y = glued.cost_of(y)
@@ -383,18 +369,24 @@ def _game_checks(run: RenamedRun, cert: Certificate, glued: GluedMetric, z: int,
         out["cost_split_z"] = cost_z == ExactDistance(base_z + spread * dzy)
     out["cost_split_y"] = cost_y == ExactDistance(base_y, spread)
     # the advertised floor on the measured ratio, checked exactly
-    eps_val = glued.epsilon
+    eps_val = eps_value(glued.n)
     dzy = int(cert.final_metric.row(z)[y])
     floor = Fraction(spread * dzy) / (Fraction(base_y) + max(spread - 1, 0) * eps_val)
     out["ratio_floor"] = cost_z.to_fraction(eps_val) / cost_y.to_fraction(eps_val) >= floor
     return out
 
 
-def _transcripts_aligned(run: RenamedRun) -> bool:
-    if len(run.inner_transcript) != len(run.outer_transcript):
+def _transcripts_aligned(run: RenamedRun, cert: Certificate) -> bool:
+    """The algorithm's queries, renamed, are the adversary's first rounds.
+
+    Compares against the adversary's own transcript, not a second list
+    kept by the proxy, so a proxy that forwards the wrong pair fails.
+    """
+    served = cert.transcript[: run.queries_used]
+    if not len(run.inner_transcript) == len(served) == run.queries_used:
         return False
     fwd = run.renaming.mapping
-    for (a, b, ans_in), (na, nb, ans_out) in zip(run.inner_transcript, run.outer_transcript):
-        if fwd.get(a) != na or fwd.get(b) != nb or ans_in != ans_out:
-            return False
-    return True
+    return all(
+        (fwd.get(a), fwd.get(b), answer) == (e.a, e.b, e.answer)
+        for (a, b, answer), e in zip(run.inner_transcript, served)
+    )

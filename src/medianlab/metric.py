@@ -1,10 +1,15 @@
 """Finite metric spaces, distance oracles, and brute-force medians.
 
-Points are plain 0-based ints.  A metric is anything with an ``n``
-attribute, a ``distance(a, b) -> ExactDistance`` method, and an
-``epsilon`` property giving the rational value of one eps symbol on
-that space (1/2**n unless stated otherwise).  Three concrete backings
-are provided:
+Points are plain 0-based ints.  The query protocol has two sides:
+
+* a *backing* has an ``n`` attribute and a
+  ``distance(a, b) -> ExactDistance`` method;
+* an *oracle* has ``n``, a ``queries_made`` count and a
+  ``query(a, b) -> ExactDistance`` method, and is all an algorithm under
+  test ever sees.
+
+The value of eps on either is ``distances.eps_value(n)``.  Three concrete
+backings are provided:
 
 * :class:`MetricTable`, a dense exact table held as two numpy arrays
   (integer hop units and eps counts),
@@ -13,7 +18,7 @@ are provided:
 * :class:`LineMetric`, ``d(i, j) = |i - j|``, for budget measurements on
   spaces far too large to materialize.
 
-Every algorithm under test talks to a metric through
+Every algorithm under test talks to a backing through
 :class:`CountingOracle`, which charges one query per ``query()`` call,
 repeats included, and can keep an ordered transcript for replay checks.
 """
@@ -26,7 +31,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .distances import ZERO, ExactDistance, total
+from .distances import ZERO, ExactDistance, eps_value, total
 
 __all__ = [
     "DisconnectedGraphError",
@@ -40,7 +45,6 @@ __all__ = [
     "replay_verify",
     "CountingOracle",
     "RestrictedOracle",
-    "StubOracle",
     "validate_metric",
     "is_metric",
     "graph_metric",
@@ -109,10 +113,6 @@ class MetricTable:
         self.eps = eps
         self.n = units.shape[0]
 
-    @property
-    def epsilon(self) -> Fraction:
-        return Fraction(1, 2**self.n)
-
     def distance(self, a: PointId, b: PointId) -> ExactDistance:
         return ExactDistance(int(self.units[a, b]), int(self.eps[a, b]))
 
@@ -153,10 +153,6 @@ class HopMetric:
         np.fill_diagonal(self._adj, False)
         self.n = adjacency.shape[0]
         self._rows: dict[int, np.ndarray] = {}
-
-    @property
-    def epsilon(self) -> Fraction:
-        return Fraction(1, 2**self.n)
 
     @property
     def adjacency(self) -> np.ndarray:
@@ -217,10 +213,6 @@ class LineMetric:
             raise ValueError("need at least one point")
         self.n = n
 
-    @property
-    def epsilon(self) -> Fraction:
-        return Fraction(1, 2**self.n)
-
     def distance(self, a: PointId, b: PointId) -> ExactDistance:
         return ExactDistance(abs(a - b))
 
@@ -269,10 +261,6 @@ class CountingOracle:
     def n(self) -> int:
         return self.backing.n
 
-    @property
-    def epsilon(self) -> Fraction:
-        return self.backing.epsilon
-
     def query(self, a: PointId, b: PointId) -> ExactDistance:
         if not (0 <= a < self.n and 0 <= b < self.n):
             raise IndexError(f"query ({a}, {b}) outside space of size {self.n}")
@@ -295,10 +283,6 @@ class RestrictedOracle:
         return self._oracle.n
 
     @property
-    def epsilon(self) -> Fraction:
-        return self._oracle.epsilon
-
-    @property
     def queries_made(self) -> int:
         return self._oracle.queries_made
 
@@ -306,30 +290,6 @@ class RestrictedOracle:
         if a not in self.allowed or b not in self.allowed:
             raise QueryOutsideSubsetError(f"query ({a}, {b}) leaves the allowed subset")
         return self._oracle.query(a, b)
-
-
-class StubOracle:
-    """Answers every query with one constant.
-
-    Useful for probing whether a solver's query sequence depends on the
-    answers it receives: run it twice against different constants and
-    compare the recorded sequences.
-    """
-
-    def __init__(self, n: int, answer: int = 1):
-        self.n = n
-        self._answer = ExactDistance(answer)
-        self.queries_made = 0
-        self.transcript = Transcript()
-
-    @property
-    def epsilon(self) -> Fraction:
-        return Fraction(1, 2**self.n)
-
-    def query(self, a: PointId, b: PointId) -> ExactDistance:
-        self.queries_made += 1
-        self.transcript.append(a, b, self._answer)
-        return self._answer
 
 
 def _argwhere_if_any(mask: np.ndarray):
@@ -437,7 +397,7 @@ def average_pairwise_distance(oracle, S: Iterable[PointId]) -> Fraction:
     for i, p in enumerate(pts):
         for q in pts[i + 1 :]:
             run = run + oracle.query(p, q)
-    return 2 * run.to_fraction(oracle.epsilon) / (k * k)
+    return 2 * run.to_fraction(eps_value(oracle.n)) / (k * k)
 
 
 def _lex_argmin(units: np.ndarray, eps: np.ndarray, points: np.ndarray) -> int:

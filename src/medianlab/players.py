@@ -76,8 +76,6 @@ class SamplingPlayer:
 
     def run(self, oracle, n: int) -> int:
         k = max(1, min(math.isqrt(max(self.budget, 1)), n))
-        if k >= n and n * (n - 1) // 2 > self.budget:
-            k = max(1, n - 1)
         return SamplingInner(self.seed, k).solve(oracle, range(n)).output
 
 

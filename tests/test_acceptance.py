@@ -341,18 +341,17 @@ def test_criterion_8_renaming_wrapper_fuzz():
         m = 2 * q + 1
         table = generate_instance("table", max(m, 4), seed)
         player = RandomFuzzer(budget=q, seed=seed + 1)
-        run = run_renamed(player, CountingOracle(table), big_n, q)
+        oracle = CountingOracle(table)
+        run = run_renamed(player, oracle, big_n, q)
         fwd = run.renaming.mapping
         assert len(set(fwd.values())) == len(fwd)  # injective
         assert run.renaming.count <= 2 * q + 1
         assert all(0 <= v < max(m, 4) for v in fwd.values())
         assert run.queries_used == q
-        assert len(run.inner_transcript) == len(run.outer_transcript) == q
-        for (a, b, ans), (na, nb, nans) in zip(
-            run.inner_transcript, run.outer_transcript
-        ):
-            assert fwd[a] == na and fwd[b] == nb
-            assert ans == nans == table.distance(na, nb)
+        assert len(run.inner_transcript) == len(oracle.transcript) == q
+        for (a, b, ans), e in zip(run.inner_transcript, oracle.transcript):
+            assert fwd[a] == e.a and fwd[b] == e.b
+            assert ans == e.answer == table.distance(e.a, e.b)
         assert run.output_name == fwd[run.output]
         runs += 1
     # a slice of structured players on top of the fuzzers

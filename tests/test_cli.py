@@ -219,13 +219,12 @@ def test_console_entry_point(star_file):
 
 
 def test_extern_protocol_over_pipes():
-    proc = subprocess.Popen(
+    with subprocess.Popen(
         [sys.executable, "-m", "medianlab", "adversary", "--n", "16", "--q", "4", "--d", "4", "--algo", "extern"],
         stdin=subprocess.PIPE,
         stdout=subprocess.PIPE,
         text=True,
-    )
-    try:
+    ) as proc:
         answers = []
         for a, b in ((1, 5), (2, 9), (3, 16), (1, 2)):
             proc.stdin.write(f"QUERY {a} {b}\n")
@@ -235,7 +234,6 @@ def test_extern_protocol_over_pipes():
         proc.stdin.flush()
         proc.stdin.close()
         report = json.loads(proc.stdout.read())
-    finally:
         proc.wait(timeout=60)
     assert answers == ["ANSWER 1"] * 4  # a fresh arena answers 1 to distinct pairs
     assert report["output"] == 7

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from medianlab import harness
 from medianlab.distances import ExactDistance
 from medianlab.harness import (
     INSTANCE_KINDS,
@@ -97,6 +98,18 @@ def test_sweep_deterministic():
     a = sweep_upper_bound(cfg)
     b = sweep_upper_bound(cfg)
     assert a == b
+
+
+def test_sweep_rejects_an_over_cap_config_before_building_any_instance(monkeypatch):
+    built = []
+    monkeypatch.setattr(harness, "generate_instance", lambda *args: built.append(args))
+    configs = [
+        SweepConfig(kind="grid", n=16, f_of_n=1, inner="exact"),
+        SweepConfig(kind="grid", n=5000, f_of_n=1, inner="exact"),
+    ]
+    with pytest.raises(ValueError, match=r"^n=5000 exceeds the brute-force cap 4096$"):
+        sweep_upper_bound(configs)
+    assert built == []
 
 
 def test_play_adversary_game_checks():

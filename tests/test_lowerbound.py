@@ -1,8 +1,8 @@
 import random
-from fractions import Fraction
 
 import pytest
 
+from medianlab import lowerbound
 from medianlab.distances import EPS, ExactDistance
 from medianlab.harness import generate_instance
 from medianlab.lowerbound import (
@@ -48,13 +48,15 @@ def test_renaming_first_sight_order():
 
 def test_run_renamed_frozen_cases():
     # a self-query renames to a self-query
-    run = run_renamed(ScriptedPlayer([(5, 5)], 5), p3_oracle(), n=1000, budget=2)
-    assert run.outer_transcript[0][:2] == (0, 0)
+    oracle = p3_oracle()
+    run = run_renamed(ScriptedPlayer([(5, 5)], 5), oracle, n=1000, budget=2)
+    assert (oracle.transcript[0].a, oracle.transcript[0].b) == (0, 0)
     assert run.output_name == 0
 
     # two fresh points, a before b, and the unqueried output gets the next name
-    run = run_renamed(ScriptedPlayer([(5, 9)], 823), p3_oracle(), n=1000, budget=2)
-    assert run.outer_transcript[0][:2] == (0, 1)
+    oracle = p3_oracle()
+    run = run_renamed(ScriptedPlayer([(5, 9)], 823), oracle, n=1000, budget=2)
+    assert (oracle.transcript[0].a, oracle.transcript[0].b) == (0, 1)
     assert run.renaming.mapping == {5: 0, 9: 1, 823: 2}
     assert run.output_name == 2
     assert run.queries_used == 1
@@ -76,8 +78,8 @@ def test_run_renamed_validates_points():
 
 
 def test_run_renamed_fuzz_against_plain_tables():
-    # renaming must be invisible: inner and outer transcripts agree under
-    # the forward map and every answer equals the backing table's distance
+    # renaming must be invisible: the algorithm's transcript, renamed, is
+    # the oracle's, and every answer equals the backing table's distance
     rng = random.Random(0)
     for trial in range(80):
         q = rng.randint(1, 6)
@@ -92,11 +94,30 @@ def test_run_renamed_fuzz_against_plain_tables():
         assert run.renaming.count <= m
         assert run.queries_used == q
         fwd = run.renaming.mapping
-        for (a, b, ans), (na, nb, outer_ans) in zip(run.inner_transcript, run.outer_transcript):
-            assert (fwd[a], fwd[b]) == (na, nb)
-            assert ans == outer_ans == table.distance(na, nb)
+        assert len(run.inner_transcript) == len(oracle.transcript) == q
+        for (a, b, ans), e in zip(run.inner_transcript, oracle.transcript):
+            assert (fwd[a], fwd[b]) == (e.a, e.b)
+            assert ans == e.answer == table.distance(e.a, e.b)
         assert 0 <= run.output < n
         assert run.output_name == fwd[run.output]
+
+
+def test_transcripts_aligned_catches_a_proxy_that_forwards_the_wrong_point(monkeypatch):
+    # the proxy keeps the algorithm's transcript honest but sends the
+    # adversary a neighbouring name, so the player gets wrong answers
+    def misforward(self, a, b):
+        ren = self._run.renaming
+        na, nb = ren.assign(a), ren.assign(b)
+        answer = self._oracle.query(na, (nb + 1) % self._oracle.n)
+        self._run.queries_used += 1
+        self._run.inner_transcript.append((a, b, answer))
+        return answer
+
+    monkeypatch.setattr(lowerbound._RenamingProxy, "query", misforward)
+    for algo in ("exact", "random"):
+        report = hard_instance_game(make_player(algo, 20, seed=0), n=256, q=20, degree=4, seed=0)
+        assert not report.checks["transcripts_aligned"], algo
+        assert not report.all_ok, algo
 
 
 def test_glued_metric_distance_cases():
@@ -129,7 +150,6 @@ def test_glued_metric_is_a_metric():
     base = generate_instance("table", 5, seed=3)
     g = glue_metric(base, y=2, n=12)
     assert validate_metric(g.to_table()) == []
-    assert g.to_table().epsilon == Fraction(1, 2**12)
 
 
 def test_glue_validation():

@@ -25,7 +25,6 @@ from medianlab.metric import (
     MetricTable,
     QueryOutsideSubsetError,
     RestrictedOracle,
-    StubOracle,
     average_pairwise_distance,
     bfs_hop_row,
     brute_force_cost,
@@ -37,7 +36,7 @@ from medianlab.metric import (
     validate_metric,
     Violation,
 )
-from medianlab.harness import generate_instance
+from medianlab.harness import ConstantBacking, generate_instance
 
 from conftest import subset_size_grid
 
@@ -259,10 +258,11 @@ def test_restricted_oracle_guards(p4):
 
 
 def test_stub_oracle_records():
-    s = StubOracle(5, answer=3)
+    s = CountingOracle(ConstantBacking(5, answer=3), record_transcript=True)
     assert s.query(0, 4) == ExactDistance(3)
     assert s.query(2, 2) == ExactDistance(3)
     assert [(e.a, e.b) for e in s.transcript] == [(0, 4), (2, 2)]
+    assert s.queries_made == 2
 
 
 def test_exact_median_matches_brute_force(p4):

@@ -7,7 +7,6 @@ from medianlab.distances import ExactDistance
 from medianlab.metric import (
     CountingOracle,
     QueryOutsideSubsetError,
-    StubOracle,
     brute_force_cost,
     brute_force_median,
     graph_metric,
@@ -25,7 +24,7 @@ from medianlab.solvers import (
     transfer_bound,
 )
 
-from medianlab.harness import generate_instance
+from medianlab.harness import ConstantBacking, generate_instance
 from medianlab.players import SamplingPlayer
 
 from conftest import subset_size_grid
@@ -73,7 +72,7 @@ def test_exact_inner_is_nonadaptive_with_published_schedule():
     assert inner.schedule([2, 0, 1]) == [(0, 1), (0, 2), (1, 2)]
     # the actual query sequence equals the schedule whatever the answers
     for const in (1, 4):
-        stub = StubOracle(3, const)
+        stub = CountingOracle(ConstantBacking(3, const), record_transcript=True)
         inner.solve(stub, range(3))
         assert [(e.a, e.b) for e in stub.transcript] == inner.schedule(range(3))
 
