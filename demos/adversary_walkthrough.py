@@ -24,9 +24,9 @@ def main() -> None:
     print()
 
     print("first answers (algorithm coordinates, hop distances):")
-    for entry in cert.transcript.entries[:6]:
+    for entry in cert.transcript[:6]:
         print(f"  d({entry.a:>2}, {entry.b:>2}) = {entry.answer}")
-    print(f"  ... {len(cert.transcript.entries) - 6} more rounds")
+    print(f"  ... {len(cert.transcript) - 6} more rounds")
     print()
 
     pruning_events = [(i, pruned) for i, pruned in enumerate(cert.pruned_log) if pruned]

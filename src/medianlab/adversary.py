@@ -32,8 +32,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .distances import ExactDistance
-from .metric import HopMetric, Transcript, bfs_hop_row, is_metric, replay_verify
-from .expander import NotRegularError, RegularGraph
+from .metric import HopMetric, TranscriptEntry, bfs_hop_row, is_metric, replay_verify
+from .expander import RegularGraph
 
 __all__ = [
     "BadConstantError",
@@ -79,17 +79,17 @@ def _norm_edge(u: int, v: int) -> Edge:
 
 
 class Adversary:
-    """One playable game instance; single use, deterministic."""
+    """One playable game instance; single use, deterministic.
 
-    def __init__(self, n: int, rounds: int, degree: int, cap: int, anchor: RegularGraph):
+    The anchor fixes the size n and the degree d of the arena.
+    """
+
+    def __init__(self, anchor: RegularGraph, rounds: int, cap: int):
+        n, degree = anchor.n, anchor.d
         if n < 2:
             raise ValueError("the game needs at least two points")
         if rounds < 1:
             raise ValueError("the game needs at least one round")
-        if anchor.n != n:
-            raise NotRegularError(f"anchor graph has {anchor.n} vertices, expected {n}")
-        if anchor.d != degree:
-            raise NotRegularError(f"anchor graph is {anchor.d}-regular, expected {degree}")
         # strict inequality, checked exactly: C*n > 2*d*n + 4*rounds
         if cap * n <= 2 * degree * n + 4 * rounds:
             raise BadConstantError(
@@ -108,7 +108,7 @@ class Adversary:
         exp = np.asarray(anchor.edges, dtype=np.int64)
         self._exp_u, self._exp_v = exp[:, 0], exp[:, 1]
 
-        self.transcript = Transcript()
+        self.transcript: list[TranscriptEntry] = []
         self.paths: list[tuple[int, ...]] = []
         self.pruned_log: list[tuple[int, ...]] = []
         self.rounds_served = 0
@@ -130,7 +130,7 @@ class Adversary:
         touched = self._mark_path(path)
         self.paths.append(tuple(path))
         self.pruned_log.append(self._prune(touched))
-        self.transcript.append(a, b, ExactDistance(dist))
+        self.transcript.append(TranscriptEntry(a, b, ExactDistance(dist)))
         self.rounds_served += 1
         if not self._adj[self._exp_u, self._exp_v].all():
             raise AssertionError("anchor edge lost")
@@ -243,7 +243,7 @@ class Certificate:
     anchor_edges: tuple[Edge, ...]
     paths: tuple[tuple[int, ...], ...]
     pruned_log: tuple[tuple[int, ...], ...]
-    transcript: Transcript
+    transcript: list[TranscriptEntry]
     bad: tuple[int, ...]
     z_star: int
     z_star_cost: int
@@ -265,8 +265,7 @@ class Certificate:
         if not (0 <= i <= len(self.pruned_log)):
             raise IndexError(f"round {i} out of range")
         alive = np.ones(self.n, dtype=bool)
-        for pruned in self.pruned_log[:i]:
-            alive[list(pruned)] = False
+        alive[[v for pruned in self.pruned_log[:i] for v in pruned]] = False
         adj = self.perm | np.outer(alive, alive)
         np.fill_diagonal(adj, False)
         return adj
@@ -275,7 +274,7 @@ class Certificate:
 # -- auditors -----------------------------------------------------------
 
 
-def verify_consistency(cert: Certificate, transcript: Transcript | None = None) -> bool:
+def verify_consistency(cert: Certificate, transcript: list[TranscriptEntry] | None = None) -> bool:
     """Every answer ever given equals the final metric's distance."""
     return replay_verify(cert.transcript if transcript is None else transcript, cert.final_metric)
 
@@ -329,13 +328,10 @@ def verify_path_discipline(cert: Certificate) -> bool:
     }
     if recorded != perm:
         return False
-    never_pruned = np.ones(cert.n, dtype=bool)
-    never_pruned[list(pruned_so_far)] = False
-    expected = np.outer(never_pruned, never_pruned)
-    expected |= cert.perm
-    adj = cert.final_metric.adjacency
-    np.fill_diagonal(expected, adj.diagonal())  # compared off the diagonal only
-    return bool(np.array_equal(adj, expected))
+    # the log now matches the cap rule in every round, so its last
+    # snapshot is the graph the final metric must be
+    expected = cert.snapshot_adjacency(len(cert.pruned_log))
+    return bool(np.array_equal(cert.final_metric.adjacency, expected))
 
 
 def good_point_bound(cert: Certificate) -> tuple[int, int]:

@@ -41,19 +41,6 @@ class ExactDistance:
             return NotImplemented
         return ExactDistance(self.units + other.units, self.eps_count + other.eps_count)
 
-    def __mul__(self, k: int) -> "ExactDistance":
-        if not isinstance(k, int):
-            return NotImplemented
-        if k < 0:
-            raise ValueError("cannot scale a distance by a negative factor")
-        return ExactDistance(self.units * k, self.eps_count * k)
-
-    __rmul__ = __mul__
-
-    @property
-    def is_zero(self) -> bool:
-        return self.units == 0 and self.eps_count == 0
-
     def to_fraction(self, eps: Fraction) -> Fraction:
         """Exact rational value of this distance given the value of eps."""
         return Fraction(self.units) + self.eps_count * eps

@@ -93,9 +93,6 @@ class RegularGraph:
             self._adj = adj
         return self._adj
 
-    def neighbors(self, v: int) -> list[int]:
-        return [int(u) for u in np.nonzero(self.adjacency()[v])[0]]
-
     def is_connected(self) -> bool:
         return not (bfs_hop_row(self.adjacency(), 0) < 0).any()
 

@@ -37,7 +37,10 @@ def read_metric_file(path: str) -> MetricTable:
         tokens_by_line = [line.split() for line in fh if line.strip()]
     if not tokens_by_line:
         raise ValueError(f"{path}: empty metric file")
-    (n,) = _token_ints(path, tokens_by_line[0][:1], ["n"])
+    header = tokens_by_line[0]
+    if len(header) != 1:
+        raise ValueError(f"{path}: line 1 should hold n alone, found {len(header)} tokens")
+    (n,) = _token_ints(path, header, ["n"])
     if len(tokens_by_line) != n + 1:
         raise ValueError(f"{path}: expected {n} rows, found {len(tokens_by_line) - 1}")
     units = np.zeros((n, n), dtype=np.int64)
@@ -102,7 +105,10 @@ def _token_ints(path: str, tokens: list[str], names: Iterable[str]) -> list[int]
 
 def read_metric_json(path: str) -> MetricTable:
     with open(path, "r", encoding="utf-8") as fh:
-        blob = json.load(fh)
+        try:
+            blob = json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply to read") from None
     if not isinstance(blob, dict) or "n" not in blob or "dist" not in blob:
         raise ValueError(f'{path}: expected an object with "n" and "dist"')
     n = _json_int(path, blob["n"], "n")

@@ -39,7 +39,6 @@ __all__ = [
     "SweepConfig",
     "sweep_upper_bound",
     "play_adversary_game",
-    "write_csv",
     "rows_to_csv_text",
 ]
 
@@ -227,7 +226,7 @@ def play_adversary_game(
     rounds = q + n
     if cap is None:
         cap = minimal_cap(n, rounds, degree)
-    adv = Adversary(n, rounds, degree, cap, anchor)
+    adv = Adversary(anchor, rounds, cap)
     oracle = CountingOracle(adv, record_transcript=False)
     output = player.run(oracle, n)
     cert = adv.finalize(output)
@@ -235,16 +234,12 @@ def play_adversary_game(
     return cert, checks
 
 
-def write_csv(rows: Sequence[dict], stream) -> None:
-    """Write dict rows as CSV with the first row fixing the column order."""
+def rows_to_csv_text(rows: Sequence[dict]) -> str:
+    """Dict rows as CSV text, the first row fixing the column order."""
     if not rows:
-        return
-    writer = csv.DictWriter(stream, fieldnames=list(rows[0].keys()))
+        return ""
+    buf = io.StringIO()
+    writer = csv.DictWriter(buf, fieldnames=list(rows[0].keys()))
     writer.writeheader()
     writer.writerows(rows)
-
-
-def rows_to_csv_text(rows: Sequence[dict]) -> str:
-    buf = io.StringIO()
-    write_csv(rows, buf)
     return buf.getvalue()

@@ -32,7 +32,7 @@ from .adversary import (
 )
 from .distances import EPS, ExactDistance, eps_float, eps_value
 from .expander import InfeasibleError, build_regular
-from .metric import CountingOracle, HopMetric, MetricTable, is_metric, replay_verify
+from .metric import CountingOracle, HopMetric, MetricTable, TranscriptEntry, is_metric, replay_verify
 
 __all__ = [
     "BudgetExceededError",
@@ -71,9 +71,6 @@ class Renaming:
     def mapping(self) -> dict[int, int]:
         return dict(self._names)
 
-    def inverse(self) -> dict[int, int]:
-        return {name: point for point, name in self._names.items()}
-
 
 @dataclass
 class RenamedRun:
@@ -81,7 +78,7 @@ class RenamedRun:
     output_name: int  # the same answer after renaming
     renaming: Renaming
     queries_used: int
-    inner_transcript: list[tuple[int, int, ExactDistance]]  # in the algorithm's coordinates
+    inner_transcript: list[TranscriptEntry]  # in the algorithm's coordinates
 
 
 class _RenamingProxy:
@@ -107,7 +104,7 @@ class _RenamingProxy:
         nb = ren.assign(b)
         answer = self._oracle.query(na, nb)
         self._run.queries_used += 1
-        self._run.inner_transcript.append((a, b, answer))
+        self._run.inner_transcript.append(TranscriptEntry(a, b, answer))
         return answer
 
 
@@ -303,7 +300,7 @@ def hard_instance_game(
     rounds = q + m
     if cap is None:
         cap = minimal_cap(m, rounds, degree)
-    adv = Adversary(m, rounds, degree, cap, anchor)
+    adv = Adversary(anchor, rounds, cap)
     oracle = CountingOracle(adv, record_transcript=False)
 
     run = run_renamed(algorithm, oracle, n, q)
@@ -318,14 +315,8 @@ def hard_instance_game(
     ratio = cost_z.to_fraction(eps_val) / cost_y.to_fraction(eps_val)
     eps_f = eps_float(n)
     ratio_float = cost_z.approx_float(eps_f) / cost_y.approx_float(eps_f)
-    dzy = int(cert.final_metric.row(z)[y])
 
-    checks = dict(verify_certificate(cert, metric_axioms_cap=0))
-    checks.update(_game_checks(run, cert, glued, z, y, q))
-    if n <= metric_axioms_cap:
-        checks["glued_metric_axioms"] = is_metric(glued.to_table(metric_axioms_cap))
-
-    return GameReport(
+    report = GameReport(
         n=n,
         q=q,
         m=m,
@@ -337,42 +328,44 @@ def hard_instance_game(
         names_used=run.renaming.count,
         z_star=z,
         y=y,
-        dist_z_y=dzy,
+        dist_z_y=int(cert.final_metric.row(z)[y]),
         glued_cost_z=cost_z,
         glued_cost_y=cost_y,
         ratio=ratio,
         ratio_float=ratio_float,
         f_hat=ratio_float / math.log2(n),
         certificate=cert,
-        checks=checks,
     )
+    report.checks.update(verify_certificate(cert, metric_axioms_cap=0))
+    report.checks.update(_game_checks(run, report, glued))
+    if n <= metric_axioms_cap:
+        report.checks["glued_metric_axioms"] = is_metric(glued.to_table(metric_axioms_cap))
+    return report
 
 
-def _game_checks(run: RenamedRun, cert: Certificate, glued: GluedMetric, z: int, y: int, q: int) -> dict[str, bool]:
+def _game_checks(run: RenamedRun, report: GameReport, glued: GluedMetric) -> dict[str, bool]:
+    """Audit the renaming and the glued costs the report states."""
+    cert = report.certificate
     names = list(run.renaming.mapping.values())
     m = cert.n
     out: dict[str, bool] = {}
     out["renaming_injective"] = len(set(names)) == len(names)
-    out["names_in_window"] = run.renaming.count <= 2 * q + 1 and all(0 <= v < m for v in names)
-    out["budget_respected"] = run.queries_used <= q
+    out["names_in_window"] = run.renaming.count <= 2 * report.q + 1 and all(0 <= v < m for v in names)
+    out["budget_respected"] = run.queries_used <= report.q
     out["transcripts_aligned"] = _transcripts_aligned(run, cert)
     out["replay_glued"] = replay_verify(cert.transcript, glued)
-    cost_z = glued.cost_of(z)
-    cost_y = glued.cost_of(y)
-    base_y = glued._base_row_sum(y)
+    cost_z, cost_y, dzy = report.glued_cost_z, report.glued_cost_y, report.dist_z_y
+    base_y = glued._base_row_sum(report.y)
     spread = glued.n - glued.m
-    if z == y:
+    if report.z_star == report.y:
         out["cost_split_z"] = cost_z == cost_y
     else:
-        base_z = glued._base_row_sum(z)
-        dzy = int(cert.final_metric.row(z)[y])
+        base_z = glued._base_row_sum(report.z_star)
         out["cost_split_z"] = cost_z == ExactDistance(base_z + spread * dzy)
     out["cost_split_y"] = cost_y == ExactDistance(base_y, spread)
     # the advertised floor on the measured ratio, checked exactly
-    eps_val = eps_value(glued.n)
-    dzy = int(cert.final_metric.row(z)[y])
-    floor = Fraction(spread * dzy) / (Fraction(base_y) + max(spread - 1, 0) * eps_val)
-    out["ratio_floor"] = cost_z.to_fraction(eps_val) / cost_y.to_fraction(eps_val) >= floor
+    floor = Fraction(spread * dzy) / (Fraction(base_y) + max(spread - 1, 0) * eps_value(glued.n))
+    out["ratio_floor"] = report.ratio >= floor
     return out
 
 
@@ -387,6 +380,6 @@ def _transcripts_aligned(run: RenamedRun, cert: Certificate) -> bool:
         return False
     fwd = run.renaming.mapping
     return all(
-        (fwd.get(a), fwd.get(b), answer) == (e.a, e.b, e.answer)
+        TranscriptEntry(fwd.get(a), fwd.get(b), answer) == e
         for (a, b, answer), e in zip(run.inner_transcript, served)
     )

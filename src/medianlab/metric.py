@@ -20,18 +20,19 @@ backings are provided:
 
 Every algorithm under test talks to a backing through
 :class:`CountingOracle`, which charges one query per ``query()`` call,
-repeats included, and can keep an ordered transcript for replay checks.
+repeats included, and can keep a transcript for replay checks.  A
+transcript is a ``list[TranscriptEntry]`` of ``(a, b, answer)`` tuples
+in query order; an entry's round is its list position.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .distances import ZERO, ExactDistance, eps_value, total
+from .distances import ZERO, ExactDistance, total
 
 __all__ = [
     "DisconnectedGraphError",
@@ -41,7 +42,6 @@ __all__ = [
     "HopMetric",
     "LineMetric",
     "TranscriptEntry",
-    "Transcript",
     "replay_verify",
     "CountingOracle",
     "RestrictedOracle",
@@ -50,7 +50,6 @@ __all__ = [
     "graph_metric",
     "median_cost",
     "exact_median",
-    "average_pairwise_distance",
     "brute_force_cost",
     "brute_force_median",
     "bfs_hop_row",
@@ -118,10 +117,6 @@ class MetricTable:
 
     def has_eps(self) -> bool:
         return bool(self.eps.any())
-
-    def submetric(self, points: Sequence[PointId]) -> "MetricTable":
-        idx = np.asarray(list(points), dtype=np.int64)
-        return MetricTable(self.units[np.ix_(idx, idx)], self.eps[np.ix_(idx, idx)])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, MetricTable):
@@ -217,31 +212,10 @@ class LineMetric:
         return ExactDistance(abs(a - b))
 
 
-@dataclass(frozen=True)
-class TranscriptEntry:
-    index: int  # 1-based position in the query sequence
+class TranscriptEntry(NamedTuple):
     a: PointId
     b: PointId
     answer: ExactDistance
-
-
-class Transcript:
-    """Ordered, gap-free record of every query an oracle served."""
-
-    def __init__(self) -> None:
-        self.entries: list[TranscriptEntry] = []
-
-    def append(self, a: PointId, b: PointId, answer: ExactDistance) -> None:
-        self.entries.append(TranscriptEntry(len(self.entries) + 1, a, b, answer))
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def __iter__(self):
-        return iter(self.entries)
-
-    def __getitem__(self, i):
-        return self.entries[i]
 
 
 def replay_verify(transcript, metric) -> bool:
@@ -255,7 +229,7 @@ class CountingOracle:
     def __init__(self, backing, record_transcript: bool = True):
         self.backing = backing
         self.queries_made = 0
-        self.transcript: Transcript | None = Transcript() if record_transcript else None
+        self.transcript: list[TranscriptEntry] | None = [] if record_transcript else None
 
     @property
     def n(self) -> int:
@@ -267,7 +241,7 @@ class CountingOracle:
         answer = self.backing.distance(a, b)
         self.queries_made += 1
         if self.transcript is not None:
-            self.transcript.append(a, b, answer)
+            self.transcript.append(TranscriptEntry(a, b, answer))
         return answer
 
 
@@ -380,24 +354,6 @@ def exact_median(oracle, S: Iterable[PointId]) -> tuple[PointId, ExactDistance]:
             cost[q] = cost[q] + d
     best = min(pts, key=lambda p: (cost[p], p))
     return best, cost[best]
-
-
-def average_pairwise_distance(oracle, S: Iterable[PointId]) -> Fraction:
-    """Mean distance between two independent uniform picks from S.
-
-    The diagonal pairs (u, u) are part of the average, contributing 0 to
-    the numerator and |S| to the |S|**2 denominator.  Each unordered
-    distinct pair is queried once.
-    """
-    pts = sorted(set(S))
-    k = len(pts)
-    if k == 0:
-        raise ValueError("cannot average over the empty set")
-    run = ZERO
-    for i, p in enumerate(pts):
-        for q in pts[i + 1 :]:
-            run = run + oracle.query(p, q)
-    return 2 * run.to_fraction(eps_value(oracle.n)) / (k * k)
 
 
 def _lex_argmin(units: np.ndarray, eps: np.ndarray, points: np.ndarray) -> int:

@@ -8,9 +8,9 @@ returned point is (4*beta*n/|S| + 1)-approximate globally, and
 :func:`transfer_bound` computes that guarantee exactly.
 
 Inner routines implement a small informal interface: ``name``,
-``nonadaptive`` (True means the full query schedule is fixed before any
-answer arrives, and ``schedule(S)`` emits it), ``query_bound(s)``, and
-``solve(oracle, S) -> SolverResult``.
+``schedule(S)`` (the full query list when it is fixed before any answer
+arrives, that is, when the routine is nonadaptive, and None otherwise),
+``query_bound(s)``, and ``solve(oracle, S) -> SolverResult``.
 """
 
 from __future__ import annotations
@@ -82,7 +82,6 @@ class ExactInner:
     """Brute force on the subset: beta = 1, fully nonadaptive."""
 
     name = "exact"
-    nonadaptive = True
 
     def query_bound(self, s: int) -> int:
         return s * (s - 1) // 2
@@ -114,7 +113,6 @@ class PivotInner:
     """
 
     name = "pivot"
-    nonadaptive = False
 
     def query_bound(self, s: int) -> int:
         return 3 * s
@@ -146,7 +144,6 @@ class SamplingInner:
     """Seeded Monte Carlo baseline wrapped as an inner routine."""
 
     name = "sampling"
-    nonadaptive = False
 
     def __init__(self, rng_seed: int, sample_size: int | None = None):
         self.rng_seed = rng_seed

@@ -32,14 +32,14 @@ def small_game(n=8, degree=3, rounds=20, cap=None, seed=4):
     anchor = build_regular(n, degree, seed)
     if cap is None:
         cap = minimal_cap(n, rounds, degree)
-    return Adversary(n, rounds, degree, cap, anchor)
+    return Adversary(anchor, rounds, cap)
 
 
 def finished_game(n=32, degree=4, q=8, seed=4, algo="exact"):
     anchor = build_regular(n, degree, seed)
     rounds = q + n
     cap = minimal_cap(n, rounds, degree)
-    adv = Adversary(n, rounds, degree, cap, anchor)
+    adv = Adversary(anchor, rounds, cap)
     oracle = CountingOracle(adv)
     player = make_player(algo, budget=q, seed=seed)
     output = player.run(oracle, n)
@@ -55,9 +55,9 @@ def test_minimal_cap_frozen():
 def test_cap_validation_is_strict():
     anchor = RegularGraph(4, 3, K4_EDGES)
     # cap*n must strictly exceed 2*d*n + 4*rounds = 40 here
-    Adversary(4, 4, 3, 11, anchor)
+    Adversary(anchor, 4, 11)
     with pytest.raises(BadConstantError):
-        Adversary(4, 4, 3, 10, anchor)
+        Adversary(anchor, 4, 10)
 
 
 def test_first_answers_and_self_query():
@@ -113,7 +113,7 @@ def test_zero_pruning_game_is_flat():
 
 def test_two_point_game():
     anchor = RegularGraph(2, 1, [(0, 1)])
-    adv = Adversary(2, 6, 1, 15, anchor)
+    adv = Adversary(anchor, 6, 15)
     adv.answer(0, 1)
     cert = adv.finalize(1)
     assert cert.best_good[1] == 1
@@ -174,7 +174,7 @@ def test_ball_growth_bound():
 def test_consistency_detects_tampered_answer():
     cert, _ = finished_game(n=16, degree=4, q=4)
     e = cert.transcript[0]
-    cert.transcript.entries[0] = TranscriptEntry(e.index, e.a, e.b, e.answer + e.answer.__class__(5))
+    cert.transcript[0] = TranscriptEntry(e.a, e.b, e.answer + e.answer.__class__(5))
     assert not verify_consistency(cert)
 
 
@@ -278,7 +278,7 @@ def test_invariants_raise_under_optimize_flag():
 from medianlab.adversary import Adversary, minimal_cap
 from medianlab.expander import build_regular
 anchor = build_regular(8, 3, 4)
-adv = Adversary(8, 20, 3, minimal_cap(8, 20, 3), anchor)
+adv = Adversary(anchor, 20, minimal_cap(8, 20, 3))
 u, v = anchor.edges[0]
 adv._adj[u, v] = adv._adj[v, u] = False
 try:

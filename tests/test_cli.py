@@ -104,14 +104,17 @@ def test_adversary_rejects_bad_cap(capsys):
          "ValueError: the lower-bound game needs n >= 2, got 1"),
         (("verify", "--metric", "overflow.txt"),
          "ValueError: overflow.txt: entry (1, 0) must be a 64-bit integer, got 99999999999999999999"),
+        (("solve", "--metric", "nested.json", "--f-of-n", "4"),
+         "ValueError: nested.json: JSON nested too deeply to read"),
     ],
     ids=["expander-odd-stubs", "adversary-odd-stubs", "negative-budget", "missing-file",
          "lowerbound-odd-degree", "lowerbound-one-point", "lowerbound-sweep-one-point",
-         "metric-entry-overflow"],
+         "metric-entry-overflow", "metric-json-nested-too-deep"],
 )
 def test_bad_input_reports_json_error(capsys, tmp_path, monkeypatch, argv, error):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "overflow.txt").write_text("2\n0\n99999999999999999999 0\n", encoding="utf-8")
+    (tmp_path / "nested.json").write_text('{"n": 1, "dist": ' + "[" * 3000 + "]" * 3000 + "}", encoding="utf-8")
     code, out = run_cli(capsys, *argv)
     assert code == 1
     assert json.loads(out) == {"error": error}

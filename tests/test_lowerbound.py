@@ -43,7 +43,6 @@ def test_renaming_first_sight_order():
     assert r.assign(17) == 0
     assert r.count == 2
     assert r.mapping == {17: 0, 42: 1}
-    assert r.inverse() == {0: 17, 1: 42}
 
 
 def test_run_renamed_frozen_cases():

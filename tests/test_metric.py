@@ -5,8 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fractions import Fraction
-
 from medianlab.distances import EPS, ONE, ZERO, ExactDistance
 from medianlab.fileio import (
     load_metric_any,
@@ -25,7 +23,6 @@ from medianlab.metric import (
     MetricTable,
     QueryOutsideSubsetError,
     RestrictedOracle,
-    average_pairwise_distance,
     bfs_hop_row,
     brute_force_cost,
     brute_force_median,
@@ -225,19 +222,13 @@ def test_axiom_checker_matches_reference(table):
     assert is_metric(table) == _reference_is_metric(table)
 
 
-def test_submetric(p4):
-    sub = p4.submetric([1, 3])
-    assert sub.n == 2
-    assert sub.distance(0, 1) == ExactDistance(2)
-
-
 def test_counting_oracle_counts_repeats(p4):
     o = CountingOracle(p4)
     for _ in range(3):
         o.query(0, 1)
     assert o.queries_made == 3
     assert len(o.transcript) == 3
-    assert o.transcript[0].index == 1
+    assert o.transcript[0] == (0, 1, ONE)
     assert o.transcript[2].answer == ONE
     with pytest.raises(IndexError):
         o.query(0, 4)
@@ -284,12 +275,6 @@ def test_median_cost_includes_self(p4):
     o = CountingOracle(p4)
     assert median_cost(o, 1, range(4)) == ExactDistance(4)
     assert o.queries_made == 4
-
-
-def test_average_pairwise_distance_p4(p4):
-    o = CountingOracle(p4)
-    assert average_pairwise_distance(o, range(4)) == Fraction(5, 4)
-    assert o.queries_made == 6
 
 
 def test_center_lemmas_on_corpus(small_corpus):
@@ -382,13 +367,15 @@ def test_metric_json_roundtrip_keeps_eps(tmp_path):
         ({"n": 2, "dist": [[{"units": 0, "eps_count": 0}, {"units": 0, "eps_count": 2**63}],
                            [{"units": 1, "eps_count": 0}, {"units": 0, "eps_count": 0}]]},
          f"eps_count of entry (0, 1) must be a 64-bit integer, got {2**63}"),
+        ('{"n": 1, "dist": ' + "[" * 3000 + "]" * 3000 + "}", "JSON nested too deeply to read"),
     ],
-    ids=["missing-dist", "bare-numbers", "not-an-object", "fractional-entry", "entry-past-int64"],
+    ids=["missing-dist", "bare-numbers", "not-an-object", "fractional-entry", "entry-past-int64",
+         "nested-too-deep"],
 )
 def test_metric_json_rejects_malformed(tmp_path, blob, message):
     path = str(tmp_path / "bad.json")
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(blob, fh)
+        fh.write(blob if isinstance(blob, str) else json.dumps(blob))
     with pytest.raises(ValueError) as info:
         read_metric_json(path)
     assert str(info.value) == f"{path}: {message}"
@@ -404,11 +391,12 @@ def test_metric_json_rejects_malformed(tmp_path, blob, message):
         (read_metric_file, ["2", "0", "1.5 0"], "entry (1, 0) must be a 64-bit integer, got '1.5'"),
         (read_metric_file, ["two", "0", "1 0"], "n must be a 64-bit integer, got 'two'"),
         (read_metric_file, ["3", "0", "1 0"], "expected 3 rows, found 2"),
+        (read_metric_file, ["2 5 junk", "0", "1 0"], "line 1 should hold n alone, found 3 tokens"),
         (read_edge_list, ["# a path", "1 2", "2 x"], "vertex 2 of line 3 must be a 64-bit integer, got 'x'"),
         (read_edge_list, ["1 2", f"{2**63} 1"], f"vertex 1 of line 2 must be a 64-bit integer, got {2**63}"),
     ],
     ids=["entry-past-int64", "entry-below-int64", "fractional-entry", "non-integer-n", "missing-row",
-         "edge-non-integer", "edge-past-int64"],
+         "extra-header-tokens", "edge-non-integer", "edge-past-int64"],
 )
 def test_metric_text_rejects_malformed(tmp_path, reader, lines, message):
     path = str(tmp_path / "bad.txt")

@@ -68,7 +68,6 @@ def test_transfer_bound_validation():
 
 def test_exact_inner_is_nonadaptive_with_published_schedule():
     inner = ExactInner()
-    assert inner.nonadaptive
     assert inner.schedule([2, 0, 1]) == [(0, 1), (0, 2), (1, 2)]
     # the actual query sequence equals the schedule whatever the answers
     for const in (1, 4):
@@ -88,7 +87,6 @@ def test_exact_inner_on_p4_prefix():
 
 def test_pivot_inner_basics():
     inner = PivotInner()
-    assert not inner.nonadaptive
     assert inner.schedule([0, 1, 2]) is None
     assert inner.query_bound(7) == 21
 
