@@ -11,6 +11,11 @@ far remain exactly the shortest-path distances of every later graph,
 including the final one: an algorithm cannot distinguish this game from
 an honest metric fixed in advance.
 
+The state is exactly that: the permanent edges and a mask of the
+vertices not yet pruned ("alive").  The live graph is the permanent
+edges plus a clique on the alive vertices, so it is never stored; the
+answer BFS treats the alive set as a clique of its own.
+
 The cost of the construction is that heavily queried vertices end up
 isolated behind their few permanent edges, far from everything, while
 at least half the space (the "good" vertices, permanent degree below C)
@@ -102,11 +107,11 @@ class Adversary:
         self.cap = cap
         self.anchor = anchor
 
-        self._adj = ~np.eye(n, dtype=bool)
-        self._perm = anchor.adjacency().copy()
-        self._perm_deg = np.full(n, degree, dtype=np.int64)
         exp = np.asarray(anchor.edges, dtype=np.int64)
         self._exp_u, self._exp_v = exp[:, 0], exp[:, 1]
+        self._perm = np.zeros((n, n), dtype=bool)
+        self._perm[self._exp_u, self._exp_v] = self._perm[self._exp_v, self._exp_u] = True
+        self._alive = np.ones(n, dtype=bool)
 
         self.transcript: list[TranscriptEntry] = []
         self.paths: list[tuple[int, ...]] = []
@@ -132,54 +137,56 @@ class Adversary:
         self.pruned_log.append(self._prune(touched))
         self.transcript.append(TranscriptEntry(a, b, ExactDistance(dist)))
         self.rounds_served += 1
-        if not self._adj[self._exp_u, self._exp_v].all():
+        if not self._perm[self._exp_u, self._exp_v].all():
             raise AssertionError("anchor edge lost")
         return dist
 
     def _distance_and_path(self, a: int, b: int) -> tuple[int, list[int]]:
         if a == b:
             return 0, [a]
-        adj = self._adj
-        if adj[a, b]:
+        perm, alive = self._perm, self._alive
+        if (alive[a] and alive[b]) or perm[a, b]:
             return 1, [a, b]
-        dist = bfs_hop_row(adj, a, target=b)
+        dist = bfs_hop_row(perm, a, target=b, clique=alive)
         if dist[b] < 0:
             raise AssertionError("adversary graph lost connectivity")
         # walk back choosing the lowest-index predecessor at every step;
-        # any shortest path is valid, this one is deterministic
+        # any shortest path is valid, this one is deterministic.  An
+        # alive vertex also neighbours every other alive vertex, and a
+        # is the only vertex at level 0.
         path = [b]
         cur = b
-        while cur != a:
-            prev = np.nonzero(adj[:, cur] & (dist == dist[cur] - 1))[0]
-            cur = int(prev[0])
+        while dist[cur] > 1:
+            row = perm[cur] | alive if alive[cur] else perm[cur]
+            cur = int(np.flatnonzero(row & (dist == dist[cur] - 1))[0])
             path.append(cur)
+        path.append(a)
         path.reverse()
         return int(dist[b]), path
 
     def _mark_path(self, path: Sequence[int]) -> set[int]:
+        perm, alive = self._perm, self._alive
         touched: set[int] = set()
         for u, v in zip(path, path[1:]):
-            if not self._adj[u, v]:
+            if perm[u, v]:
+                continue
+            if not (alive[u] and alive[v]):
                 raise AssertionError("reply path uses a missing edge")
-            if not self._perm[u, v]:
-                self._perm[u, v] = self._perm[v, u] = True
-                self._perm_deg[u] += 1
-                self._perm_deg[v] += 1
-                touched.add(u)
-                touched.add(v)
+            perm[u, v] = perm[v, u] = True
+            touched.add(u)
+            touched.add(v)
         return touched
 
     def _prune(self, touched: Iterable[int]) -> tuple[int, ...]:
-        """Cut every non-permanent edge at each touched vertex now over the cap.
+        """Prune each touched vertex whose permanent degree is now over the cap.
 
-        A pruned vertex keeps only permanent edges, so it is never
-        touched again and never pruned twice.
+        A pruned vertex leaves the alive clique and keeps only its
+        permanent edges, so it is never touched again and never pruned
+        twice.
         """
-        pruned = tuple(v for v in sorted(touched) if self._perm_deg[v] > self.cap)
+        pruned = tuple(v for v in sorted(touched) if np.count_nonzero(self._perm[v]) > self.cap)
         if pruned:
-            idx = list(pruned)
-            self._adj[idx] &= self._perm[idx]
-            self._adj[:, idx] &= self._perm[:, idx]
+            self._alive[list(pruned)] = False
         return pruned
 
     # -- settle --------------------------------------------------------
@@ -204,8 +211,8 @@ class Adversary:
         while self.rounds_served < self.rounds:
             self.answer(output, filler)
 
-        final = HopMetric(self._adj)
-        bad = tuple(int(v) for v in np.nonzero(self._perm_deg >= self.cap)[0])
+        final = HopMetric(_live_adjacency(self._perm, self._alive))
+        bad = tuple(int(v) for v in np.nonzero(self._perm.sum(axis=1) >= self.cap)[0])
         good = sorted(set(range(self.n)) - set(bad))
         if not good:
             raise AssertionError("fewer than half the points may go bad")
@@ -217,7 +224,7 @@ class Adversary:
             degree=self.degree,
             cap=self.cap,
             final_metric=final,
-            perm=self._perm.copy(),
+            perm=self._perm,  # no copy: every later answer raises BudgetExhaustedError
             anchor_edges=self.anchor.edges,
             paths=tuple(self.paths),
             pruned_log=tuple(self.pruned_log),
@@ -266,9 +273,14 @@ class Certificate:
             raise IndexError(f"round {i} out of range")
         alive = np.ones(self.n, dtype=bool)
         alive[[v for pruned in self.pruned_log[:i] for v in pruned]] = False
-        adj = self.perm | np.outer(alive, alive)
-        np.fill_diagonal(adj, False)
-        return adj
+        return _live_adjacency(self.perm, alive)
+
+
+def _live_adjacency(perm: np.ndarray, alive: np.ndarray) -> np.ndarray:
+    """The permanent edges plus a clique on the alive vertices, loop-free."""
+    adj = perm | np.outer(alive, alive)
+    np.fill_diagonal(adj, False)
+    return adj
 
 
 # -- auditors -----------------------------------------------------------

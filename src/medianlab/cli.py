@@ -36,7 +36,7 @@ from .harness import (
 from .lowerbound import _fraction_text, hard_instance_game
 from .metric import CountingOracle, brute_force_cost, brute_force_median, validate_metric
 from .players import StreamPlayer, make_player
-from .solvers import make_inner, restrict_and_solve, subset_size, transfer_bound
+from .solvers import cost_ratio, make_inner, restrict_and_solve, subset_size, transfer_bound
 
 __all__ = ["main", "build_parser"]
 
@@ -72,6 +72,14 @@ def _flatten(d: dict, prefix: str = "") -> dict:
     return flat
 
 
+def _split_list(option: str, text: str, convert=str) -> list:
+    """The items of a comma-separated option value; empty items are skipped."""
+    items = [convert(tok) for tok in text.split(",") if tok]
+    if not items:
+        raise ValueError(f"{option} needs at least one comma-separated value, got {text!r}")
+    return items
+
+
 def _cmd_solve(args) -> int:
     table = load_metric_any(args.metric)
     n = table.n
@@ -95,7 +103,7 @@ def _cmd_solve(args) -> int:
     if n <= args.brute_force_cap:
         opt_point, opt_cost = brute_force_median(table)
         eps = eps_value(n)
-        ratio = brute_force_cost(table, result.output).to_fraction(eps) / opt_cost.to_fraction(eps)
+        ratio = cost_ratio(brute_force_cost(table, result.output), opt_cost, eps)
         payload["opt"] = opt_point + 1
         payload.update(_distance_fields("opt_cost", opt_cost))
         payload.update(_fraction_fields("ratio", ratio))
@@ -172,7 +180,8 @@ def _sweep_budget(n: int) -> int:
 
 
 def _cmd_lowerbound(args) -> int:
-    sizes = sorted(int(tok) for tok in args.sweep.split(",") if tok) if args.sweep else [args.n]
+    sweep = args.sweep is not None
+    sizes = sorted(_split_list("--sweep", args.sweep, int)) if sweep else [args.n]
     rows = []
     ok = True
     for n in sizes:
@@ -192,10 +201,10 @@ def _cmd_lowerbound(args) -> int:
                 "f_hat": report.f_hat,
                 "checks_ok": report.all_ok,
             }
-            if args.sweep
+            if sweep
             else report.to_json_dict()
         )
-    _emit(args, rows if args.sweep else rows[0])
+    _emit(args, rows if sweep else rows[0])
     return 0 if ok else 1
 
 
@@ -221,10 +230,10 @@ def _cmd_expander(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    sizes = [int(tok) for tok in args.sizes.split(",") if tok]
-    factors = [int(tok) for tok in args.factors.split(",") if tok]
-    kinds = [tok for tok in args.kinds.split(",") if tok]
-    inners = [tok for tok in args.inners.split(",") if tok]
+    sizes = _split_list("--sizes", args.sizes, int)
+    factors = _split_list("--factors", args.factors, int)
+    kinds = _split_list("--kinds", args.kinds)
+    inners = _split_list("--inners", args.inners)
     configs = [
         SweepConfig(kind=k, n=n, f_of_n=f, inner=inner, seed=args.seed)
         for k in kinds

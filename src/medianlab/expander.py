@@ -310,10 +310,10 @@ def _lambda2(g: RegularGraph) -> float:
     if g.n <= 600:
         vals = np.linalg.eigvalsh(g.adjacency().astype(np.float64))
         return float(vals[-2])
-    rows = np.repeat(np.arange(g.n), g.d)
-    cols = np.concatenate([np.nonzero(g.adjacency()[v])[0] for v in range(g.n)])
+    edges = np.asarray(g.edges, dtype=np.int64)
+    u, v = edges[:, 0], edges[:, 1]
     mat = scipy.sparse.csr_matrix(
-        (np.ones(rows.size), (rows, cols)), shape=(g.n, g.n)
+        (np.ones(2 * len(edges)), (np.concatenate([u, v]), np.concatenate([v, u]))), shape=(g.n, g.n)
     )
     v0 = np.random.default_rng(1234).standard_normal(g.n)
     vals = scipy.sparse.linalg.eigsh(mat, k=2, which="LA", v0=v0, return_eigenvectors=False)

@@ -8,6 +8,11 @@ JSON metric table: {"n": n, "dist": [[{"units": u, "eps_count": e},
 ...], ...]} with the full square matrix, for metrics that carry eps
 components.
 
+Both metric readers reject any entry (units or eps count) whose
+absolute value exceeds (2**63 - 1) // n.  Then any sum of n entries
+fits in int64, every row sum and pair sum included, so the exact sums
+of the axiom check and the brute-force medians never wrap.
+
 Edge list: one "u v" pair per line, vertices 1-based, blank lines and
 '#' comments ignored.
 """
@@ -47,7 +52,7 @@ def read_metric_file(path: str) -> MetricTable:
     for i, row in enumerate(tokens_by_line[1:]):
         if len(row) != i + 1:
             raise ValueError(f"{path}: row {i} should hold {i + 1} entries, found {len(row)}")
-        values = _token_ints(path, row, (f"entry ({i}, {j})" for j in range(i + 1)))
+        values = _token_ints(path, row, (f"entry ({i}, {j})" for j in range(i + 1)), n)
         units[i, : i + 1] = units[: i + 1, i] = values
     return MetricTable(units)
 
@@ -80,26 +85,37 @@ def _in_int64(value: int) -> bool:
     return -(2**63) <= value < 2**63
 
 
-def _json_int(path: str, value, what: str) -> int:
+def _json_int(path: str, value, what: str, n: int | None = None) -> int:
+    """The value as a 64-bit integer; with n, one that n of sum within int64."""
     # bool is an int subclass, and a float such as 1.5 must not be truncated
     if not isinstance(value, int) or isinstance(value, bool) or not _in_int64(value):
         raise ValueError(f"{path}: {what} must be a 64-bit integer, got {value!r}")
+    if n is not None and abs(value) > (2**63 - 1) // n:
+        raise ValueError(
+            f"{path}: {what} must lie within +-{(2**63 - 1) // n} = (2**63 - 1) // {n} "
+            f"so that exact sums fit in 64 bits, got {value}"
+        )
     return value
 
 
-def _token_ints(path: str, tokens: list[str], names: Iterable[str]) -> list[int]:
-    """Text tokens as 64-bit integers; on failure, name the first bad one."""
+def _token_ints(path: str, tokens: list[str], names: Iterable[str], n: int | None = None) -> list[int]:
+    """Text tokens checked as by _json_int; on failure, name the first bad one."""
     try:
         values = [int(tok) for tok in tokens]
+        lo, hi = min(values), max(values)
     except ValueError:
         values = None
-    if values is None or not (_in_int64(min(values)) and _in_int64(max(values))):
+    if (
+        values is None
+        or not (_in_int64(lo) and _in_int64(hi))
+        or (n is not None and max(hi, -lo) > (2**63 - 1) // n)
+    ):
         for tok, what in zip(tokens, names):
             try:
                 value = int(tok)
             except ValueError:
                 value = tok  # not an integer: _json_int rejects it by name
-            _json_int(path, value, what)
+            _json_int(path, value, what, n)
     return values
 
 
@@ -125,8 +141,8 @@ def read_metric_json(path: str) -> MetricTable:
                 raise ValueError(
                     f'{path}: entry ({i}, {j}) should be {{"units": u, "eps_count": e}}, got {cell!r}'
                 )
-            units[i, j] = _json_int(path, cell["units"], f"units of entry ({i}, {j})")
-            eps[i, j] = _json_int(path, cell["eps_count"], f"eps_count of entry ({i}, {j})")
+            units[i, j] = _json_int(path, cell["units"], f"units of entry ({i}, {j})", n)
+            eps[i, j] = _json_int(path, cell["eps_count"], f"eps_count of entry ({i}, {j})", n)
     return MetricTable(units, eps)
 
 

@@ -12,13 +12,12 @@ import io
 import math
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
 from .adversary import Adversary, Certificate, minimal_cap, verify_certificate
-from .distances import ExactDistance
+from .distances import ExactDistance, eps_value
 from .expander import build_regular
 from .metric import (
     CountingOracle,
@@ -28,7 +27,7 @@ from .metric import (
     graph_metric,
     replay_verify,
 )
-from .solvers import make_inner, restrict_and_solve, subset_schedule, subset_size, transfer_bound
+from .solvers import cost_ratio, make_inner, restrict_and_solve, subset_schedule, subset_size, transfer_bound
 
 __all__ = [
     "INSTANCE_KINDS",
@@ -168,20 +167,16 @@ def sweep_upper_bound(configs: Sequence[SweepConfig], brute_force_cap: int = 409
 
         s = subset_size(cfg.n, cfg.f_of_n)
         S = subset_schedule(cfg.n, s)
+        eps = eps_value(cfg.n)
         opt_point, opt_cost = brute_force_median(table)
         out_cost = brute_force_cost(table, result.output)
-        ratio = Fraction(out_cost.units) / Fraction(opt_cost.units) if opt_cost.units else Fraction(1)
+        ratio = cost_ratio(out_cost, opt_cost, eps)
 
         if result.claimed_beta is not None:
             beta = result.claimed_beta
         else:
-            sub_opt, sub_opt_cost = brute_force_median(table, S)
-            sub_out_cost = brute_force_cost(table, result.output, S)
-            beta = (
-                Fraction(sub_out_cost.units) / Fraction(sub_opt_cost.units)
-                if sub_opt_cost.units
-                else Fraction(1)
-            )
+            _, sub_opt_cost = brute_force_median(table, S)
+            beta = cost_ratio(brute_force_cost(table, result.output, S), sub_opt_cost, eps)
         bound = transfer_bound(beta, cfg.n, s)
 
         rows.append(

@@ -29,6 +29,7 @@ __all__ = [
     "subset_schedule",
     "subset_size",
     "transfer_bound",
+    "cost_ratio",
     "ExactInner",
     "PivotInner",
     "SamplingInner",
@@ -76,6 +77,20 @@ def transfer_bound(beta: Fraction | int, n: int, s: int) -> Fraction:
     if not (1 <= s <= n):
         raise ValueError(f"subset size {s} out of range for n = {n}")
     return Fraction(4 * b * n, s) + 1
+
+
+def cost_ratio(output: ExactDistance, opt: ExactDistance, eps: Fraction) -> Fraction:
+    """Exact ratio of an output's cost to the optimum's; 0/0 counts as 1.
+
+    A positive cost against an optimum of 0 means no metric could have
+    produced the two costs, so it raises ValueError.
+    """
+    num, den = output.to_fraction(eps), opt.to_fraction(eps)
+    if den > 0:
+        return num / den
+    if num == 0:
+        return Fraction(1)
+    raise ValueError(f"output cost {output} against an optimum cost of 0: the table is not a metric")
 
 
 class ExactInner:

@@ -22,7 +22,7 @@ from medianlab.adversary import (
     verify_path_discipline,
 )
 from medianlab.expander import RegularGraph, build_regular
-from medianlab.metric import CountingOracle, HopMetric, TranscriptEntry
+from medianlab.metric import CountingOracle, HopMetric, TranscriptEntry, bfs_hop_row
 from medianlab.players import make_player
 
 K4_EDGES = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
@@ -272,6 +272,114 @@ def test_answers_never_shrink_per_pair():
     assert seen == sorted(seen)
 
 
+class _DenseReference:
+    """The adversary as it stood with a dense live graph, kept as the reference.
+
+    It stores the live graph as an n x n matrix, masks a pruned vertex's
+    row and column by hand, and caches the permanent degrees.  The
+    library's adversary keeps only the permanent edges and an alive mask
+    and must agree with this one answer for answer.
+    """
+
+    def __init__(self, anchor, rounds, cap):
+        self.n, self.rounds, self.cap = anchor.n, rounds, cap
+        self.adj = ~np.eye(anchor.n, dtype=bool)
+        self.perm = anchor.adjacency().copy()
+        self.perm_deg = np.full(anchor.n, anchor.d, dtype=np.int64)
+        self.answers, self.paths, self.pruned_log = [], [], []
+
+    def answer(self, a, b):
+        dist, path = self._distance_and_path(a, b)
+        touched = set()
+        for u, v in zip(path, path[1:]):
+            assert self.adj[u, v]
+            if not self.perm[u, v]:
+                self.perm[u, v] = self.perm[v, u] = True
+                self.perm_deg[u] += 1
+                self.perm_deg[v] += 1
+                touched |= {u, v}
+        pruned = tuple(v for v in sorted(touched) if self.perm_deg[v] > self.cap)
+        if pruned:
+            idx = list(pruned)
+            self.adj[idx] &= self.perm[idx]
+            self.adj[:, idx] &= self.perm[:, idx]
+        self.answers.append(dist)
+        self.paths.append(tuple(path))
+        self.pruned_log.append(pruned)
+        return dist
+
+    def _distance_and_path(self, a, b):
+        if a == b:
+            return 0, [a]
+        if self.adj[a, b]:
+            return 1, [a, b]
+        dist = bfs_hop_row(self.adj, a, target=b)
+        path = [b]
+        cur = b
+        while cur != a:
+            cur = int(np.nonzero(self.adj[:, cur] & (dist == dist[cur] - 1))[0][0])
+            path.append(cur)
+        return int(dist[b]), path[::-1]
+
+    def finalize(self, output):
+        for x in range(self.n):
+            self.answer(output, x)
+        while len(self.answers) < self.rounds:
+            self.answer(output, (output + 1) % self.n)
+        final = HopMetric(self.adj)
+        bad = tuple(int(v) for v in np.nonzero(self.perm_deg >= self.cap)[0])
+        good = sorted(set(range(self.n)) - set(bad))
+        return final, bad, final.cost_of(output), final.cheapest(good)
+
+
+def _random_queries(rng, n, q):
+    """A query stream aimed at two hot points, with repeats and self-queries."""
+    hot = rng.sample(range(n), 2)
+    queries = []
+    for _ in range(q):
+        roll = rng.random()
+        if roll < 0.1 and queries:
+            queries.append(rng.choice(queries))
+        elif roll < 0.2:
+            queries.append((rng.randrange(n),) * 2)
+        elif roll < 0.6:
+            queries.append((rng.choice(hot), rng.randrange(n)))
+        else:
+            queries.append((rng.randrange(n), rng.randrange(n)))
+    return queries, hot
+
+
+def test_matches_dense_reference():
+    pruned_in_play = long_answers = 0
+    for game in range(40):
+        rng = random.Random(game)
+        d = rng.choice((3, 4))
+        n = rng.choice(range(8, 65, 2))
+        q = rng.randrange(n // 2, 4 * n)
+        rounds = q + n
+        cap = minimal_cap(n, rounds, d) + rng.choice((0, 0, 1, 3))
+        anchor = build_regular(n, d, game)
+        adv, ref = Adversary(anchor, rounds, cap), _DenseReference(anchor, rounds, cap)
+        queries, hot = _random_queries(rng, n, q)
+        for a, b in queries:
+            assert adv.answer(a, b) == ref.answer(a, b), (game, a, b)
+            assert (adv.paths[-1], adv.pruned_log[-1]) == (ref.paths[-1], ref.pruned_log[-1]), (game, a, b)
+        pruned_in_play += any(ref.pruned_log)
+        output = rng.choice(hot + [rng.randrange(n)])
+        cert = adv.finalize(output)
+        final, bad, z_cost, best_good = ref.finalize(output)
+        long_answers += sum(dist >= 2 for dist in ref.answers)
+        assert [e.answer.units for e in cert.transcript] == ref.answers, game
+        assert list(cert.paths) == ref.paths, game
+        assert list(cert.pruned_log) == ref.pruned_log, game
+        assert np.array_equal(cert.perm, ref.perm), game
+        assert np.array_equal(cert.final_metric.adjacency, final.adjacency), game
+        assert (cert.bad, cert.z_star_cost, cert.best_good) == (bad, z_cost, best_good), game
+    # the streams reach the cases the two representations handle differently
+    assert pruned_in_play >= 10
+    assert long_answers >= 500
+
+
 def test_invariants_raise_under_optimize_flag():
     # the invariant checks are real raises, so python -O keeps them
     script = """
@@ -280,7 +388,7 @@ from medianlab.expander import build_regular
 anchor = build_regular(8, 3, 4)
 adv = Adversary(anchor, 20, minimal_cap(8, 20, 3))
 u, v = anchor.edges[0]
-adv._adj[u, v] = adv._adj[v, u] = False
+adv._perm[u, v] = adv._perm[v, u] = False
 try:
     adv.answer(0, 1)
 except AssertionError as exc:

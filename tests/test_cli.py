@@ -84,6 +84,12 @@ def test_adversary_rejects_bad_cap(capsys):
     assert json.loads(out)["error"].startswith("BadConstantError: cap 3 must exceed")
 
 
+WIDE_ERROR = (
+    f"ValueError: wide.txt: entry (1, 0) must lie within +-{(2**63 - 1) // 3} = (2**63 - 1) // 3 "
+    f"so that exact sums fit in 64 bits, got {2**63 - 1}"
+)
+
+
 @pytest.mark.parametrize(
     "argv, error",
     [
@@ -106,18 +112,64 @@ def test_adversary_rejects_bad_cap(capsys):
          "ValueError: overflow.txt: entry (1, 0) must be a 64-bit integer, got 99999999999999999999"),
         (("solve", "--metric", "nested.json", "--f-of-n", "4"),
          "ValueError: nested.json: JSON nested too deeply to read"),
+        (("verify", "--metric", "wide.txt"), WIDE_ERROR),
+        (("solve", "--metric", "wide.txt", "--f-of-n", "1"), WIDE_ERROR),
+        (("solve", "--metric", "zero-opt.txt", "--f-of-n", "4"),
+         "ValueError: output cost 1 against an optimum cost of 0: the table is not a metric"),
+        (("lowerbound", "--sweep", ","),
+         "ValueError: --sweep needs at least one comma-separated value, got ','"),
+        (("sweep", "--sizes", ","),
+         "ValueError: --sizes needs at least one comma-separated value, got ','"),
+        (("sweep", "--kinds", ","),
+         "ValueError: --kinds needs at least one comma-separated value, got ','"),
+        (("sweep", "--factors", ","),
+         "ValueError: --factors needs at least one comma-separated value, got ','"),
+        (("sweep", "--inners", ","),
+         "ValueError: --inners needs at least one comma-separated value, got ','"),
     ],
     ids=["expander-odd-stubs", "adversary-odd-stubs", "negative-budget", "missing-file",
          "lowerbound-odd-degree", "lowerbound-one-point", "lowerbound-sweep-one-point",
-         "metric-entry-overflow", "metric-json-nested-too-deep"],
+         "metric-entry-overflow", "metric-json-nested-too-deep", "verify-sum-could-wrap",
+         "solve-sum-could-wrap", "solve-zero-optimum-positive-output", "lowerbound-empty-sweep",
+         "sweep-empty-sizes", "sweep-empty-kinds", "sweep-empty-factors", "sweep-empty-inners"],
 )
 def test_bad_input_reports_json_error(capsys, tmp_path, monkeypatch, argv, error):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "overflow.txt").write_text("2\n0\n99999999999999999999 0\n", encoding="utf-8")
     (tmp_path / "nested.json").write_text('{"n": 1, "dist": ' + "[" * 3000 + "]" * 3000 + "}", encoding="utf-8")
+    # a valid metric whose int64 row and pair sums would wrap
+    (tmp_path / "wide.txt").write_text(f"3\n0\n{2**63 - 1} 0\n{2**62} {2**62} 0\n", encoding="utf-8")
+    # point 2 costs 0, but the subset {1, 2} picks point 1, which costs 1
+    (tmp_path / "zero-opt.txt").write_text("3\n0\n0 0\n1 0 0\n", encoding="utf-8")
     code, out = run_cli(capsys, *argv)
     assert code == 1
     assert json.loads(out) == {"error": error}
+
+
+@pytest.mark.parametrize("rows", [["0"], ["0", "0 0"]], ids=["one-point", "two-points-all-zero"])
+def test_solve_zero_optimum_has_ratio_one(capsys, tmp_path, rows):
+    path = tmp_path / "flat.txt"
+    path.write_text("\n".join([str(len(rows))] + rows) + "\n", encoding="utf-8")
+    code, out = run_cli(capsys, "solve", "--metric", str(path), "--f-of-n", "1")
+    payload = json.loads(out)
+    assert code == 0
+    assert (payload["opt_cost"], payload["output_cost"]) == (0, 0)
+    assert (payload["ratio"], payload["ratio_exact"]) == (1.0, "1/1")
+
+
+def test_metric_at_the_sum_bound_is_exact(capsys, tmp_path):
+    b = (2**63 - 1) // 3
+    path = tmp_path / "at-bound.txt"
+    path.write_text(f"3\n0\n{b} 0\n{b} {b - 1} 0\n", encoding="utf-8")
+    code, out = run_cli(capsys, "verify", "--metric", str(path))
+    assert code == 0
+    assert json.loads(out)["violation_count"] == 0
+    code, out = run_cli(capsys, "solve", "--metric", str(path), "--f-of-n", "1")
+    payload = json.loads(out)
+    assert code == 0
+    # row sums of about 2**62.4, exact to the unit: no int64 sum wrapped
+    assert (payload["output"], payload["output_cost"]) == (2, 2 * b - 1)
+    assert payload["opt_cost"] == 2 * b - 1
 
 
 def test_invariant_failures_still_raise(capsys, monkeypatch):

@@ -69,6 +69,22 @@ def test_bfs_hop_row_frozen():
     assert bfs_hop_row(adj2, 0).tolist() == [0, 1, -1]
 
 
+def test_bfs_clique_mask_matches_materialised_clique():
+    rng = np.random.default_rng(7)
+    for trial in range(60):
+        n = int(rng.integers(2, 40))
+        upper = np.triu(rng.random((n, n)) < rng.uniform(0.0, 0.15), 1)
+        adj = upper | upper.T
+        clique = rng.random(n) < rng.uniform(0.0, 0.6)
+        full = adj | np.outer(clique, clique)
+        sources = [int(rng.integers(n)), sorted(set(rng.integers(n, size=3).tolist()))]
+        for source in sources:
+            for target in (None, int(rng.integers(n))):
+                got = bfs_hop_row(adj, source, target=target, clique=clique)
+                want = bfs_hop_row(full, source, target=target)
+                assert got.tolist() == want.tolist(), (trial, source, target)
+
+
 def test_brute_force_median_p4(p4):
     assert brute_force_median(p4) == (1, ExactDistance(4))
     # restricted to a prefix, cost is measured inside the subset only
@@ -368,9 +384,13 @@ def test_metric_json_roundtrip_keeps_eps(tmp_path):
                            [{"units": 1, "eps_count": 0}, {"units": 0, "eps_count": 0}]]},
          f"eps_count of entry (0, 1) must be a 64-bit integer, got {2**63}"),
         ('{"n": 1, "dist": ' + "[" * 3000 + "]" * 3000 + "}", "JSON nested too deeply to read"),
+        ({"n": 2, "dist": [[{"units": 0, "eps_count": 0}, {"units": 1, "eps_count": 2**62}],
+                           [{"units": 1, "eps_count": 0}, {"units": -(2**62), "eps_count": 0}]]},
+         f"eps_count of entry (0, 1) must lie within +-{(2**63 - 1) // 2} = (2**63 - 1) // 2 "
+         f"so that exact sums fit in 64 bits, got {2**62}"),
     ],
     ids=["missing-dist", "bare-numbers", "not-an-object", "fractional-entry", "entry-past-int64",
-         "nested-too-deep"],
+         "nested-too-deep", "eps-sum-could-wrap"],
 )
 def test_metric_json_rejects_malformed(tmp_path, blob, message):
     path = str(tmp_path / "bad.json")
@@ -392,11 +412,14 @@ def test_metric_json_rejects_malformed(tmp_path, blob, message):
         (read_metric_file, ["two", "0", "1 0"], "n must be a 64-bit integer, got 'two'"),
         (read_metric_file, ["3", "0", "1 0"], "expected 3 rows, found 2"),
         (read_metric_file, ["2 5 junk", "0", "1 0"], "line 1 should hold n alone, found 3 tokens"),
+        (read_metric_file, ["2", "0", f"{-(2**63)} 0"],
+         f"entry (1, 0) must lie within +-{(2**63 - 1) // 2} = (2**63 - 1) // 2 "
+         f"so that exact sums fit in 64 bits, got {-(2**63)}"),
         (read_edge_list, ["# a path", "1 2", "2 x"], "vertex 2 of line 3 must be a 64-bit integer, got 'x'"),
         (read_edge_list, ["1 2", f"{2**63} 1"], f"vertex 1 of line 2 must be a 64-bit integer, got {2**63}"),
     ],
     ids=["entry-past-int64", "entry-below-int64", "fractional-entry", "non-integer-n", "missing-row",
-         "extra-header-tokens", "edge-non-integer", "edge-past-int64"],
+         "extra-header-tokens", "entry-sum-could-wrap", "edge-non-integer", "edge-past-int64"],
 )
 def test_metric_text_rejects_malformed(tmp_path, reader, lines, message):
     path = str(tmp_path / "bad.txt")

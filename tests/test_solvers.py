@@ -15,6 +15,7 @@ from medianlab.solvers import (
     ExactInner,
     PivotInner,
     SamplingInner,
+    cost_ratio,
     make_inner,
     restrict_and_solve,
     sampling_baseline,
@@ -64,6 +65,15 @@ def test_transfer_bound_validation():
         transfer_bound(Fraction(1, 2), 10, 5)  # beta < 1 is not a valid claim
     with pytest.raises(ValueError):
         transfer_bound(Fraction(1), 10, 11)  # subset larger than the space
+
+
+def test_cost_ratio_rule():
+    eps = Fraction(1, 2**4)
+    assert cost_ratio(ExactDistance(3, 2), ExactDistance(2), eps) == Fraction(25, 16)
+    assert cost_ratio(ExactDistance(0, 1), ExactDistance(0, 2), eps) == Fraction(1, 2)
+    assert cost_ratio(ExactDistance(0), ExactDistance(0), eps) == 1  # 0/0 counts as 1
+    with pytest.raises(ValueError, match="not a metric"):
+        cost_ratio(ExactDistance(0, 1), ExactDistance(0), eps)
 
 
 def test_exact_inner_is_nonadaptive_with_published_schedule():
