@@ -278,7 +278,8 @@ class Certificate:
 
 def _live_adjacency(perm: np.ndarray, alive: np.ndarray) -> np.ndarray:
     """The permanent edges plus a clique on the alive vertices, loop-free."""
-    adj = perm | np.outer(alive, alive)
+    adj = np.outer(alive, alive)
+    adj |= perm  # in place: one m x m matrix beyond perm at the peak
     np.fill_diagonal(adj, False)
     return adj
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-__all__ = ["ExactDistance", "ZERO", "ONE", "EPS", "total", "eps_value", "eps_float"]
+__all__ = ["ExactDistance", "ZERO", "ONE", "EPS", "eps_value", "eps_float"]
 
 
 @dataclass(frozen=True, order=True, slots=True)
@@ -71,12 +71,3 @@ ZERO = ExactDistance(0)
 ONE = ExactDistance(1)
 EPS = ExactDistance(0, 1)
 
-
-def total(values) -> ExactDistance:
-    """Sum an iterable of ExactDistance values (empty sum is zero)."""
-    units = 0
-    eps = 0
-    for v in values:
-        units += v.units
-        eps += v.eps_count
-    return ExactDistance(units, eps)

@@ -32,7 +32,15 @@ from .adversary import (
 )
 from .distances import EPS, ExactDistance, eps_float, eps_value
 from .expander import InfeasibleError, build_regular
-from .metric import CountingOracle, HopMetric, MetricTable, TranscriptEntry, is_metric, replay_verify
+from .metric import (
+    CountingOracle,
+    HopMetric,
+    MetricTable,
+    TranscriptEntry,
+    is_metric,
+    query_each,
+    replay_verify,
+)
 
 __all__ = [
     "BudgetExceededError",
@@ -106,6 +114,10 @@ class _RenamingProxy:
         self._run.queries_used += 1
         self._run.inner_transcript.append(TranscriptEntry(a, b, answer))
         return answer
+
+    def query_many(self, a, b) -> tuple[np.ndarray, np.ndarray]:
+        # names are given at first sight, so a batch is its queries in order
+        return query_each(self, a, b)
 
 
 def run_renamed(algorithm, oracle, n: int, budget: int) -> RenamedRun:

@@ -3,10 +3,16 @@
 Points are plain 0-based ints.  The query protocol has two sides:
 
 * a *backing* has an ``n`` attribute and a
-  ``distance(a, b) -> ExactDistance`` method;
-* an *oracle* has ``n``, a ``queries_made`` count and a
-  ``query(a, b) -> ExactDistance`` method, and is all an algorithm under
-  test ever sees.
+  ``distance(a, b) -> ExactDistance`` method.  It may also define
+  ``distances(a, b) -> (units, eps)``, which answers the pairs
+  ``(a[k], b[k])`` of two equal-length int arrays as two int64 arrays;
+  :class:`MetricTable` does, with two fancy-index reads;
+* an *oracle* has ``n``, a ``queries_made`` count, a
+  ``query(a, b) -> ExactDistance`` method and a batch form
+  ``query_many(a, b) -> (units, eps)``, and is all an algorithm under
+  test ever sees.  A batch answers its pairs in order and charges one
+  query per pair, exactly as the same ``query`` calls would; over a
+  backing without ``distances`` it is those calls, one at a time.
 
 The value of eps on either is ``distances.eps_value(n)``.  Three concrete
 backings are provided:
@@ -19,7 +25,7 @@ backings are provided:
   spaces far too large to materialize.
 
 Every algorithm under test talks to a backing through
-:class:`CountingOracle`, which charges one query per ``query()`` call,
+:class:`CountingOracle`, which charges one query per pair asked,
 repeats included, and can keep a transcript for replay checks.  A
 transcript is a ``list[TranscriptEntry]`` of ``(a, b, answer)`` tuples
 in query order; an entry's round is its list position.
@@ -32,7 +38,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .distances import ZERO, ExactDistance, total
+from .distances import ExactDistance
 
 __all__ = [
     "DisconnectedGraphError",
@@ -45,6 +51,7 @@ __all__ = [
     "replay_verify",
     "CountingOracle",
     "RestrictedOracle",
+    "query_each",
     "validate_metric",
     "is_metric",
     "graph_metric",
@@ -74,6 +81,9 @@ class Violation:
     points: tuple
 
 
+_GATHER_BYTES = 1 << 20
+
+
 def bfs_hop_row(
     adjacency: np.ndarray, source, target: int | None = None, clique: np.ndarray | None = None
 ) -> np.ndarray:
@@ -87,15 +97,25 @@ def bfs_hop_row(
     without building them: once a frontier meets the mask, the whole
     mask is reached at the next level.  The result equals a walk over
     ``adjacency | outer(clique, clique)``.  The level expansion is a
-    vectorized row-gather.
+    vectorized row-gather.  Above ``_GATHER_BYTES`` of matrix it gathers
+    that much at a time, so a frontier of nearly every vertex never
+    copies the whole matrix; below, one gather per level is cheaper.
     """
-    dist = np.full(adjacency.shape[0], -1, dtype=np.int64)
+    n = adjacency.shape[0]
+    block = max(1, _GATHER_BYTES // max(n, 1))
+    dist = np.full(n, -1, dtype=np.int64)
     dist[source] = 0
     frontier = dist == 0
     level = 0
     while frontier.any() and (target is None or dist[target] < 0):
         level += 1
-        reach = adjacency[frontier].any(axis=0)
+        if n <= block:
+            reach = adjacency[frontier].any(axis=0)
+        else:
+            rows = np.flatnonzero(frontier)
+            reach = adjacency[rows[:block]].any(axis=0)
+            for start in range(block, len(rows), block):
+                reach |= adjacency[rows[start : start + block]].any(axis=0)
         if clique is not None and (frontier & clique).any():
             reach |= clique
         frontier = reach & (dist < 0)
@@ -104,7 +124,12 @@ def bfs_hop_row(
 
 
 class MetricTable:
-    """Dense exact distance table on n points."""
+    """Dense exact distance table on n points.
+
+    Every entry, units and eps counts alike, lies within
+    +-(2**63 - 1) // n, so any sum of n entries fits in int64 and every
+    table-backed sum is exact.
+    """
 
     def __init__(self, units: np.ndarray, eps: np.ndarray | None = None):
         units = np.asarray(units, dtype=np.int64)
@@ -119,9 +144,23 @@ class MetricTable:
                 raise ValueError("eps table must match the units table")
         self.eps = eps
         self.n = units.shape[0]
+        bound = (2**63 - 1) // max(self.n, 1)
+        for what, table in (("units", units), ("eps", eps)):
+            if table.size and (int(table.max()) > bound or int(table.min()) < -bound):
+                raise ValueError(
+                    f"{what} entries must lie within +-{bound} = (2**63 - 1) // {self.n} "
+                    "so that exact sums fit in 64 bits"
+                )
 
     def distance(self, a: PointId, b: PointId) -> ExactDistance:
         return ExactDistance(int(self.units[a, b]), int(self.eps[a, b]))
+
+    def distances(self, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Batch form of :meth:`distance`: the entries at (a[k], b[k])."""
+        units, eps = self.units[a, b], self.eps[a, b]
+        if (units < 0).any() or (eps < 0).any():
+            raise ValueError("distance components must be nonnegative")
+        return units, eps
 
     def has_eps(self) -> bool:
         return bool(self.eps.any())
@@ -145,15 +184,16 @@ class HopMetric:
 
     Rows are computed on demand and cached, so callers that only need a
     handful of sources (replay checks, cost lookups) never pay for the
-    full all-pairs matrix.
+    full all-pairs matrix.  The adjacency is held as given, not copied.
     """
 
     def __init__(self, adjacency: np.ndarray):
         adjacency = np.asarray(adjacency, dtype=bool)
         if adjacency.ndim != 2 or adjacency.shape[0] != adjacency.shape[1]:
             raise ValueError("adjacency must be square")
-        self._adj = adjacency.copy()
-        np.fill_diagonal(self._adj, False)
+        if adjacency.diagonal().any():
+            raise ValueError("adjacency must have an empty diagonal")
+        self._adj = adjacency  # no copy: callers hand over a matrix they no longer change
         self.n = adjacency.shape[0]
         self._rows: dict[int, np.ndarray] = {}
 
@@ -187,7 +227,7 @@ class HopMetric:
             raise ValueError("no candidates")
         if self.n == 1:
             return cands[0], 0
-        degs = self._adj[cands].sum(axis=1)
+        degs = np.count_nonzero(self._adj, axis=1)[cands]  # no |cands| x n gather
         lower = 2 * (self.n - 1) - degs
         order = sorted(range(len(cands)), key=lambda i: (int(lower[i]), cands[i]))
         best_v = cands[order[0]]
@@ -231,6 +271,26 @@ def replay_verify(transcript, metric) -> bool:
     return all(metric.distance(e.a, e.b) == e.answer for e in transcript)
 
 
+def _as_pairs(a, b) -> tuple[np.ndarray, np.ndarray]:
+    a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
+    if a.ndim != 1 or a.shape != b.shape:
+        raise ValueError("a batch takes two equal-length 1-d arrays of points")
+    return a, b
+
+
+def query_each(oracle, a, b) -> tuple[np.ndarray, np.ndarray]:
+    """``query_many`` as one ``oracle.query`` call per pair, in order.
+
+    For oracles whose answers must come one at a time: an adaptive
+    backing, or a renaming that assigns names at first sight.
+    """
+    a, b = _as_pairs(a, b)
+    answers = [oracle.query(x, y) for x, y in zip(a.tolist(), b.tolist())]
+    units = np.array([d.units for d in answers], dtype=np.int64)
+    eps = np.array([d.eps_count for d in answers], dtype=np.int64)
+    return units, eps
+
+
 class CountingOracle:
     """Charges one query per distance inspection, repeats included."""
 
@@ -252,6 +312,30 @@ class CountingOracle:
             self.transcript.append(TranscriptEntry(a, b, answer))
         return answer
 
+    def query_many(self, a, b) -> tuple[np.ndarray, np.ndarray]:
+        """Answer the pairs (a[k], b[k]) in order as int64 (units, eps) arrays.
+
+        Charges ``len(a)`` queries and records the same transcript as
+        that many ``query`` calls.  A backing with ``distances`` answers
+        the whole batch in one call; any other is asked pair by pair.
+        """
+        a, b = _as_pairs(a, b)
+        outside = (a < 0) | (a >= self.n) | (b < 0) | (b >= self.n)
+        if outside.any():
+            k = int(outside.argmax())
+            raise IndexError(f"query ({a[k]}, {b[k]}) outside space of size {self.n}")
+        distances = getattr(self.backing, "distances", None)
+        if distances is None:
+            return query_each(self, a, b)
+        units, eps = distances(a, b)
+        self.queries_made += len(a)
+        if self.transcript is not None:
+            self.transcript.extend(
+                TranscriptEntry(x, y, ExactDistance(u, e))
+                for x, y, u, e in zip(a.tolist(), b.tolist(), units.tolist(), eps.tolist())
+            )
+        return units, eps
+
 
 class RestrictedOracle:
     """Guard that confines queries to a fixed subset of the space."""
@@ -259,6 +343,7 @@ class RestrictedOracle:
     def __init__(self, oracle, allowed: Iterable[PointId]):
         self._oracle = oracle
         self.allowed = frozenset(int(p) for p in allowed)
+        self._sorted = np.array(sorted(self.allowed), dtype=np.int64)
 
     @property
     def n(self) -> int:
@@ -272,6 +357,22 @@ class RestrictedOracle:
         if a not in self.allowed or b not in self.allowed:
             raise QueryOutsideSubsetError(f"query ({a}, {b}) leaves the allowed subset")
         return self._oracle.query(a, b)
+
+    def query_many(self, a, b) -> tuple[np.ndarray, np.ndarray]:
+        """Batch form of :meth:`query`; a batch that leaves the subset charges nothing."""
+        a, b = _as_pairs(a, b)
+        outside = ~(self._allows(a) & self._allows(b))
+        if outside.any():
+            k = int(outside.argmax())
+            raise QueryOutsideSubsetError(f"query ({a[k]}, {b[k]}) leaves the allowed subset")
+        return self._oracle.query_many(a, b)
+
+    def _allows(self, x: np.ndarray) -> np.ndarray:
+        # a sorted lookup: O(|S|) memory, never a length-n mask
+        if not len(self._sorted):
+            return np.zeros(x.shape, dtype=bool)
+        at = np.minimum(self._sorted.searchsorted(x), len(self._sorted) - 1)
+        return self._sorted[at] == x
 
 
 def _argwhere_if_any(mask: np.ndarray):
@@ -339,29 +440,34 @@ def median_cost(oracle, p: PointId, S: Iterable[PointId]) -> ExactDistance:
     """Total distance from p to every point of S, one query per point.
 
     The query for d(p, p) is issued and charged like any other when p is
-    a member of S.
+    a member of S.  The points are asked as one batch, in sorted order.
     """
-    return total(oracle.query(p, y) for y in sorted(set(S)))
+    ys = np.array(sorted(set(S)), dtype=np.int64)
+    units, eps = oracle.query_many(np.full(len(ys), p, dtype=np.int64), ys)
+    return ExactDistance(int(units.sum()), int(eps.sum()))
 
 
 def exact_median(oracle, S: Iterable[PointId]) -> tuple[PointId, ExactDistance]:
     """Brute-force 1-median of S through the oracle.
 
     Queries each unordered pair of distinct points once (symmetry is
-    cached within this call only), for |S|*(|S|-1)/2 queries.  Ties go
-    to the lowest point index.
+    cached within this call only), for |S|*(|S|-1)/2 queries, as one
+    batch per row: the i-th smallest point against every larger one.
+    Costs are exact int64 sums.  Ties go to the lowest point index.
     """
-    pts = sorted(set(S))
-    if not pts:
+    pts = np.array(sorted(set(S)), dtype=np.int64)
+    if not len(pts):
         raise ValueError("cannot take a median of the empty set")
-    cost = {p: ZERO for p in pts}
-    for i, p in enumerate(pts):
-        for q in pts[i + 1 :]:
-            d = oracle.query(p, q)
-            cost[p] = cost[p] + d
-            cost[q] = cost[q] + d
-    best = min(pts, key=lambda p: (cost[p], p))
-    return best, cost[best]
+    cost_units = np.zeros(len(pts), dtype=np.int64)
+    cost_eps = np.zeros(len(pts), dtype=np.int64)
+    for i in range(len(pts) - 1):
+        units, eps = oracle.query_many(np.full(len(pts) - i - 1, pts[i]), pts[i + 1 :])
+        cost_units[i] += units.sum()
+        cost_eps[i] += eps.sum()
+        cost_units[i + 1 :] += units
+        cost_eps[i + 1 :] += eps
+    k = _lex_argmin(cost_units, cost_eps, pts)
+    return int(pts[k]), ExactDistance(int(cost_units[k]), int(cost_eps[k]))
 
 
 def _lex_argmin(units: np.ndarray, eps: np.ndarray, points: np.ndarray) -> int:

@@ -10,7 +10,11 @@ returned point is (4*beta*n/|S| + 1)-approximate globally, and
 Inner routines implement a small informal interface: ``name``,
 ``schedule(S)`` (the full query list when it is fixed before any answer
 arrives, that is, when the routine is nonadaptive, and None otherwise),
-``query_bound(s)``, and ``solve(oracle, S) -> SolverResult``.
+``query_bound(s)``, and ``solve(oracle, S) -> SolverResult``.  An inner
+asks its schedule in batches through ``oracle.query_many``: the exact
+routine one row at a time, the pivot routine its two pivot rows and
+then the challenger's row, the sampling routine its whole k x k block.
+Batching changes neither the order of the pairs nor their count.
 """
 
 from __future__ import annotations
@@ -21,8 +25,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .distances import ZERO, ExactDistance
-from .metric import RestrictedOracle, exact_median
+import numpy as np
+
+from .distances import ExactDistance
+from .metric import RestrictedOracle, _lex_argmin, exact_median
 
 __all__ = [
     "SolverResult",
@@ -136,23 +142,25 @@ class PivotInner:
         return None
 
     def solve(self, oracle, S: Sequence[int]) -> SolverResult:
-        pts = sorted(set(S))
+        pts = np.array(sorted(set(S)), dtype=np.int64)
         before = oracle.queries_made
         if len(pts) == 1:
-            return SolverResult(pts[0], 0, None)
-        p1, p2 = pts[0], pts[1]
-        row1 = {y: oracle.query(p1, y) for y in pts}
-        row2 = {y: oracle.query(p2, y) for y in pts}
-        cost = {
-            p1: sum(row1.values(), ZERO),
-            p2: sum(row2.values(), ZERO),
-        }
-        others = pts[2:]
-        if others:
-            challenger = min(others, key=lambda y: (row1[y] + row2[y], y))
-            cost[challenger] = sum((oracle.query(challenger, y) for y in pts), ZERO)
-        output = min(sorted(cost), key=lambda p: (cost[p], p))
-        return SolverResult(output, oracle.queries_made - before, None)
+            return SolverResult(int(pts[0]), 0, None)
+
+        def row(p: int) -> tuple[np.ndarray, np.ndarray]:
+            return oracle.query_many(np.full(len(pts), p), pts)
+
+        u1, e1 = row(pts[0])
+        u2, e2 = row(pts[1])
+        costs = [(u1.sum(), e1.sum()), (u2.sum(), e2.sum())]
+        candidates = [pts[0], pts[1]]
+        if len(pts) > 2:
+            k = 2 + _lex_argmin(u1[2:] + u2[2:], e1[2:] + e2[2:], pts[2:])
+            uc, ec = row(pts[k])
+            costs.append((uc.sum(), ec.sum()))
+            candidates.append(pts[k])
+        output = min(zip(costs, candidates))[1]
+        return SolverResult(int(output), oracle.queries_made - before, None)
 
 
 class SamplingInner:
@@ -185,13 +193,11 @@ class SamplingInner:
             point, _ = exact_median(oracle, pts)
             return SolverResult(point, oracle.queries_made - before, Fraction(1))
         rng = random.Random(self.rng_seed)
-        candidates = sorted(rng.sample(pts, k))
-        evaluation = sorted(rng.sample(pts, k))
-        score: dict[int, ExactDistance] = {}
-        for c in candidates:
-            score[c] = sum((oracle.query(c, e) for e in evaluation), ZERO)
-        output = min(candidates, key=lambda c: (score[c], c))
-        return SolverResult(output, oracle.queries_made - before, None)
+        candidates = np.array(sorted(rng.sample(pts, k)), dtype=np.int64)
+        evaluation = np.array(sorted(rng.sample(pts, k)), dtype=np.int64)
+        units, eps = oracle.query_many(np.repeat(candidates, k), np.tile(evaluation, k))
+        j = _lex_argmin(units.reshape(k, k).sum(axis=1), eps.reshape(k, k).sum(axis=1), candidates)
+        return SolverResult(int(candidates[j]), oracle.queries_made - before, None)
 
 
 def solve_on_subset(oracle, S: Sequence[int], inner) -> SolverResult:

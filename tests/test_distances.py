@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from medianlab.distances import EPS, ONE, ZERO, ExactDistance, total
+from medianlab.distances import EPS, ONE, ZERO, ExactDistance
 
 dists = st.builds(
     ExactDistance,
@@ -53,11 +53,6 @@ def test_str_forms():
     assert str(ExactDistance(4)) == "4"
     assert str(ExactDistance(0, 7)) == "7*eps"
     assert str(ExactDistance(3, 2)) == "3+2*eps"
-
-
-def test_total():
-    assert total([]) == ZERO
-    assert total([ONE, EPS, ExactDistance(2, 3)]) == ExactDistance(3, 4)
 
 
 @given(dists, dists)
