@@ -24,7 +24,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .metric import MetricTable
+from .metric import MetricTable, sum_bound
 
 __all__ = [
     "read_metric_file",
@@ -90,9 +90,9 @@ def _json_int(path: str, value, what: str, n: int | None = None) -> int:
     # bool is an int subclass, and a float such as 1.5 must not be truncated
     if not isinstance(value, int) or isinstance(value, bool) or not _in_int64(value):
         raise ValueError(f"{path}: {what} must be a 64-bit integer, got {value!r}")
-    if n is not None and abs(value) > (2**63 - 1) // n:
+    if n is not None and abs(value) > sum_bound(n):
         raise ValueError(
-            f"{path}: {what} must lie within +-{(2**63 - 1) // n} = (2**63 - 1) // {n} "
+            f"{path}: {what} must lie within +-{sum_bound(n)} = (2**63 - 1) // {n} "
             f"so that exact sums fit in 64 bits, got {value}"
         )
     return value
@@ -108,7 +108,7 @@ def _token_ints(path: str, tokens: list[str], names: Iterable[str], n: int | Non
     if (
         values is None
         or not (_in_int64(lo) and _in_int64(hi))
-        or (n is not None and max(hi, -lo) > (2**63 - 1) // n)
+        or (n is not None and max(hi, -lo) > sum_bound(n))
     ):
         for tok, what in zip(tokens, names):
             try:

@@ -13,6 +13,9 @@ Points are plain 0-based ints.  The query protocol has two sides:
   test ever sees.  A batch answers its pairs in order and charges one
   query per pair, exactly as the same ``query`` calls would; over a
   backing without ``distances`` it is those calls, one at a time.
+  Every batch answer lies within ``sum_bound(n)``, so an int64 sum of
+  n of them is exact: a :class:`MetricTable` holds no larger entry, and
+  a pair-by-pair batch raises on one.
 
 The value of eps on either is ``distances.eps_value(n)``.  Three concrete
 backings are provided:
@@ -60,6 +63,7 @@ __all__ = [
     "brute_force_cost",
     "brute_force_median",
     "bfs_hop_row",
+    "sum_bound",
 ]
 
 PointId = int
@@ -73,15 +77,17 @@ class QueryOutsideSubsetError(ValueError):
     """Raised when a restricted solver touches a pair outside its subset."""
 
 
+def sum_bound(n: int) -> int:
+    """The largest |value| of which any n still sum within int64."""
+    return (2**63 - 1) // max(n, 1)
+
+
 @dataclass(frozen=True)
 class Violation:
     """One violated metric axiom instance with its witnessing points."""
 
     kind: str  # "identity" | "positivity" | "symmetry" | "triangle"
     points: tuple
-
-
-_GATHER_BYTES = 1 << 20
 
 
 def bfs_hop_row(
@@ -97,25 +103,15 @@ def bfs_hop_row(
     without building them: once a frontier meets the mask, the whole
     mask is reached at the next level.  The result equals a walk over
     ``adjacency | outer(clique, clique)``.  The level expansion is a
-    vectorized row-gather.  Above ``_GATHER_BYTES`` of matrix it gathers
-    that much at a time, so a frontier of nearly every vertex never
-    copies the whole matrix; below, one gather per level is cheaper.
+    vectorized row-gather.
     """
-    n = adjacency.shape[0]
-    block = max(1, _GATHER_BYTES // max(n, 1))
-    dist = np.full(n, -1, dtype=np.int64)
+    dist = np.full(adjacency.shape[0], -1, dtype=np.int64)
     dist[source] = 0
     frontier = dist == 0
     level = 0
     while frontier.any() and (target is None or dist[target] < 0):
         level += 1
-        if n <= block:
-            reach = adjacency[frontier].any(axis=0)
-        else:
-            rows = np.flatnonzero(frontier)
-            reach = adjacency[rows[:block]].any(axis=0)
-            for start in range(block, len(rows), block):
-                reach |= adjacency[rows[start : start + block]].any(axis=0)
+        reach = adjacency[frontier].any(axis=0)
         if clique is not None and (frontier & clique).any():
             reach |= clique
         frontier = reach & (dist < 0)
@@ -144,7 +140,7 @@ class MetricTable:
                 raise ValueError("eps table must match the units table")
         self.eps = eps
         self.n = units.shape[0]
-        bound = (2**63 - 1) // max(self.n, 1)
+        bound = sum_bound(self.n)
         for what, table in (("units", units), ("eps", eps)):
             if table.size and (int(table.max()) > bound or int(table.min()) < -bound):
                 raise ValueError(
@@ -227,7 +223,7 @@ class HopMetric:
             raise ValueError("no candidates")
         if self.n == 1:
             return cands[0], 0
-        degs = np.count_nonzero(self._adj, axis=1)[cands]  # no |cands| x n gather
+        degs = self._adj[cands].sum(axis=1)
         lower = 2 * (self.n - 1) - degs
         order = sorted(range(len(cands)), key=lambda i: (int(lower[i]), cands[i]))
         best_v = cands[order[0]]
@@ -282,13 +278,22 @@ def query_each(oracle, a, b) -> tuple[np.ndarray, np.ndarray]:
     """``query_many`` as one ``oracle.query`` call per pair, in order.
 
     For oracles whose answers must come one at a time: an adaptive
-    backing, or a renaming that assigns names at first sight.
+    backing, or a renaming that assigns names at first sight.  Raises
+    ``ValueError`` on an answer beyond ``sum_bound(oracle.n)``, whose
+    int64 sums could wrap.
     """
     a, b = _as_pairs(a, b)
     answers = [oracle.query(x, y) for x, y in zip(a.tolist(), b.tolist())]
-    units = np.array([d.units for d in answers], dtype=np.int64)
-    eps = np.array([d.eps_count for d in answers], dtype=np.int64)
-    return units, eps
+    units = [d.units for d in answers]
+    eps = [d.eps_count for d in answers]
+    bound = sum_bound(oracle.n)
+    if answers and max(max(units), max(eps)) > bound:
+        k = next(k for k, d in enumerate(answers) if max(d.units, d.eps_count) > bound)
+        raise ValueError(
+            f"answer {answers[k]} to query ({a[k]}, {b[k]}) exceeds {bound} = (2**63 - 1) // "
+            f"{oracle.n}, so a sum of {oracle.n} answers could wrap 64 bits"
+        )
+    return np.array(units, dtype=np.int64), np.array(eps, dtype=np.int64)
 
 
 class CountingOracle:

@@ -18,6 +18,7 @@ from medianlab.adversary import Adversary, minimal_cap
 from medianlab.distances import ZERO, ExactDistance
 from medianlab.expander import build_regular
 from medianlab.harness import ConstantBacking, generate_instance
+from medianlab.lowerbound import glue_metric
 from medianlab.metric import (
     CountingOracle,
     HopMetric,
@@ -28,6 +29,7 @@ from medianlab.metric import (
     exact_median,
     graph_metric,
     median_cost,
+    sum_bound,
 )
 from medianlab.solvers import ExactInner, PivotInner, SamplingInner, SolverResult, restrict_and_solve
 
@@ -301,6 +303,21 @@ def test_metric_table_rejects_entries_past_the_sum_bound():
     bound = (2**63 - 1) // 2
     table = MetricTable(np.array([[0, bound], [bound, 0]]))
     assert exact_median(CountingOracle(table), range(2)) == (0, ExactDistance(bound))
+
+
+def test_pair_by_pair_batch_rejects_answers_past_the_sum_bound():
+    # the 2-point table at its bound, glued to 4 points: point 1's cost 3B would wrap int64
+    b = sum_bound(2)
+    glued = glue_metric(MetricTable(np.array([[0, b], [b, 0]])), 0, 4)
+    assert CountingOracle(glued).query(1, 2) == ExactDistance(b)
+    with pytest.raises(ValueError, match=r"answer .* to query \(0, 1\) exceeds 2305843009213693951"):
+        exact_median(CountingOracle(glued), range(4))
+    with pytest.raises(ValueError, match="could wrap"):
+        median_cost(CountingOracle(glued), 1, range(4))
+    # at the 4-point bound the same game is exact
+    b = sum_bound(4)
+    glued = glue_metric(MetricTable(np.array([[0, b], [b, 0]])), 0, 4)
+    assert exact_median(CountingOracle(glued), range(4)) == (0, ExactDistance(b, 2))
 
 
 def test_hop_metric_keeps_its_adjacency_and_rejects_loops():

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from medianlab import metric
 from medianlab.distances import EPS, ONE, ZERO, ExactDistance
 from medianlab.fileio import (
     load_metric_any,
@@ -84,23 +83,6 @@ def test_bfs_clique_mask_matches_materialised_clique():
                 got = bfs_hop_row(adj, source, target=target, clique=clique)
                 want = bfs_hop_row(full, source, target=target)
                 assert got.tolist() == want.tolist(), (trial, source, target)
-
-
-@pytest.mark.parametrize("rows_per_gather", [1, 2, 5])
-def test_bfs_blocked_gather_matches_one_gather(monkeypatch, rows_per_gather):
-    # large matrices gather a few rows at a time; shrink the budget so small ones do too
-    rng = np.random.default_rng(11)
-    cases = []
-    for trial in range(30):
-        n = int(rng.integers(2, 40))
-        upper = np.triu(rng.random((n, n)) < rng.uniform(0.0, 0.3), 1)
-        clique = rng.random(n) < 0.3
-        source, target = int(rng.integers(n)), int(rng.integers(n))
-        for args in ((source, None, None), (source, target, clique), ([0, n - 1], None, clique)):
-            cases.append((upper | upper.T, args, bfs_hop_row(upper | upper.T, args[0], *args[1:])))
-    for adj, args, want in cases:
-        monkeypatch.setattr(metric, "_GATHER_BYTES", rows_per_gather * adj.shape[0])
-        assert bfs_hop_row(adj, args[0], *args[1:]).tolist() == want.tolist()
 
 
 def test_brute_force_median_p4(p4):
