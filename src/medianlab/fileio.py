@@ -3,6 +3,10 @@
 Text metric table: line 1 holds n, then n lines of space-separated
 integers give the lower triangle row by row including the diagonal, so
 line i+1 carries d(i, 0) ... d(i, i).  Integer-valued metrics only.
+The reader takes LF, CRLF or CR line ends, skips blank lines and lets
+spaces or tabs separate entries.  A file of nothing but digits, blanks
+and line ends is read in one numpy pass; any other file goes through a
+line-by-line walk, which words every error.
 
 JSON metric table: {"n": n, "dist": [[{"units": u, "eps_count": e},
 ...], ...]} with the full square matrix, for metrics that carry eps
@@ -38,6 +42,56 @@ __all__ = [
 
 
 def read_metric_file(path: str) -> MetricTable:
+    with open(path, "rb") as fh:
+        data = fh.read()
+    table = _read_plain_metric(data)
+    return table if table is not None else _read_metric_walk(path)
+
+
+# On a file of these bytes alone, the walk's split() and int() agree with
+# a byte scan, and the file decodes as the walk reads it.
+_PLAIN_BYTES = b"0123456789 \t\r\n"
+# Tokens this short lie below 2**63, where np.fromstring parses exactly.
+_PLAIN_DIGITS = 18
+
+
+def _read_plain_metric(data: bytes) -> MetricTable | None:
+    """The table of a plain text file in one numpy pass, else None.
+
+    A plain file holds only digits, spaces, tabs and line ends; its
+    first nonblank line is the one token n, then n nonblank lines follow
+    and line i holds i+1 tokens of at most 18 digits, none above
+    sum_bound(n).  The walk reads such a file into this same table; any
+    other file is left to the walk, which words every error.
+    """
+    if data.translate(None, _PLAIN_BYTES):
+        return None
+    chars = np.frombuffer(data, dtype=np.uint8)
+    digit = chars >= ord("0")  # every other byte left is a blank or a line end
+    edges = np.diff(digit.view(np.int8), prepend=0, append=0)
+    starts, ends = np.flatnonzero(edges == 1), np.flatnonzero(edges == -1)
+    if not starts.size or (ends - starts).max() > _PLAIN_DIGITS:
+        return None
+    # a CRLF counts as two breaks around an empty line, and empty lines are skipped
+    breaks = np.append(np.flatnonzero((chars == ord("\n")) | (chars == ord("\r"))), chars.size)
+    per_line = np.diff(np.searchsorted(starts, breaks), prepend=0)
+    per_line = per_line[per_line > 0]
+    n = int(data[starts[0] : ends[0]])
+    # the row count bounds n by the file size before anything is sized by n
+    if per_line[0] != 1 or per_line.size != n + 1 or not np.array_equal(per_line[1:], np.arange(1, n + 1)):
+        return None
+    values = np.fromstring(data, dtype=np.int64, sep=" ")[1:]  # " " matches any whitespace run
+    if values.size and values.max() > sum_bound(n):
+        return None
+    # a boolean mask fills in row-major order, which is the file's order
+    lower = np.tri(n, dtype=bool)
+    units = np.zeros((n, n), dtype=np.int64)
+    units[lower] = units.T[lower] = values
+    return MetricTable(units)
+
+
+def _read_metric_walk(path: str) -> MetricTable:
+    """Line-by-line reader for any text file: the one that words each error."""
     with open(path, "r", encoding="utf-8") as fh:
         tokens_by_line = [line.split() for line in fh if line.strip()]
     if not tokens_by_line:
@@ -46,6 +100,7 @@ def read_metric_file(path: str) -> MetricTable:
     if len(header) != 1:
         raise ValueError(f"{path}: line 1 should hold n alone, found {len(header)} tokens")
     (n,) = _token_ints(path, header, ["n"])
+    _check_n(path, n)
     if len(tokens_by_line) != n + 1:
         raise ValueError(f"{path}: expected {n} rows, found {len(tokens_by_line) - 1}")
     units = np.zeros((n, n), dtype=np.int64)
@@ -62,7 +117,7 @@ def write_metric_file(path: str, table: MetricTable) -> None:
         raise ValueError("triangular text format holds integer metrics only; use JSON")
     lines = [str(table.n)]
     for i in range(table.n):
-        lines.append(" ".join(str(int(table.units[i, j])) for j in range(i + 1)))
+        lines.append(" ".join(map(str, table.units[i, : i + 1].tolist())))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -83,6 +138,11 @@ def write_metric_json(path: str, table: MetricTable) -> None:
 def _in_int64(value: int) -> bool:
     # tables store int64; every reader applies this one range rule
     return -(2**63) <= value < 2**63
+
+
+def _check_n(path: str, n: int) -> None:
+    if n < 0:
+        raise ValueError(f"{path}: n must be nonnegative, got {n}")
 
 
 def _json_int(path: str, value, what: str, n: int | None = None) -> int:
@@ -128,6 +188,7 @@ def read_metric_json(path: str) -> MetricTable:
     if not isinstance(blob, dict) or "n" not in blob or "dist" not in blob:
         raise ValueError(f'{path}: expected an object with "n" and "dist"')
     n = _json_int(path, blob["n"], "n")
+    _check_n(path, n)
     rows = blob["dist"]
     if not isinstance(rows, list) or len(rows) != n:
         raise ValueError(f"{path}: expected {n} rows")

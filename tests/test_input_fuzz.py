@@ -11,11 +11,12 @@ import sys
 from unittest import mock
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from medianlab.cli import main
-from medianlab.fileio import read_edge_list
+from medianlab.fileio import _read_metric_walk, read_edge_list, read_metric_file
+from medianlab.metric import sum_bound
 
 FUZZ = settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 
@@ -107,6 +108,62 @@ TEXT_TABLES = _square_tables().map(
 @given(st.one_of(st.one_of(TEXT_TABLES, _lines(INT_TOKENS)).map(str.encode), st.binary(max_size=40)))
 def test_text_metric_input_ends_in_result_or_json_error(fuzz_dir, content):
     _verify_file(fuzz_dir / "metric.txt", content)
+
+
+@st.composite
+def _triangular_files(draw):
+    """Triangular metric files near the plain grammar's edges, as bytes."""
+    n = draw(st.integers(min_value=0, max_value=6))
+    entries = st.one_of(
+        st.integers(min_value=0, max_value=9).map(str),
+        st.sampled_from([
+            "9" * 18, "0" * 17 + "7", "1" + "0" * 18, "0" * 18 + "7", "9" * 19,
+            str(sum_bound(n)), str(sum_bound(n) + 1), "-1", "+1", "1_0", "\u0663", "x",
+        ]),
+    )
+    header = draw(st.sampled_from([str(n)] * 3 + [str(n + 1), str(n - 1), "0" + str(n), f"{n} {n}"]))
+    lines = [header]
+    for i in range(n):
+        width = i + 1 + draw(st.sampled_from([0] * 8 + [-1, 1]))
+        lines.append(draw(st.lists(entries, min_size=max(width, 0), max_size=max(width, 0))))
+    blanks = st.sampled_from(["", " ", "\t", " \t "])
+    # str.split() also splits on these, a byte scan for blanks does not
+    separators = st.sampled_from([" ", "\t", "  ", " \t"] + draw(st.sampled_from([[], ["\v", "\f", "\xa0"]])))
+    out = []
+    for line in lines:
+        out.extend(draw(st.lists(blanks, max_size=2)))
+        tokens = [line] if isinstance(line, str) else line
+        text = draw(blanks)
+        for k, tok in enumerate(tokens):
+            text += (draw(separators) if k else "") + tok
+        out.append(text + draw(blanks))
+    ends = [draw(st.sampled_from(["\n", "\r\n", "\r"])) for _ in out]
+    if draw(st.booleans()):
+        ends[-1] = ""
+    return "".join(line + end for line, end in zip(out, ends)).encode()
+
+
+def _outcome(reader, path):
+    try:
+        return reader(path)
+    except ValueError as err:
+        return str(err)
+
+
+@settings(FUZZ, max_examples=300)
+@given(_triangular_files())
+# np.fromstring saturates past int64, and at n = 1 the sum bound is the int64 maximum
+@example(b"1\n9223372036854775808\n")
+# int() reads any Unicode digit; a byte scan must not take these bytes for digits
+@example("1\n\u0663\n".encode())
+# a lone CR ends a line: the walk finds three rows here, not two
+@example(b"2\n0\n1\r0\n")
+# n = 10 is the smallest n whose sum bound has fewer than 19 digits
+@example(("10\n" + "".join("0 " * i + "0\n" for i in range(9)) + "0 " * 9 + f"{sum_bound(10) + 1}\n").encode())
+def test_text_metric_reader_matches_the_walk(fuzz_dir, content):
+    path = fuzz_dir / "metric.txt"
+    path.write_bytes(content)
+    assert _outcome(read_metric_file, str(path)) == _outcome(_read_metric_walk, str(path))
 
 
 JSON_SCALARS = st.one_of(

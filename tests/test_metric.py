@@ -1,10 +1,12 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from medianlab import fileio
 from medianlab.distances import EPS, ONE, ZERO, ExactDistance
 from medianlab.fileio import (
     load_metric_any,
@@ -353,6 +355,39 @@ def test_metric_file_roundtrip(tmp_path, p4):
     write_metric_file(path, p4)
     again = read_metric_file(path)
     assert again == p4
+    # the bytes of the entry-by-entry writer this one replaced
+    lines = [str(p4.n)] + [" ".join(str(int(p4.units[i, j])) for j in range(i + 1)) for i in range(p4.n)]
+    with open(path, "rb") as fh:
+        assert fh.read() == ("\n".join(lines) + "\n").encode()
+
+
+def test_plain_metric_file_skips_the_walk(tmp_path, monkeypatch):
+    """A generated table is plain, so the one-pass reader alone reads it."""
+    path = str(tmp_path / "m.txt")
+    table = generate_instance("grid", 300, 0)
+    write_metric_file(path, table)
+
+    def walk(path):
+        raise AssertionError("the line-by-line walk read a plain file")
+
+    monkeypatch.setattr(fileio, "_read_metric_walk", walk)
+    assert read_metric_file(path) == table
+
+
+def test_metric_file_checks_rows_before_sizing_by_n(tmp_path):
+    """A header n is trusted for nothing until the row count matches it."""
+    path = str(tmp_path / "m.txt")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("1000000000000\n0\n1 0\n")
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError) as info:
+            read_metric_file(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(info.value) == f"{path}: expected 1000000000000 rows, found 2"
+    assert peak < 2**20
 
 
 def test_metric_file_rejects_eps(tmp_path):
@@ -388,9 +423,10 @@ def test_metric_json_roundtrip_keeps_eps(tmp_path):
                            [{"units": 1, "eps_count": 0}, {"units": -(2**62), "eps_count": 0}]]},
          f"eps_count of entry (0, 1) must lie within +-{(2**63 - 1) // 2} = (2**63 - 1) // 2 "
          f"so that exact sums fit in 64 bits, got {2**62}"),
+        ({"n": -1, "dist": []}, "n must be nonnegative, got -1"),
     ],
     ids=["missing-dist", "bare-numbers", "not-an-object", "fractional-entry", "entry-past-int64",
-         "nested-too-deep", "eps-sum-could-wrap"],
+         "nested-too-deep", "eps-sum-could-wrap", "negative-n"],
 )
 def test_metric_json_rejects_malformed(tmp_path, blob, message):
     path = str(tmp_path / "bad.json")
@@ -415,11 +451,12 @@ def test_metric_json_rejects_malformed(tmp_path, blob, message):
         (read_metric_file, ["2", "0", f"{-(2**63)} 0"],
          f"entry (1, 0) must lie within +-{(2**63 - 1) // 2} = (2**63 - 1) // 2 "
          f"so that exact sums fit in 64 bits, got {-(2**63)}"),
+        (read_metric_file, ["-1"], "n must be nonnegative, got -1"),
         (read_edge_list, ["# a path", "1 2", "2 x"], "vertex 2 of line 3 must be a 64-bit integer, got 'x'"),
         (read_edge_list, ["1 2", f"{2**63} 1"], f"vertex 1 of line 2 must be a 64-bit integer, got {2**63}"),
     ],
     ids=["entry-past-int64", "entry-below-int64", "fractional-entry", "non-integer-n", "missing-row",
-         "extra-header-tokens", "entry-sum-could-wrap", "edge-non-integer", "edge-past-int64"],
+         "extra-header-tokens", "entry-sum-could-wrap", "negative-n", "edge-non-integer", "edge-past-int64"],
 )
 def test_metric_text_rejects_malformed(tmp_path, reader, lines, message):
     path = str(tmp_path / "bad.txt")
