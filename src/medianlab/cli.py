@@ -223,7 +223,7 @@ def _cmd_expander(args) -> int:
         "lambda2": report.lambda2,
     }
     payload.update(_fraction_fields("alpha_lower", report.alpha_lower))
-    checks = {"connected": g.is_connected(), "positive_expansion": report.alpha_lower > 0}
+    checks = {"connected": payload["connected"], "positive_expansion": report.alpha_lower > 0}
     payload["checks"] = checks
     _emit(args, payload)
     return 0 if all(checks.values()) else 1

@@ -14,6 +14,9 @@ Construction starts from a deterministic circulant graph and shuffles
 it with seeded double-edge swaps, which keep it simple and d-regular,
 swapping on until the graph is connected and its lambda2 clears the
 acceptance threshold.
+
+A graph holds its sorted edges and one CSR adjacency, read by the
+connectivity and lambda2 checks; ``adjacency()`` is a dense copy for small n.
 """
 
 from __future__ import annotations
@@ -25,10 +28,10 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 import numpy as np
-import scipy.sparse
+import scipy.sparse.csgraph
 import scipy.sparse.linalg
 
-from .metric import DisconnectedGraphError, bfs_hop_row
+from .metric import DisconnectedGraphError, bfs_hop_row, edge_graph
 
 __all__ = [
     "InfeasibleError",
@@ -61,40 +64,27 @@ class NotRegularError(ValueError):
 
 
 class RegularGraph:
-    """An undirected d-regular graph given by its edge set."""
+    """An undirected d-regular graph: sorted ``edges`` (u < v) and their ``csr`` adjacency."""
 
     def __init__(self, n: int, d: int, edges: Iterable[tuple[int, int]]):
-        norm = sorted({(min(u, v), max(u, v)) for u, v in edges})
-        for u, v in norm:
-            if u == v:
-                raise ValueError("self loops are not allowed")
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u}, {v}) outside vertex range")
+        self.csr = edge_graph(n, edges)
+        degrees = np.diff(self.csr.indptr)
+        if (degrees != d).any():
+            raise NotRegularError(f"graph is not {d}-regular")
         self.n = n
         self.d = d
-        self.edges = tuple(norm)
-        degrees = [0] * n
-        for u, v in self.edges:
-            degrees[u] += 1
-            degrees[v] += 1
-        if any(deg != d for deg in degrees):
-            raise NotRegularError(f"graph is not {d}-regular")
-        self._adj: np.ndarray | None = None
+        u, v = scipy.sparse.triu(self.csr, 1).nonzero()
+        self.edges = tuple(sorted(zip(u.tolist(), v.tolist())))
         # populated by build_regular for reporting
         self.build_attempts: int | None = None
         self.expansion: ExpansionReport | None = None
 
     def adjacency(self) -> np.ndarray:
-        if self._adj is None:
-            adj = np.zeros((self.n, self.n), dtype=bool)
-            for u, v in self.edges:
-                adj[u, v] = True
-                adj[v, u] = True
-            self._adj = adj
-        return self._adj
+        """A fresh dense n x n bool copy of the adjacency; for small n."""
+        return self.csr.astype(bool).toarray()
 
     def is_connected(self) -> bool:
-        return not (bfs_hop_row(self.adjacency(), 0) < 0).any()
+        return scipy.sparse.csgraph.connected_components(self.csr, directed=False)[0] == 1
 
     def __repr__(self) -> str:
         return f"RegularGraph(n={self.n}, d={self.d}, edges={len(self.edges)})"
@@ -269,14 +259,6 @@ def _build_certified(
     raise RuntimeError(f"no acceptable {d}-regular graph on {n} vertices after {max_attempts} attempts")
 
 
-def _neighbor_bitmasks(g: RegularGraph) -> list[int]:
-    masks = [0] * g.n
-    for u, v in g.edges:
-        masks[u] |= 1 << v
-        masks[v] |= 1 << u
-    return masks
-
-
 def _exhaustive_alpha(g: RegularGraph) -> Fraction:
     """Exact edge expansion by dynamic programming over all vertex sets.
 
@@ -287,7 +269,7 @@ def _exhaustive_alpha(g: RegularGraph) -> Fraction:
     n, d = g.n, g.d
     if n > EXHAUSTIVE_LIMIT:
         raise ValueError(f"exhaustive certification is capped at n = {EXHAUSTIVE_LIMIT}")
-    nbr = _neighbor_bitmasks(g)
+    nbr = g.adjacency().astype(np.int64) @ (1 << np.arange(n, dtype=np.int64))
     size = 1 << n
     internal = np.zeros(size, dtype=np.int32)
     for v in range(n - 1, -1, -1):
@@ -308,15 +290,9 @@ def _exhaustive_alpha(g: RegularGraph) -> Fraction:
 def _lambda2(g: RegularGraph) -> float:
     """Second-largest adjacency eigenvalue, deterministic."""
     if g.n <= 600:
-        vals = np.linalg.eigvalsh(g.adjacency().astype(np.float64))
-        return float(vals[-2])
-    edges = np.asarray(g.edges, dtype=np.int64)
-    u, v = edges[:, 0], edges[:, 1]
-    mat = scipy.sparse.csr_matrix(
-        (np.ones(2 * len(edges)), (np.concatenate([u, v]), np.concatenate([v, u]))), shape=(g.n, g.n)
-    )
+        return float(np.linalg.eigvalsh(g.csr.toarray())[-2])
     v0 = np.random.default_rng(1234).standard_normal(g.n)
-    vals = scipy.sparse.linalg.eigsh(mat, k=2, which="LA", v0=v0, return_eigenvectors=False)
+    vals = scipy.sparse.linalg.eigsh(g.csr, k=2, which="LA", v0=v0, return_eigenvectors=False)
     return float(np.sort(vals)[0])
 
 
@@ -341,24 +317,34 @@ def certify_expansion(g: RegularGraph, method: str = "spectral") -> ExpansionRep
     raise ValueError(f"unknown certification method {method!r}")
 
 
+def _vertex_set(g: RegularGraph, vertices: Iterable[int]) -> list[int]:
+    """The distinct vertices, sorted; raises ValueError on one outside 0..n-1."""
+    vs = sorted(set(int(v) for v in vertices))
+    if vs and not (0 <= vs[0] and vs[-1] < g.n):
+        raise ValueError(f"vertex {vs[0] if vs[0] < 0 else vs[-1]} outside 0..{g.n - 1}")
+    return vs
+
+
 def bfs_levels(g: RegularGraph, root_set: Iterable[int]) -> list[list[int]]:
     """BFS level sets from a multi-source root set; level 0 is the root set."""
-    roots = sorted(set(int(v) for v in root_set))
+    roots = _vertex_set(g, root_set)
     if not roots:
         raise ValueError("root set is empty")
     dist = bfs_hop_row(g.adjacency(), roots)
     return [np.flatnonzero(dist == k).tolist() for k in range(int(dist.max()) + 1)]
 
 
+def _levels_outside(g: RegularGraph, U: Sequence[int]) -> tuple[set[int], list[list[int]]]:
+    """The vertex set U and its BFS levels, measured from the complement of U."""
+    inside = set(_vertex_set(g, U))
+    if not inside or len(inside) >= g.n:
+        raise ValueError("U must be a nonempty proper subset of the vertices")
+    return inside, bfs_levels(g, set(range(g.n)) - inside)
+
+
 def boundary_distance_sum(g: RegularGraph, U: Sequence[int]) -> int:
     """Sum over u in U of the hop distance from u to the complement of U."""
-    inside = sorted(set(int(v) for v in U))
-    if not inside:
-        raise ValueError("U is empty")
-    if len(inside) >= g.n:
-        raise ValueError("U must be a proper subset of the vertices")
-    comp = sorted(set(range(g.n)) - set(inside))
-    levels = bfs_levels(g, comp)
+    levels = _levels_outside(g, U)[1]
     return sum(i * len(level) for i, level in enumerate(levels))
 
 
@@ -375,20 +361,12 @@ def verify_level_decay(g: RegularGraph, U: Sequence[int], alpha) -> bool:
     a = Fraction(alpha)
     if not (0 < a <= 1):
         raise ValueError("alpha must be in (0, 1]")
-    inside = set(int(v) for v in U)
-    if not inside or len(inside) >= g.n:
-        raise ValueError("U must be a nonempty proper subset")
+    inside, levels = _levels_outside(g, U)
     if 2 * len(inside) > g.n:
         raise ValueError("expansion arguments need |U| <= n/2")
-    comp = sorted(set(range(g.n)) - inside)
-    levels = bfs_levels(g, comp)
-    tail_sizes = []
-    running = sum(len(lv) for lv in levels[1:])
-    for lv in levels[1:]:
-        tail_sizes.append(running)
-        running -= len(lv)
-    for i in range(len(tail_sizes) - 1):
-        if Fraction(tail_sizes[i + 1]) > (1 - a) * tail_sizes[i]:
-            return False
-    bsum = sum(i * len(lv) for i, lv in enumerate(levels))
+    sizes = [len(lv) for lv in levels]
+    tails = [sum(sizes[i:]) for i in range(1, len(sizes))]
+    if any(Fraction(later) > (1 - a) * tail for tail, later in zip(tails, tails[1:])):
+        return False
+    bsum = sum(i * size for i, size in enumerate(sizes))
     return Fraction(bsum) <= Fraction(len(inside)) / (a * a)

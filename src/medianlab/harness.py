@@ -22,6 +22,7 @@ from .expander import build_regular
 from .metric import (
     CountingOracle,
     MetricTable,
+    _path_table,
     brute_force_cost,
     brute_force_median,
     graph_metric,
@@ -82,10 +83,7 @@ def _random_table(n: int, rng: random.Random) -> MetricTable:
         for j in range(i + 1, n):
             units[i, j] = units[j, i] = rng.randint(1, 9)
     # shortest-path closure turns arbitrary symmetric weights into a metric
-    for k in range(n):
-        units = np.minimum(units, units[:, k][:, None] + units[k, :][None, :])
-    np.fill_diagonal(units, 0)
-    return MetricTable(units, np.zeros_like(units))
+    return MetricTable(_path_table(units))
 
 
 def generate_instance(kind: str, n: int, seed: int = 0) -> MetricTable:

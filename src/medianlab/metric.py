@@ -32,6 +32,9 @@ Every algorithm under test talks to a backing through
 repeats included, and can keep a transcript for replay checks.  A
 transcript is a ``list[TranscriptEntry]`` of ``(a, b, answer)`` tuples
 in query order; an entry's round is its list position.
+
+An edge list becomes a CSR (:func:`edge_graph`) read by ``scipy.sparse.csgraph``;
+dense bool matrices (the adversary's) are walked by :func:`bfs_hop_row`.
 """
 
 from __future__ import annotations
@@ -40,6 +43,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
+import scipy.sparse.csgraph
 
 from .distances import ExactDistance
 
@@ -57,6 +61,7 @@ __all__ = [
     "query_each",
     "validate_metric",
     "is_metric",
+    "edge_graph",
     "graph_metric",
     "median_cost",
     "exact_median",
@@ -425,20 +430,38 @@ def is_metric(table: MetricTable) -> bool:
     return next(_violations(table), None) is None
 
 
+def edge_graph(n: int, edges: Iterable[tuple[int, int]]) -> scipy.sparse.csr_matrix:
+    """The symmetric unit-weight CSR adjacency of an undirected edge list.
+
+    A repeated edge counts once.  The first bad edge in the given order
+    decides the error: an end outside 0..n-1, else a self loop.
+    """
+    e = np.array(list(edges), dtype=np.int64).reshape(-1, 2)
+    outside = ((e < 0) | (e >= n)).any(axis=1)
+    bad = np.flatnonzero(outside | (e[:, 0] == e[:, 1]))
+    if len(bad):
+        u, v = e[bad[0]].tolist()
+        raise ValueError(f"edge ({u}, {v}) outside vertex range" if outside[bad[0]] else "self loops are not allowed")
+    graph = scipy.sparse.csr_matrix((np.ones(2 * len(e)), (e.ravel(), e[:, ::-1].ravel())), shape=(n, n))
+    graph.data[:] = 1.0  # the build summed repeated edges
+    return graph
+
+
+def _path_table(graph) -> np.ndarray:
+    """All-pairs shortest paths of a CSR or dense weight matrix (0 is no edge), as int64."""
+    dist = scipy.sparse.csgraph.shortest_path(graph, directed=False)
+    cut = np.isinf(dist).any(axis=1)
+    if cut.any():
+        raise DisconnectedGraphError(f"vertex {cut.argmax()} cannot reach the whole graph")
+    return dist.astype(np.int64)
+
+
 def graph_metric(n: int, edges: Iterable[tuple[int, int]]) -> MetricTable:
-    """All-pairs hop distances of a connected undirected graph.
+    """All-pairs hop distances of a connected undirected graph, from its edge list.
 
     Raises DisconnectedGraphError when some pair has no path.
     """
-    adj = np.zeros((n, n), dtype=bool)
-    for u, v in edges:
-        if not (0 <= u < n and 0 <= v < n):
-            raise ValueError(f"edge ({u}, {v}) outside vertex range")
-        if u == v:
-            raise ValueError("self loops are not allowed")
-        adj[u, v] = True
-        adj[v, u] = True
-    return HopMetric(adj).to_table(cap=n)
+    return MetricTable(_path_table(edge_graph(n, edges)))
 
 
 def median_cost(oracle, p: PointId, S: Iterable[PointId]) -> ExactDistance:

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -33,6 +34,23 @@ def test_regular_graph_validation():
         RegularGraph(4, 2, K4_EDGES)
     with pytest.raises(ValueError):
         RegularGraph(4, 3, K4_EDGES + [(0, 0)])
+    with pytest.raises(ValueError, match=r"edge \(7, 7\) outside vertex range"):
+        RegularGraph(4, 3, K4_EDGES + [(7, 7)])
+    # reversed, repeated and unsorted pairs normalise to the sorted edge set
+    assert RegularGraph(4, 3, [(v, u) for u, v in reversed(K4_EDGES)] + K4_EDGES).edges == tuple(K4_EDGES)
+
+
+def test_connectivity_of_a_large_graph_stays_sparse():
+    edges = expander._circulant_base(8192, 8)
+    tracemalloc.start()
+    try:
+        g = RegularGraph(8192, 8, edges)
+        assert g.is_connected()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a dense 8192 x 8192 bool adjacency alone would be 64 MiB
+    assert peak < 16 * 2**20
 
 
 def test_k4_exhaustive_expansion():
@@ -101,6 +119,16 @@ def test_bfs_levels_and_boundary_sum_on_cycle():
     # the two ends and 1 for the two middles... measured from outside U:
     # vertices 1,2 sit at hop 1 and 2 from the boundary, symmetrically
     assert boundary_distance_sum(g, [0, 1, 2, 3]) == 6
+
+
+def test_bfs_helpers_reject_vertices_outside_the_graph():
+    g = RegularGraph(10, 4, expander._circulant_base(10, 4))
+    with pytest.raises(ValueError, match="vertex -1 outside"):
+        bfs_levels(g, [-1])
+    with pytest.raises(ValueError, match="vertex 99 outside"):
+        boundary_distance_sum(g, [0, 1, 99])
+    with pytest.raises(ValueError, match="vertex -3 outside"):
+        verify_level_decay(g, [0, 1, -3], 0.5)
 
 
 def test_boundary_distance_sum_full_set_rejected():
@@ -295,12 +323,12 @@ def test_failed_builds_are_not_memoised(fresh_memo):
 
 def test_memo_hit_owns_its_adjacency(fresh_memo):
     cold = build_regular(40, 4, seed=3)
-    clean = cold.adjacency().copy()
+    clean = cold.csr.toarray()
     hit = build_regular(40, 4, seed=3)
     for g in (cold, hit):
-        g.adjacency()[:] = True
+        g.csr.data[:] = 0.0
     fresh = build_regular(40, 4, seed=3)
-    assert np.array_equal(fresh.adjacency(), clean)
+    assert np.array_equal(fresh.csr.toarray(), clean)
 
 
 def test_unseeded_builds_are_not_memoised(fresh_memo):
