@@ -14,7 +14,10 @@ an honest metric fixed in advance.
 The state is exactly that: the permanent edges and a mask of the
 vertices not yet pruned ("alive").  The live graph is the permanent
 edges plus a clique on the alive vertices, so it is never stored; the
-answer BFS treats the alive set as a clique of its own.
+answer BFS treats the alive set as a clique of its own.  A round only
+hardens edges between alive vertices, which were live already, so the
+live graph changes only when a vertex is pruned: ``answer`` keeps the
+last source's full hop row and reuses it until the next prune.
 
 The cost of the construction is that heavily queried vertices end up
 isolated behind their few permanent edges, far from everything, while
@@ -108,10 +111,13 @@ class Adversary:
         self.anchor = anchor
 
         exp = np.asarray(anchor.edges, dtype=np.int64)
-        self._exp_u, self._exp_v = exp[:, 0], exp[:, 1]
+        u, v = exp[:, 0], exp[:, 1]
         self._perm = np.zeros((n, n), dtype=bool)
-        self._perm[self._exp_u, self._exp_v] = self._perm[self._exp_v, self._exp_u] = True
+        self._perm[u, v] = self._perm[v, u] = True
+        self._anchor_flat = u * n + v  # anchor cells of perm, flattened
         self._alive = np.ones(n, dtype=bool)
+        # (source, full hop row) of the last answer BFS; exact until a prune
+        self._hop_row: tuple[int, np.ndarray] | None = None
 
         self.transcript: list[TranscriptEntry] = []
         self.paths: list[tuple[int, ...]] = []
@@ -137,7 +143,7 @@ class Adversary:
         self.pruned_log.append(self._prune(touched))
         self.transcript.append(TranscriptEntry(a, b, ExactDistance(dist)))
         self.rounds_served += 1
-        if not self._perm[self._exp_u, self._exp_v].all():
+        if not self._perm.take(self._anchor_flat).all():
             raise AssertionError("anchor edge lost")
         return dist
 
@@ -147,7 +153,11 @@ class Adversary:
         perm, alive = self._perm, self._alive
         if (alive[a] and alive[b]) or perm[a, b]:
             return 1, [a, b]
-        dist = bfs_hop_row(perm, a, target=b, clique=alive)
+        if self._hop_row is not None and self._hop_row[0] == a:
+            dist = self._hop_row[1]
+        else:
+            dist = bfs_hop_row(perm, a, clique=alive)
+            self._hop_row = (a, dist)
         if dist[b] < 0:
             raise AssertionError("adversary graph lost connectivity")
         # walk back choosing the lowest-index predecessor at every step;
@@ -187,6 +197,7 @@ class Adversary:
         pruned = tuple(v for v in sorted(touched) if np.count_nonzero(self._perm[v]) > self.cap)
         if pruned:
             self._alive[list(pruned)] = False
+            self._hop_row = None  # the live graph just lost edges
         return pruned
 
     # -- settle --------------------------------------------------------
@@ -334,12 +345,8 @@ def verify_path_discipline(cert: Certificate) -> bool:
             return False
         pruned_so_far.update(due)
         perm.update(edges)
-    recorded = {
-        _norm_edge(int(u), int(v))
-        for u, v in np.argwhere(cert.perm)
-        if u < v
-    }
-    if recorded != perm:
+    us, vs = np.nonzero(np.triu(cert.perm, 1))
+    if set(zip(us.tolist(), vs.tolist())) != perm:
         return False
     # the log now matches the cap rule in every round, so its last
     # snapshot is the graph the final metric must be

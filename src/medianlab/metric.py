@@ -95,26 +95,22 @@ class Violation:
     points: tuple
 
 
-def bfs_hop_row(
-    adjacency: np.ndarray, source, target: int | None = None, clique: np.ndarray | None = None
-) -> np.ndarray:
+def bfs_hop_row(adjacency: np.ndarray, source, clique: np.ndarray | None = None) -> np.ndarray:
     """Hop distances from source over a boolean adjacency matrix.
 
     ``source`` is one vertex or a list of vertices; every source sits at
     level 0.  Returns an int64 vector with -1 for unreachable vertices.
-    With a ``target``, the walk stops after the level that reaches it,
-    so vertices farther out than the target also read -1.  A boolean
-    ``clique`` mask adds an edge between every two of its vertices
-    without building them: once a frontier meets the mask, the whole
-    mask is reached at the next level.  The result equals a walk over
-    ``adjacency | outer(clique, clique)``.  The level expansion is a
+    A boolean ``clique`` mask adds an edge between every two of its
+    vertices without building them: once a frontier meets the mask, the
+    whole mask is reached at the next level.  The result equals a walk
+    over ``adjacency | outer(clique, clique)``.  The level expansion is a
     vectorized row-gather.
     """
     dist = np.full(adjacency.shape[0], -1, dtype=np.int64)
     dist[source] = 0
     frontier = dist == 0
     level = 0
-    while frontier.any() and (target is None or dist[target] < 0):
+    while frontier.any():
         level += 1
         reach = adjacency[frontier].any(axis=0)
         if clique is not None and (frontier & clique).any():

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import medianlab.adversary as adversary_module
 from medianlab.adversary import (
     Adversary,
     BadConstantError,
@@ -313,7 +314,7 @@ class _DenseReference:
             return 0, [a]
         if self.adj[a, b]:
             return 1, [a, b]
-        dist = bfs_hop_row(self.adj, a, target=b)
+        dist = bfs_hop_row(self.adj, a)
         path = [b]
         cur = b
         while cur != a:
@@ -414,3 +415,52 @@ def test_no_assert_statements_in_the_library():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_padding_reuses_one_hop_row(monkeypatch):
+    # the live graph changes only at a prune, so the padding's (z, x)
+    # rounds share one BFS row from z until the next round that prunes
+    calls = []
+    real = adversary_module.bfs_hop_row
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(adversary_module, "bfs_hop_row", counted)
+    n, q = 32, 8
+    adv = Adversary(build_regular(n, 4, 4), q + n, minimal_cap(n, q + n, 4))
+    output = make_player("exact", budget=q, seed=4).run(CountingOracle(adv), n)
+    before = len(calls)
+    cert = adv.finalize(output)
+    padding = range(q, cert.rounds)
+    assert any(output in cert.pruned_log[i] for i in padding)
+    prunes = sum(1 for i in padding if cert.pruned_log[i])
+    long_answers = sum(cert.transcript[i].answer.units >= 2 for i in padding)
+    assert long_answers > 1 + prunes  # one BFS per long answer would break the bound
+    assert len(calls) - before <= 1 + prunes
+
+
+def test_hop_row_dropped_at_prune():
+    # game 1096 of the dense-reference regime: the padding caches a row
+    # from the output z = 13 at (13, 10), prunes z at (13, 18), and must
+    # then route (13, 20) around z's lost clique edges
+    rng = random.Random(1096)
+    d = rng.choice((3, 4))
+    n = rng.choice(range(8, 65, 2))
+    q = rng.randrange(n // 2, 4 * n)
+    rounds = q + n
+    cap = minimal_cap(n, rounds, d) + rng.choice((0, 0, 1, 3))
+    assert (n, d, q, cap) == (64, 4, 63, 19)
+    adv = Adversary(build_regular(n, d, 1096), rounds, cap)
+    queries, hot = _random_queries(rng, n, q)
+    output = rng.choice(hot + [rng.randrange(n)])
+    assert output == 13
+    for a, b in queries:
+        adv.answer(a, b)
+    for x in range(20):
+        adv.answer(output, x)
+    assert adv.paths[q + 10] == (13, 2, 10)
+    assert adv.pruned_log[q + 18] == (13,)
+    assert adv.answer(13, 20) == 2
+    assert adv.paths[-1] == (13, 0, 20)
