@@ -38,6 +38,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 import numpy as np
+import scipy.sparse.csgraph
 
 from .distances import ExactDistance
 from .metric import HopMetric, TranscriptEntry, bfs_hop_row, is_metric, replay_verify
@@ -381,8 +382,41 @@ def ball_growth_ok(cert: Certificate) -> bool:
 
 
 def _anchor_preserved(cert: Certificate) -> bool:
-    adj = cert.final_metric.adjacency
-    return all(adj[u, v] for u, v in cert.anchor_edges)
+    edges = np.asarray(cert.anchor_edges, dtype=np.int64).reshape(-1, 2)
+    return bool(cert.final_metric.adjacency[edges[:, 0], edges[:, 1]].all())
+
+
+def _hub_costs(cert: Certificate, points: Sequence[int]) -> list[int] | None:
+    """cost(p) for each p, recomputed without the final metric; None if not exact.
+
+    The final metric is half the shortest-path metric of the permanent
+    edges at weight 2 plus one hub joined at weight 1 to every vertex
+    that was never pruned: two of those meet through the hub at 2, one
+    live clique hop.  The hub graph is rebuilt from ``perm`` and
+    ``pruned_log`` and walked by csgraph's Dijkstra, which the adversary
+    never runs.
+    """
+    n = cert.n
+    never_pruned = np.ones(n, dtype=bool)
+    never_pruned[[v for pruned in cert.pruned_log for v in pruned]] = False
+    us, vs = np.nonzero(cert.perm)
+    hubbed = np.flatnonzero(never_pruned)
+    rows = np.concatenate([us, hubbed])
+    cols = np.concatenate([vs, np.full(len(hubbed), n)])
+    weights = np.concatenate([np.full(len(us), 2.0), np.ones(len(hubbed))])
+    graph = scipy.sparse.csr_matrix((weights, (rows, cols)), shape=(n + 1, n + 1))
+    dist = scipy.sparse.csgraph.dijkstra(graph, directed=False, indices=list(points))[:, :n]
+    if not np.isfinite(dist).all() or (dist % 2).any():
+        return None
+    return [int(total) // 2 for total in dist.astype(np.int64).sum(axis=1)]
+
+
+def _ratio_exact(cert: Certificate) -> bool:
+    """cost(z*), cost(y) and their ratio equal the hub graph's, exactly."""
+    costs = _hub_costs(cert, [cert.z_star, cert.best_good[0]])
+    if costs is None or costs != [cert.z_star_cost, cert.best_good[1]]:
+        return False
+    return cert.ratio == Fraction(*costs)
 
 
 def verify_certificate(cert: Certificate, metric_axioms_cap: int = 0) -> dict[str, bool]:
@@ -396,7 +430,7 @@ def verify_certificate(cert: Certificate, metric_axioms_cap: int = 0) -> dict[st
         "perm_degree_cap": cert.max_perm_degree <= cert.cap + 2,
         "ball_growth": ball_growth_ok(cert),
         "best_good_matches": (y, y_cost) == cert.best_good,
-        "ratio_exact": cert.ratio == Fraction(cert.z_star_cost, cert.best_good[1]),
+        "ratio_exact": _ratio_exact(cert),
     }
     if metric_axioms_cap and cert.n <= metric_axioms_cap:
         checks["metric_axioms"] = is_metric(cert.final_metric.to_table(metric_axioms_cap))

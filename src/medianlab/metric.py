@@ -23,7 +23,8 @@ backings are provided:
 * :class:`MetricTable`, a dense exact table held as two numpy arrays
   (integer hop units and eps counts),
 * :class:`HopMetric`, shortest-path distances over a fixed undirected
-  graph, computed lazily one BFS row at a time,
+  graph, computed lazily one BFS row at a time; ``distance`` answers 0
+  and 1 from the adjacency without a BFS,
 * :class:`LineMetric`, ``d(i, j) = |i - j|``, for budget measurements on
   spaces far too large to materialize.
 
@@ -181,7 +182,8 @@ class HopMetric:
 
     Rows are computed on demand and cached, so callers that only need a
     handful of sources (replay checks, cost lookups) never pay for the
-    full all-pairs matrix.  The adjacency is held as given, not copied.
+    full all-pairs matrix; a distance of 0 or 1 needs no row beyond the
+    one connectivity check.  The adjacency is held as given, not copied.
     """
 
     def __init__(self, adjacency: np.ndarray):
@@ -208,6 +210,11 @@ class HopMetric:
         return cached
 
     def distance(self, a: PointId, b: PointId) -> ExactDistance:
+        # the graph is loop-free, so 0 and 1 come from the adjacency; the
+        # cached row(0) keeps a disconnected graph raising on every pair
+        if a == b or self._adj[a, b]:
+            self.row(0)
+            return ExactDistance(0 if a == b else 1)
         return ExactDistance(int(self.row(a)[b]))
 
     def cost_of(self, a: PointId) -> int:
@@ -403,12 +410,35 @@ def _violations(table: MetricTable) -> Iterator[Violation]:
         if x < y:
             yield Violation("symmetry", (int(x), int(y)))
 
+    # a two-entry sum is exact in the narrowest type holding 2 * max|entry|;
+    # one sum buffer and one mask per table serve every y
+    has_eps = table.has_eps()
+    u = _narrowest(u)
+    su, bad = np.empty_like(u), np.empty((n, n), dtype=bool)
+    if has_eps:
+        e = _narrowest(e)
+        se, tie, longer = np.empty_like(e), np.empty_like(bad), np.empty_like(bad)
     for y in range(n):
-        su = u[:, y, None] + u[None, y, :]
-        se = e[:, y, None] + e[None, y, :]
-        for x, z in _argwhere_if_any((u > su) | ((u == su) & (e > se))):
+        np.add(u[:, y, None], u[None, y, :], out=su)
+        np.greater(u, su, out=bad)
+        if has_eps:
+            np.add(e[:, y, None], e[None, y, :], out=se)
+            np.equal(u, su, out=tie)
+            np.greater(e, se, out=longer)
+            tie &= longer
+            bad |= tie
+        for x, z in _argwhere_if_any(bad):
             if x != y and z != y and x != z:
                 yield Violation("triangle", (int(x), int(y), int(z)))
+
+
+def _narrowest(table: np.ndarray) -> np.ndarray:
+    """The table in the narrowest of int16/int32/int64 where 2 * max|entry| fits."""
+    top = 2 * max(int(table.max(initial=0)), -int(table.min(initial=0)))
+    for dtype in (np.int16, np.int32):
+        if top <= np.iinfo(dtype).max:
+            return table.astype(dtype)
+    return table
 
 
 def validate_metric(table: MetricTable) -> list[Violation]:

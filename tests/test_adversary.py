@@ -4,12 +4,14 @@ import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import medianlab.adversary as adversary_module
+import medianlab.metric as metric_module
 from medianlab.adversary import (
     Adversary,
     BadConstantError,
@@ -23,7 +25,7 @@ from medianlab.adversary import (
     verify_path_discipline,
 )
 from medianlab.expander import RegularGraph, build_regular
-from medianlab.metric import CountingOracle, HopMetric, TranscriptEntry, bfs_hop_row
+from medianlab.metric import CountingOracle, HopMetric, TranscriptEntry, bfs_hop_row, replay_verify
 from medianlab.players import make_player
 
 K4_EDGES = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
@@ -149,6 +151,21 @@ def test_anchor_survives_every_round():
         adj = cert.snapshot_adjacency(i)
         for u, v in cert.anchor_edges:
             assert adj[u, v] and adj[v, u], (i, u, v)
+
+
+def test_anchor_preserved_sees_one_lost_edge():
+    cert, _ = finished_game(n=24, degree=4, q=16)
+    assert verify_certificate(cert)["anchor_preserved"]
+    for u, v in (cert.anchor_edges[0], cert.anchor_edges[-1]):
+        adj = cert.final_metric.adjacency.copy()
+        adj[u, v] = adj[v, u] = False
+        thinned = dataclasses.replace(cert, final_metric=HopMetric(adj))
+        assert not verify_certificate(thinned)["anchor_preserved"], (u, v)
+    # losing a non-anchor edge is another check's business
+    u, v = map(int, np.argwhere(np.triu(cert.final_metric.adjacency & ~cert.perm))[0])
+    adj = cert.final_metric.adjacency.copy()
+    adj[u, v] = adj[v, u] = False
+    assert verify_certificate(dataclasses.replace(cert, final_metric=HopMetric(adj)))["anchor_preserved"]
 
 
 def test_snapshots_only_lose_edges():
@@ -379,6 +396,92 @@ def test_matches_dense_reference():
     # the streams reach the cases the two representations handle differently
     assert pruned_in_play >= 10
     assert long_answers >= 500
+
+
+def _source_sweeps(rng, n, q):
+    """Sweeps (s, x) over every other x, one source s at a time.
+
+    Each sweep opens with the previous source, which its own sweep has
+    most likely pruned, so s asks for a BFS while it is still alive.  The
+    sweep then prunes s through its own reply paths, and s keeps asking
+    long questions after the prune.
+    """
+    queries, last = [], None
+    while len(queries) < q:
+        s = rng.randrange(n)
+        others = [x for x in range(n) if x not in (s, last)]
+        rng.shuffle(others)
+        queries += [(s, x) for x in ([last] if last not in (None, s) else []) + others]
+        last = s
+    return queries[:q]
+
+
+def test_matches_dense_reference_across_a_prune_in_play():
+    # a row cached from a source must not answer for it after a prune;
+    # the padding is never reached, so only play rounds are compared
+    reasked = 0
+    for game in range(20):
+        rng = random.Random(game)
+        d = rng.choice((3, 4))
+        n = rng.choice(range(8, 65, 2))
+        q = rng.randrange(2 * n, 4 * n)
+        rounds = q + n
+        cap = minimal_cap(n, rounds, d) + rng.choice((0, 1))
+        anchor = build_regular(n, d, game)
+        adv, ref = Adversary(anchor, rounds, cap), _DenseReference(anchor, rounds, cap)
+        bfs_source, pruned_since = None, False
+        for a, b in _source_sweeps(rng, n, q):
+            assert adv.answer(a, b) == ref.answer(a, b), (game, a, b)
+            assert (adv.paths[-1], adv.pruned_log[-1]) == (ref.paths[-1], ref.pruned_log[-1]), (game, a, b)
+            if ref.answers[-1] >= 2:
+                if a == bfs_source and pruned_since:
+                    reasked += 1
+                bfs_source, pruned_since = a, False
+            pruned_since = pruned_since or bool(ref.pruned_log[-1])
+    # long answers from the last BFS source with a prune since its BFS
+    assert reasked >= 20
+
+
+def test_replay_runs_one_row_per_long_source(monkeypatch):
+    # answers 0 and 1 come from the final adjacency; only sources with a
+    # longer answer, and the connectivity check, run a BFS row
+    cert, _ = finished_game(n=64, degree=4, q=48, algo="random")
+    calls = []
+    real = metric_module.bfs_hop_row
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(metric_module, "bfs_hop_row", counted)
+    assert replay_verify(cert.transcript, HopMetric(cert.final_metric.adjacency))
+    long_sources = {e.a for e in cert.transcript if e.answer.units >= 2}
+    assert len(calls) <= len(long_sources) + 1
+    assert len({e.a for e in cert.transcript}) > len(long_sources) + 1  # one row per source breaks it
+
+
+def test_hub_graph_costs_match_the_final_metric():
+    for algo in ("exact", "random"):
+        for q in (8, 48):
+            cert, _ = finished_game(n=32, degree=4, q=q, algo=algo)
+            assert any(cert.pruned_log)
+            costs = adversary_module._hub_costs(cert, range(cert.n))
+            assert costs == [cert.final_metric.cost_of(v) for v in range(cert.n)], (algo, q)
+
+
+def test_ratio_exact_recomputes_both_costs():
+    cert, _ = finished_game(n=32, degree=4, q=8)
+    assert verify_certificate(cert)["ratio_exact"]
+    z, (y, y_cost) = cert.z_star_cost, cert.best_good
+    forged = [
+        dataclasses.replace(cert, z_star_cost=z + 1, ratio=Fraction(z + 1, y_cost)),
+        dataclasses.replace(cert, best_good=(y, y_cost - 1), ratio=Fraction(z, y_cost - 1)),
+        dataclasses.replace(cert, ratio=cert.ratio + 1),
+    ]
+    for tampered in forged:
+        checks = verify_certificate(tampered)
+        assert not checks["ratio_exact"]
+        assert checks["best_good_matches"] == (tampered.best_good == cert.best_good)
 
 
 def test_invariants_raise_under_optimize_flag():

@@ -13,7 +13,7 @@ from medianlab.lowerbound import (
     hard_instance_game,
     run_renamed,
 )
-from medianlab.metric import CountingOracle, MetricTable, graph_metric, validate_metric
+from medianlab.metric import CountingOracle, HopMetric, MetricTable, graph_metric, validate_metric
 from medianlab.players import RandomFuzzer, make_player
 
 
@@ -175,6 +175,18 @@ def test_hard_instance_game_small_full_audit():
     assert payload["n"] == 20
     assert payload["z_star"] >= 1  # 1-based in the serialized form
     assert set(payload["checks"]) == set(report.checks)
+
+
+def test_audit_sees_a_wrong_cost(monkeypatch):
+    # every cost the final metric reports is one too high; the certificate
+    # agrees with itself, but the hub-graph recount does not
+    true_cost = HopMetric.cost_of
+    monkeypatch.setattr(HopMetric, "cost_of", lambda self, a: true_cost(self, a) + 1)
+    n = 4096
+    q = n // 12  # n / log2 n
+    report = hard_instance_game(make_player("exact", budget=q, seed=0), n=n, q=q, seed=0)
+    assert report.checks["ratio_exact"] is False
+    assert not report.all_ok
 
 
 def test_hard_instance_game_validates_budget_vs_space():

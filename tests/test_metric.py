@@ -32,6 +32,7 @@ from medianlab.metric import (
     graph_metric,
     is_metric,
     median_cost,
+    sum_bound,
     validate_metric,
     Violation,
 )
@@ -157,7 +158,9 @@ def test_validate_metric_triangle_is_eps_aware():
 
 def _reference_validate_metric(table):
     # the two separate checkers this library had before they were folded
-    # into one generator; kept as the reference for order and verdicts
+    # into one generator; kept as the reference for order and verdicts.
+    # Its triangle loop sums in int64 with fresh temporaries, against the
+    # library's narrowed dtype and reused buffers
     u, e = table.units, table.eps
     n = table.n
     out = []
@@ -232,8 +235,36 @@ def small_tables(draw):
     return MetricTable(units, eps)
 
 
-@settings(max_examples=400, deadline=None)
-@given(small_tables())
+@st.composite
+def wide_tables(draw):
+    """Tables whose largest |entry| sits at a dtype edge of the triangle sums.
+
+    2 * max|entry| lands just under or at 2**15 and 2**31, or the entries
+    reach sum_bound(n); the values include halves of the top, so exact
+    ties u(x, z) == u(x, y) + u(y, z) at that scale are common.
+    """
+    n = draw(st.integers(1, 7))
+    tops = [2**14 - 1, 2**14, 2**30 - 1, 2**30, sum_bound(n)]
+
+    symmetric = draw(st.booleans())
+
+    def square(top):
+        values = st.sampled_from([0, 1, 2, top // 2, top - top // 2, top - 1, top, -1, -top])
+        cells = draw(st.lists(st.lists(values, min_size=n, max_size=n), min_size=n, max_size=n))
+        table = np.array(cells, dtype=np.int64).reshape(n, n)
+        if symmetric:
+            table = np.triu(table, 1) + np.triu(table, 1).T
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        table[i, j] = table[j, i] = draw(st.sampled_from([top, -top]))  # the top is always reached
+        return table
+
+    units = square(draw(st.sampled_from(tops)))
+    eps = square(draw(st.sampled_from(tops))) if draw(st.booleans()) else np.zeros_like(units)
+    return MetricTable(units, eps)
+
+
+@settings(max_examples=800, deadline=None)
+@given(st.one_of(small_tables(), wide_tables()))
 def test_axiom_checker_matches_reference(table):
     assert validate_metric(table) == _reference_validate_metric(table)
     assert is_metric(table) == _reference_is_metric(table)
@@ -320,18 +351,45 @@ def test_hop_metric_agrees_with_table():
     assert (h.to_table().units == table.units).all()
 
 
+def _random_connected_adjacency(rng, n, chords):
+    adj = np.zeros((n, n), dtype=bool)
+    for i in range(1, n):  # random tree plus chords
+        j = int(rng.integers(0, i))
+        adj[i, j] = adj[j, i] = True
+    for _ in range(chords):
+        a, b = int(rng.integers(0, n)), int(rng.integers(0, n))
+        if a != b:
+            adj[a, b] = adj[b, a] = True
+    return adj
+
+
+def test_hop_distance_equals_row_entry():
+    # 0 and 1 come from the adjacency, the rest from a BFS row
+    rng = np.random.default_rng(5)
+    for trial in range(30):
+        n = int(rng.integers(1, 20))
+        adj = _random_connected_adjacency(rng, n, int(rng.integers(0, n * n // 2 + 1)))
+        h, rows = HopMetric(adj), HopMetric(adj)
+        for a in range(n):
+            for b in range(n):
+                assert h.distance(a, b) == ExactDistance(int(rows.row(a)[b])), (trial, a, b)
+
+
+def test_hop_distance_raises_on_disconnected_graph():
+    adj = np.zeros((3, 3), dtype=bool)
+    adj[0, 1] = adj[1, 0] = True  # vertex 2 is cut off
+    for a, b in ((0, 1), (1, 0), (2, 2), (0, 0)):
+        h = HopMetric(adj)
+        for _ in range(2):  # the failed check is not cached as a pass
+            with pytest.raises(DisconnectedGraphError):
+                h.distance(a, b)
+
+
 def test_hop_metric_cheapest_matches_argmin():
     rng = np.random.default_rng(7)
     for trial in range(20):
         n = int(rng.integers(4, 24))
-        adj = np.zeros((n, n), dtype=bool)
-        for i in range(1, n):  # random tree plus chords
-            j = int(rng.integers(0, i))
-            adj[i, j] = adj[j, i] = True
-        for _ in range(n // 2):
-            a, b = int(rng.integers(0, n)), int(rng.integers(0, n))
-            if a != b:
-                adj[a, b] = adj[b, a] = True
+        adj = _random_connected_adjacency(rng, n, n // 2)
         h = HopMetric(adj)
         costs = [h.cost_of(v) for v in range(n)]
         expect = min(range(n), key=lambda v: (costs[v], v))
