@@ -49,7 +49,6 @@ from .solvers import (
     SamplingInner,
     make_inner,
     restrict_and_solve,
-    sampling_baseline,
     subset_schedule,
     subset_size,
     transfer_bound,
@@ -98,7 +97,6 @@ __all__ = [
     "replay_verify",
     "restrict_and_solve",
     "run_renamed",
-    "sampling_baseline",
     "subset_schedule",
     "subset_size",
     "sweep_upper_bound",

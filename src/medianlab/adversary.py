@@ -14,10 +14,11 @@ an honest metric fixed in advance.
 The state is exactly that: the permanent edges and a mask of the
 vertices not yet pruned ("alive").  The live graph is the permanent
 edges plus a clique on the alive vertices, so it is never stored; the
-answer BFS treats the alive set as a clique of its own.  A round only
-hardens edges between alive vertices, which were live already, so the
-live graph changes only when a vertex is pruned: ``answer`` keeps the
-last source's full hop row and reuses it until the next prune.
+answer BFS and the final :class:`HopMetric` treat the alive set as a
+clique of their own.  A round only hardens edges between alive
+vertices, which were live already, so the live graph changes only when
+a vertex is pruned: ``answer`` keeps the last source's full hop row and
+reuses it until the next prune.
 
 The cost of the construction is that heavily queried vertices end up
 isolated behind their few permanent edges, far from everything, while
@@ -223,7 +224,8 @@ class Adversary:
         while self.rounds_served < self.rounds:
             self.answer(output, filler)
 
-        final = HopMetric(_live_adjacency(self._perm, self._alive))
+        # no copies: every later answer raises BudgetExhaustedError
+        final = HopMetric(self._perm, self._alive)
         bad = tuple(int(v) for v in np.nonzero(self._perm.sum(axis=1) >= self.cap)[0])
         good = sorted(set(range(self.n)) - set(bad))
         if not good:
@@ -236,7 +238,7 @@ class Adversary:
             degree=self.degree,
             cap=self.cap,
             final_metric=final,
-            perm=self._perm,  # no copy: every later answer raises BudgetExhaustedError
+            perm=self._perm,
             anchor_edges=self.anchor.edges,
             paths=tuple(self.paths),
             pruned_log=tuple(self.pruned_log),
@@ -251,7 +253,11 @@ class Adversary:
 
 @dataclass
 class Certificate:
-    """Everything needed to audit one finished game."""
+    """Everything needed to audit one finished game.
+
+    ``final_metric`` walks ``perm`` itself plus a clique on the vertices
+    never pruned, so a finished game holds one m x m matrix.
+    """
 
     n: int
     rounds: int
@@ -273,27 +279,19 @@ class Certificate:
     def max_perm_degree(self) -> int:
         return int(self.perm.sum(axis=1).max())
 
-    def snapshot_adjacency(self, i: int) -> np.ndarray:
-        """Adjacency after round i (0 = before any query).
+    def alive_after(self, i: int) -> np.ndarray:
+        """Mask of the vertices not pruned by the end of round i (0 = before any query).
 
-        The permanent edges plus a clique on the vertices not pruned by
-        then.  Using the final ``perm`` is exact: an edge turns permanent
-        only while both its ends are unpruned, so every later one lies
-        inside that clique anyway.
+        The graph after round i is the permanent edges plus a clique on
+        these vertices.  The final ``perm`` serves every round: an edge
+        turns permanent only while both its ends are unpruned, so every
+        later one lies inside that clique anyway.
         """
         if not (0 <= i <= len(self.pruned_log)):
             raise IndexError(f"round {i} out of range")
         alive = np.ones(self.n, dtype=bool)
         alive[[v for pruned in self.pruned_log[:i] for v in pruned]] = False
-        return _live_adjacency(self.perm, alive)
-
-
-def _live_adjacency(perm: np.ndarray, alive: np.ndarray) -> np.ndarray:
-    """The permanent edges plus a clique on the alive vertices, loop-free."""
-    adj = np.outer(alive, alive)
-    adj |= perm  # in place: one m x m matrix beyond perm at the peak
-    np.fill_diagonal(adj, False)
-    return adj
+        return alive
 
 
 # -- auditors -----------------------------------------------------------
@@ -312,8 +310,8 @@ def verify_path_discipline(cert: Certificate) -> bool:
     pruned vertex, at most two of the path's edges touch any one vertex,
     and the round pruned exactly the vertices whose permanent degree
     first exceeded the cap in it.  The recomputed final permanent edge
-    set must match the recorded one, and the final graph must be those
-    edges plus a clique on the vertices never pruned.
+    set must match the recorded one, and the final metric must walk
+    those edges plus a clique on the vertices never pruned.
     """
     if len(cert.pruned_log) != len(cert.paths):
         return False
@@ -349,10 +347,13 @@ def verify_path_discipline(cert: Certificate) -> bool:
     us, vs = np.nonzero(np.triu(cert.perm, 1))
     if set(zip(us.tolist(), vs.tolist())) != perm:
         return False
-    # the log now matches the cap rule in every round, so its last
-    # snapshot is the graph the final metric must be
-    expected = cert.snapshot_adjacency(len(cert.pruned_log))
-    return bool(np.array_equal(cert.final_metric.adjacency, expected))
+    # the log now matches the cap rule in every round, so the final
+    # metric must be the recorded edges plus the clique it never pruned
+    final = cert.final_metric
+    return bool(
+        np.array_equal(final.adjacency, cert.perm)
+        and np.array_equal(final.clique, cert.alive_after(len(cert.pruned_log)))
+    )
 
 
 def good_point_bound(cert: Certificate) -> tuple[int, int]:
@@ -382,6 +383,7 @@ def ball_growth_ok(cert: Certificate) -> bool:
 
 
 def _anchor_preserved(cert: Certificate) -> bool:
+    """Every anchor edge is a permanent edge of the final metric."""
     edges = np.asarray(cert.anchor_edges, dtype=np.int64).reshape(-1, 2)
     return bool(cert.final_metric.adjacency[edges[:, 0], edges[:, 1]].all())
 
@@ -397,10 +399,8 @@ def _hub_costs(cert: Certificate, points: Sequence[int]) -> list[int] | None:
     never runs.
     """
     n = cert.n
-    never_pruned = np.ones(n, dtype=bool)
-    never_pruned[[v for pruned in cert.pruned_log for v in pruned]] = False
     us, vs = np.nonzero(cert.perm)
-    hubbed = np.flatnonzero(never_pruned)
+    hubbed = np.flatnonzero(cert.alive_after(len(cert.pruned_log)))
     rows = np.concatenate([us, hubbed])
     cols = np.concatenate([vs, np.full(len(hubbed), n)])
     weights = np.concatenate([np.full(len(us), 2.0), np.ones(len(hubbed))])

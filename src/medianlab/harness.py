@@ -86,19 +86,23 @@ def _random_table(n: int, rng: random.Random) -> MetricTable:
     return MetricTable(_path_table(units))
 
 
+def _require_kind(kind: str) -> None:
+    if kind not in INSTANCE_KINDS:
+        raise ValueError(f"unknown instance kind {kind!r} (have {', '.join(INSTANCE_KINDS)})")
+
+
 def generate_instance(kind: str, n: int, seed: int = 0) -> MetricTable:
     """Build one deterministic test metric of the given family and size."""
     if n < 1:
         raise ValueError("instances need at least one point")
+    _require_kind(kind)
     if kind == "star-path":
         return graph_metric(n, _star_path_edges(n))
     if kind == "random-graph":
         return graph_metric(n, _random_graph_edges(n, random.Random(seed)))
     if kind == "grid":
         return graph_metric(n, _grid_edges(n))
-    if kind == "table":
-        return _random_table(n, random.Random(seed))
-    raise ValueError(f"unknown instance kind {kind!r} (have {', '.join(INSTANCE_KINDS)})")
+    return _random_table(n, random.Random(seed))
 
 
 @dataclass(frozen=True)
@@ -150,17 +154,19 @@ def sweep_upper_bound(configs: Sequence[SweepConfig], brute_force_cap: int = 409
 
     Rows come back sorted by config key.  The bound comparison is exact
     (integer cross-multiplication through Fraction); the ratio columns
-    are floats for display only.
+    are floats for display only.  Every config is checked before any
+    instance is built.
     """
     configs = sorted(configs, key=SweepConfig.key)
     for cfg in configs:
         if cfg.n > brute_force_cap:
             raise ValueError(f"n={cfg.n} exceeds the brute-force cap {brute_force_cap}")
+        _require_kind(cfg.kind)
+    inners = [make_inner(cfg.inner, rng_seed=cfg.seed) for cfg in configs]
     rows = []
-    for cfg in configs:
+    for cfg, inner in zip(configs, inners):
         table = generate_instance(cfg.kind, cfg.n, cfg.seed)
         oracle = CountingOracle(table, record_transcript=False)
-        inner = make_inner(cfg.inner, rng_seed=cfg.seed)
         result = restrict_and_solve(oracle, cfg.n, cfg.f_of_n, inner)
 
         s = subset_size(cfg.n, cfg.f_of_n)

@@ -23,8 +23,9 @@ backings are provided:
 * :class:`MetricTable`, a dense exact table held as two numpy arrays
   (integer hop units and eps counts),
 * :class:`HopMetric`, shortest-path distances over a fixed undirected
-  graph, computed lazily one BFS row at a time; ``distance`` answers 0
-  and 1 from the adjacency without a BFS,
+  graph plus a clique given as a vertex mask, computed lazily one BFS
+  row at a time; ``distance`` answers 0 and 1 from the two arrays
+  without a BFS,
 * :class:`LineMetric`, ``d(i, j) = |i - j|``, for budget measurements on
   spaces far too large to materialize.
 
@@ -104,8 +105,8 @@ def bfs_hop_row(adjacency: np.ndarray, source, clique: np.ndarray | None = None)
     A boolean ``clique`` mask adds an edge between every two of its
     vertices without building them: once a frontier meets the mask, the
     whole mask is reached at the next level.  The result equals a walk
-    over ``adjacency | outer(clique, clique)``.  The level expansion is a
-    vectorized row-gather.
+    over the materialised graph, with every two mask vertices adjacent.
+    The level expansion is a vectorized row-gather.
     """
     dist = np.full(adjacency.shape[0], -1, dtype=np.int64)
     dist[source] = 0
@@ -116,6 +117,7 @@ def bfs_hop_row(adjacency: np.ndarray, source, clique: np.ndarray | None = None)
         reach = adjacency[frontier].any(axis=0)
         if clique is not None and (frontier & clique).any():
             reach |= clique
+            clique = None  # the whole mask is reached; no later level adds to it
         frontier = reach & (dist < 0)
         dist[frontier] = level
     return dist
@@ -178,41 +180,45 @@ class MetricTable:
 
 
 class HopMetric:
-    """Shortest-path hop metric over a frozen undirected graph.
+    """Shortest-path hop metric over a frozen undirected graph plus a clique.
 
-    Rows are computed on demand and cached, so callers that only need a
-    handful of sources (replay checks, cost lookups) never pay for the
-    full all-pairs matrix; a distance of 0 or 1 needs no row beyond the
-    one connectivity check.  The adjacency is held as given, not copied.
+    The graph is ``adjacency`` together with an edge between every two
+    vertices of the bool mask ``clique``; the clique is never built,
+    :func:`bfs_hop_row` walks it through the mask.  Rows are computed on
+    demand and cached, so callers that only need a handful of sources
+    (replay checks, cost lookups) never pay for the full all-pairs
+    matrix; a distance of 0 or 1 needs no row beyond the one
+    connectivity check.  Both arrays are held as given, not copied.
     """
 
-    def __init__(self, adjacency: np.ndarray):
+    def __init__(self, adjacency: np.ndarray, clique: np.ndarray):
         adjacency = np.asarray(adjacency, dtype=bool)
         if adjacency.ndim != 2 or adjacency.shape[0] != adjacency.shape[1]:
             raise ValueError("adjacency must be square")
         if adjacency.diagonal().any():
             raise ValueError("adjacency must have an empty diagonal")
-        self._adj = adjacency  # no copy: callers hand over a matrix they no longer change
+        clique = np.asarray(clique)
+        if clique.dtype != bool or clique.shape != adjacency.shape[:1]:
+            raise ValueError(f"clique must be a bool mask of length {adjacency.shape[0]}")
+        # no copy: callers hand over arrays they no longer change
+        self.adjacency = adjacency
+        self.clique = clique
         self.n = adjacency.shape[0]
         self._rows: dict[int, np.ndarray] = {}
-
-    @property
-    def adjacency(self) -> np.ndarray:
-        return self._adj
 
     def row(self, a: PointId) -> np.ndarray:
         cached = self._rows.get(a)
         if cached is None:
-            cached = bfs_hop_row(self._adj, a)
+            cached = bfs_hop_row(self.adjacency, a, clique=self.clique)
             if (cached < 0).any():
                 raise DisconnectedGraphError(f"vertex {a} cannot reach the whole graph")
             self._rows[a] = cached
         return cached
 
     def distance(self, a: PointId, b: PointId) -> ExactDistance:
-        # the graph is loop-free, so 0 and 1 come from the adjacency; the
+        # the graph is loop-free, so 0 and 1 come from the two arrays; the
         # cached row(0) keeps a disconnected graph raising on every pair
-        if a == b or self._adj[a, b]:
+        if a == b or self.adjacency[a, b] or (self.clique[a] and self.clique[b]):
             self.row(0)
             return ExactDistance(0 if a == b else 1)
         return ExactDistance(int(self.row(a)[b]))
@@ -224,15 +230,19 @@ class HopMetric:
         """Minimum-total-distance candidate, ties to the lowest index.
 
         Uses the degree bound cost >= 2*(n-1) - deg to skip BFS runs for
-        candidates that cannot win.
+        candidates that cannot win.  A clique vertex's degree counts its
+        clique neighbours that ``adjacency`` does not already join it to.
         """
         cands = sorted(set(int(c) for c in candidates))
         if not cands:
             raise ValueError("no candidates")
         if self.n == 1:
             return cands[0], 0
-        degs = self._adj[cands].sum(axis=1)
-        lower = 2 * (self.n - 1) - degs
+        adj, clique = self.adjacency, self.clique
+        # whole-matrix row sums: a gather of the candidates' rows would copy them
+        degs = np.count_nonzero(adj, axis=1)
+        degs += clique * (np.count_nonzero(clique) - 1 - adj.sum(axis=1, where=clique, dtype=np.intp))
+        lower = 2 * (self.n - 1) - degs[cands]
         order = sorted(range(len(cands)), key=lambda i: (int(lower[i]), cands[i]))
         best_v = cands[order[0]]
         best_cost = self.cost_of(best_v)

@@ -11,13 +11,11 @@ from __future__ import annotations
 
 import math
 import random
-from typing import Protocol
 
 from .metric import exact_median
 from .solvers import PivotInner, SamplingInner
 
 __all__ = [
-    "QueryAlgorithm",
     "ExactOnPrefix",
     "PivotOnPrefix",
     "SamplingPlayer",
@@ -27,12 +25,6 @@ __all__ = [
     "make_player",
     "largest_prefix_for_budget",
 ]
-
-
-class QueryAlgorithm(Protocol):
-    name: str
-
-    def run(self, oracle, n: int) -> int: ...
 
 
 def largest_prefix_for_budget(n: int, budget: int) -> int:
@@ -148,7 +140,7 @@ def _points(line: str, tokens: list[str], n: int) -> list[int]:
     return points
 
 
-def make_player(name: str, budget: int, seed: int = 0) -> QueryAlgorithm:
+def make_player(name: str, budget: int, seed: int = 0):
     if name == "exact":
         return ExactOnPrefix(budget)
     if name == "pivot":

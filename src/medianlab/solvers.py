@@ -41,7 +41,6 @@ __all__ = [
     "SamplingInner",
     "solve_on_subset",
     "restrict_and_solve",
-    "sampling_baseline",
     "make_inner",
 ]
 
@@ -215,16 +214,6 @@ def restrict_and_solve(oracle, n: int, f_of_n: int, inner) -> SolverResult:
     s = subset_size(n, f_of_n)
     S = subset_schedule(n, s)
     return solve_on_subset(oracle, S, inner)
-
-
-def sampling_baseline(oracle, n: int, sample_size: int, rng_seed: int) -> SolverResult:
-    """Estimate a median from a seeded sample of candidates and evaluators.
-
-    Each of sample_size candidate points is scored against a seeded
-    evaluation sample of the same size.  With sample_size >= n the
-    routine degenerates to the exact brute-force median.
-    """
-    return SamplingInner(rng_seed, sample_size).solve(oracle, range(n))
 
 
 def make_inner(name: str, rng_seed: int = 0, sample_size: int | None = None):

@@ -146,37 +146,59 @@ def test_max_perm_degree_within_cap_plus_two():
 
 
 def test_anchor_survives_every_round():
+    # the graph after any round is perm plus a clique, so a permanent
+    # anchor edge lies in every one of them
     cert, _ = finished_game(n=24, degree=4, q=16)
-    for i in range(cert.rounds + 1):
-        adj = cert.snapshot_adjacency(i)
-        for u, v in cert.anchor_edges:
-            assert adj[u, v] and adj[v, u], (i, u, v)
+    assert any(cert.pruned_log)
+    for u, v in cert.anchor_edges:
+        assert cert.perm[u, v] and cert.perm[v, u], (u, v)
+
+
+def test_final_metric_walks_perm_with_the_alive_mask():
+    n, q = 32, 8
+    adv = Adversary(build_regular(n, 4, 4), q + n, minimal_cap(n, q + n, 4))
+    output = make_player("exact", budget=q, seed=4).run(CountingOracle(adv), n)
+    cert = adv.finalize(output)
+    assert cert.final_metric.adjacency is cert.perm
+    assert cert.final_metric.clique is adv._alive
+    assert np.array_equal(cert.final_metric.clique, cert.alive_after(cert.rounds))
+    assert not cert.final_metric.clique.all()
 
 
 def test_anchor_preserved_sees_one_lost_edge():
     cert, _ = finished_game(n=24, degree=4, q=16)
     assert verify_certificate(cert)["anchor_preserved"]
+    clique = cert.final_metric.clique
     for u, v in (cert.anchor_edges[0], cert.anchor_edges[-1]):
-        adj = cert.final_metric.adjacency.copy()
-        adj[u, v] = adj[v, u] = False
-        thinned = dataclasses.replace(cert, final_metric=HopMetric(adj))
+        perm = cert.perm.copy()
+        perm[u, v] = perm[v, u] = False
+        thinned = dataclasses.replace(cert, final_metric=HopMetric(perm, clique))
         assert not verify_certificate(thinned)["anchor_preserved"], (u, v)
     # losing a non-anchor edge is another check's business
-    u, v = map(int, np.argwhere(np.triu(cert.final_metric.adjacency & ~cert.perm))[0])
-    adj = cert.final_metric.adjacency.copy()
-    adj[u, v] = adj[v, u] = False
-    assert verify_certificate(dataclasses.replace(cert, final_metric=HopMetric(adj)))["anchor_preserved"]
+    anchor = np.zeros_like(cert.perm)
+    for u, v in cert.anchor_edges:
+        anchor[u, v] = anchor[v, u] = True
+    u, v = map(int, np.argwhere(np.triu(cert.perm & ~anchor))[0])
+    perm = cert.perm.copy()
+    perm[u, v] = perm[v, u] = False
+    assert verify_certificate(dataclasses.replace(cert, final_metric=HopMetric(perm, clique)))["anchor_preserved"]
 
 
 def test_snapshots_only_lose_edges():
+    # the graph after round i is perm plus a clique on alive_after(i), so
+    # it only loses edges when that mask only shrinks
     cert, _ = finished_game(n=24, degree=4, q=16)
-    prev = cert.snapshot_adjacency(0)
-    assert prev.sum() == 24 * 23  # complete arena before round one
+    prev = cert.alive_after(0)
+    assert prev.all()  # complete arena before round one
     for i in range(1, cert.rounds + 1):
-        cur = cert.snapshot_adjacency(i)
+        cur = cert.alive_after(i)
         assert not (cur & ~prev).any(), f"round {i} grew an edge"
+        assert np.flatnonzero(prev & ~cur).tolist() == list(cert.pruned_log[i - 1]), i
         prev = cur
-    assert (prev == cert.final_metric.adjacency).all()
+    assert not prev.all()
+    assert np.array_equal(prev, cert.final_metric.clique)
+    with pytest.raises(IndexError):
+        cert.alive_after(cert.rounds + 1)
 
 
 def test_good_point_bound_matches_certificate():
@@ -227,13 +249,14 @@ def test_path_discipline_detects_tampering():
     never_due = min(set(range(cert.n)) - pruned_ever)
     assert not verify_path_discipline(relogged({0: tuple(sorted(log[0] + (never_due,)))}))
 
-    # the final graph must keep every flexible edge between unpruned vertices
-    adj = cert.final_metric.adjacency.copy()
-    flexible = np.argwhere(np.triu(adj & ~cert.perm))
-    a, b = next((int(a), int(b)) for a, b in flexible if a not in pruned_ever and b not in pruned_ever)
-    adj[a, b] = adj[b, a] = False
-    thinned = dataclasses.replace(cert, final_metric=HopMetric(adj))
-    assert not verify_path_discipline(thinned)
+    # the final clique must hold exactly the vertices never pruned: one
+    # missing takes its flexible edges away, one pruned gives them back
+    alive = cert.final_metric.clique
+    for flipped in (never_due, v):
+        mask = alive.copy()
+        mask[flipped] = not mask[flipped]
+        forged = dataclasses.replace(cert, final_metric=HopMetric(cert.perm, mask))
+        assert not verify_path_discipline(forged), flipped
 
     # an extra round may not reopen an edge that pruning cut, even with
     # the permanent set, the log and the final graph forged to match
@@ -248,7 +271,7 @@ def test_path_discipline_detects_tampering():
         paths=cert.paths + ((v, w),),
         pruned_log=cert.pruned_log + ((v,),),
         perm=perm,
-        final_metric=HopMetric(cert.final_metric.adjacency | perm),
+        final_metric=HopMetric(perm, cert.final_metric.clique),
     )
     assert not verify_path_discipline(reopened)
 
@@ -344,7 +367,7 @@ class _DenseReference:
             self.answer(output, x)
         while len(self.answers) < self.rounds:
             self.answer(output, (output + 1) % self.n)
-        final = HopMetric(self.adj)
+        final = HopMetric(self.adj, np.zeros(self.n, dtype=bool))
         bad = tuple(int(v) for v in np.nonzero(self.perm_deg >= self.cap)[0])
         good = sorted(set(range(self.n)) - set(bad))
         return final, bad, final.cost_of(output), final.cheapest(good)
@@ -391,7 +414,10 @@ def test_matches_dense_reference():
         assert list(cert.paths) == ref.paths, game
         assert list(cert.pruned_log) == ref.pruned_log, game
         assert np.array_equal(cert.perm, ref.perm), game
-        assert np.array_equal(cert.final_metric.adjacency, final.adjacency), game
+        clique = cert.final_metric.clique
+        live = cert.final_metric.adjacency | (clique[:, None] & clique[None, :])
+        np.fill_diagonal(live, False)
+        assert np.array_equal(live, final.adjacency), game
         assert (cert.bad, cert.z_star_cost, cert.best_good) == (bad, z_cost, best_good), game
     # the streams reach the cases the two representations handle differently
     assert pruned_in_play >= 10
@@ -454,7 +480,7 @@ def test_replay_runs_one_row_per_long_source(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(metric_module, "bfs_hop_row", counted)
-    assert replay_verify(cert.transcript, HopMetric(cert.final_metric.adjacency))
+    assert replay_verify(cert.transcript, HopMetric(cert.perm, cert.final_metric.clique))
     long_sources = {e.a for e in cert.transcript if e.answer.units >= 2}
     assert len(calls) <= len(long_sources) + 1
     assert len({e.a for e in cert.transcript}) > len(long_sources) + 1  # one row per source breaks it

@@ -105,7 +105,7 @@ def _hop_metric(n=12):
     for i in range(n - 1):
         adj[i, i + 1] = adj[i + 1, i] = True
     adj[0, n // 2] = adj[n // 2, 0] = True
-    return HopMetric(adj)
+    return HopMetric(adj, np.zeros(n, dtype=bool))
 
 
 BACKINGS = {
@@ -323,8 +323,15 @@ def test_pair_by_pair_batch_rejects_answers_past_the_sum_bound():
 def test_hop_metric_keeps_its_adjacency_and_rejects_loops():
     adj = np.zeros((3, 3), dtype=bool)
     adj[0, 1] = adj[1, 0] = adj[1, 2] = adj[2, 1] = True
-    assert HopMetric(adj).adjacency is adj
+    none = np.zeros(3, dtype=bool)
+    h = HopMetric(adj, none)
+    assert h.adjacency is adj and h.clique is none
+    # the clique mask is one bool per vertex, never cast
+    for mask in (np.zeros(2, dtype=bool), np.zeros(4, dtype=bool), np.zeros((3, 1), dtype=bool),
+                 np.zeros(3, dtype=np.int64), np.ones(3, dtype=np.uint8), [0, 1, 1]):
+        with pytest.raises(ValueError, match="clique must be a bool mask of length 3"):
+            HopMetric(adj, mask)
     adj[2, 2] = True
     with pytest.raises(ValueError, match="empty diagonal"):
-        HopMetric(adj)
+        HopMetric(adj, none)
     assert graph_metric(3, [(0, 1), (1, 2)]).units[0, 2] == 2

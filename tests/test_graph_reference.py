@@ -30,7 +30,7 @@ def _dense_graph_metric(n, edges) -> MetricTable:
             raise ValueError("self loops are not allowed")
         adj[u, v] = True
         adj[v, u] = True
-    return HopMetric(adj).to_table(cap=n)
+    return HopMetric(adj, np.zeros(n, dtype=bool)).to_table(cap=n)
 
 
 def _floyd_table(n, rng) -> MetricTable:

@@ -109,6 +109,13 @@ def test_sweep_rejects_an_over_cap_config_before_building_any_instance(monkeypat
     ]
     with pytest.raises(ValueError, match=r"^n=5000 exceeds the brute-force cap 4096$"):
         sweep_upper_bound(configs)
+    # an unknown kind or inner name fails before any cell runs, too
+    for bad, message in (
+        (SweepConfig(kind="grid", n=2000, f_of_n=1, inner="nope"), r"^unknown inner routine 'nope'$"),
+        (SweepConfig(kind="nope", n=16, f_of_n=1, inner="exact"), r"^unknown instance kind 'nope' \(have "),
+    ):
+        with pytest.raises(ValueError, match=message):
+            sweep_upper_bound([SweepConfig(kind="grid", n=2000, f_of_n=1, inner="exact"), bad])
     assert built == []
 
 

@@ -36,7 +36,8 @@ from medianlab.metric import (
     validate_metric,
     Violation,
 )
-from medianlab.harness import ConstantBacking, generate_instance
+from medianlab.harness import ConstantBacking, generate_instance, play_adversary_game
+from medianlab.players import make_player
 
 from conftest import subset_size_grid
 
@@ -345,7 +346,7 @@ def test_hop_metric_agrees_with_table():
     adj = np.zeros((9, 9), dtype=bool)
     for i in range(8):
         adj[i, i + 1] = adj[i + 1, i] = True
-    h = HopMetric(adj)
+    h = HopMetric(adj, np.zeros(9, dtype=bool))
     assert h.distance(0, 8) == ExactDistance(8)
     assert h.cost_of(4) == sum(abs(4 - j) for j in range(9))
     assert (h.to_table().units == table.units).all()
@@ -369,7 +370,8 @@ def test_hop_distance_equals_row_entry():
     for trial in range(30):
         n = int(rng.integers(1, 20))
         adj = _random_connected_adjacency(rng, n, int(rng.integers(0, n * n // 2 + 1)))
-        h, rows = HopMetric(adj), HopMetric(adj)
+        none = np.zeros(n, dtype=bool)
+        h, rows = HopMetric(adj, none), HopMetric(adj, none)
         for a in range(n):
             for b in range(n):
                 assert h.distance(a, b) == ExactDistance(int(rows.row(a)[b])), (trial, a, b)
@@ -379,7 +381,7 @@ def test_hop_distance_raises_on_disconnected_graph():
     adj = np.zeros((3, 3), dtype=bool)
     adj[0, 1] = adj[1, 0] = True  # vertex 2 is cut off
     for a, b in ((0, 1), (1, 0), (2, 2), (0, 0)):
-        h = HopMetric(adj)
+        h = HopMetric(adj, np.zeros(3, dtype=bool))
         for _ in range(2):  # the failed check is not cached as a pass
             with pytest.raises(DisconnectedGraphError):
                 h.distance(a, b)
@@ -390,7 +392,7 @@ def test_hop_metric_cheapest_matches_argmin():
     for trial in range(20):
         n = int(rng.integers(4, 24))
         adj = _random_connected_adjacency(rng, n, n // 2)
-        h = HopMetric(adj)
+        h = HopMetric(adj, np.zeros(n, dtype=bool))
         costs = [h.cost_of(v) for v in range(n)]
         expect = min(range(n), key=lambda v: (costs[v], v))
         v, c = h.cheapest(range(n))
@@ -399,6 +401,57 @@ def test_hop_metric_cheapest_matches_argmin():
         cands = list(range(0, n, 2))
         expect_sub = min(cands, key=lambda v: (costs[v], v))
         assert h.cheapest(cands) == (expect_sub, costs[expect_sub])
+
+
+def _materialised(adj, clique):
+    """The same graph with the clique written out as edges, and no mask."""
+    full = adj | (clique[:, None] & clique[None, :])
+    np.fill_diagonal(full, False)
+    return HopMetric(full, np.zeros(len(adj), dtype=bool))
+
+
+def _assert_same_hop_metric(adj, clique, tag):
+    n = len(adj)
+    got, want = HopMetric(adj, clique), _materialised(adj, clique)
+    for a in range(n):
+        assert got.row(a).tolist() == want.row(a).tolist(), (tag, a)
+        assert got.cost_of(a) == want.cost_of(a), (tag, a)
+    # distance and cheapest on fresh metrics, so no cached row helps them
+    got, want = HopMetric(adj, clique), _materialised(adj, clique)
+    for a in range(n):
+        for b in range(n):
+            assert got.distance(a, b) == want.distance(a, b), (tag, a, b)
+    rng = np.random.default_rng(n)
+    candidate_lists = [range(n), [v for v in range(n) if clique[v]], [v for v in range(n) if not clique[v]]]
+    candidate_lists += [sorted(rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False)) for _ in range(4)]
+    for cands in candidate_lists:
+        if len(cands):
+            fresh = HopMetric(adj, clique)
+            assert fresh.cheapest(cands) == _materialised(adj, clique).cheapest(cands), (tag, list(cands))
+    assert HopMetric(adj, clique).to_table(cap=n) == want.to_table(cap=n), tag
+
+
+def test_hop_metric_clique_matches_materialised_graph():
+    rng = np.random.default_rng(11)
+    for trial in range(40):
+        n = int(rng.integers(2, 30))
+        adj = _random_connected_adjacency(rng, n, int(rng.integers(0, n)))
+        masks = {
+            "empty": np.zeros(n, dtype=bool),
+            "full": np.ones(n, dtype=bool),
+            "random": rng.random(n) < rng.uniform(0.1, 0.9),
+        }
+        for name, clique in masks.items():
+            _assert_same_hop_metric(adj, clique, (trial, name))
+
+
+def test_hop_metric_clique_matches_materialised_graph_in_finished_games():
+    pruned = 0
+    for n, q, algo, seed in ((32, 8, "exact", 4), (32, 48, "random", 1), (48, 24, "pivot", 2), (64, 96, "random", 3)):
+        cert, _ = play_adversary_game(n, q, 4, make_player(algo, budget=q, seed=seed), seed=seed, metric_axioms_cap=0)
+        pruned += int(np.count_nonzero(~cert.final_metric.clique))
+        _assert_same_hop_metric(cert.perm, cert.final_metric.clique, (n, q, algo))
+    assert pruned >= 8
 
 
 def test_line_metric():

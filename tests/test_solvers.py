@@ -18,7 +18,6 @@ from medianlab.solvers import (
     cost_ratio,
     make_inner,
     restrict_and_solve,
-    sampling_baseline,
     solve_on_subset,
     subset_schedule,
     subset_size,
@@ -196,13 +195,13 @@ def test_sampling_inner_is_seeded_and_bounded():
 def test_sampling_baseline_smoke():
     table = graph_metric(9, [(i, i + 1) for i in range(8)])
     o = CountingOracle(table)
-    res = sampling_baseline(o, 9, sample_size=3, rng_seed=1)
+    res = SamplingInner(rng_seed=1, sample_size=3).solve(o, range(9))
     assert 0 <= res.output < 9
     assert res.queries_used == o.queries_made <= 9
 
 
 # sha256 over the output, the query pairs and the claimed beta of
-# SamplingPlayer and sampling_baseline on a fixed set of cases, including
+# SamplingPlayer and SamplingInner on a fixed set of cases, including
 # the degenerate exact fallback; any change to the sampled points, their
 # order or the scoring moves it
 GOLDEN_SAMPLING = "b2e6c48f27c9aa60459498239fc2d217b0ecacc135faaf945d8f77922977c9fd"
@@ -219,7 +218,7 @@ def test_sampling_routines_golden():
     baseline_cases = [(9, 3, 1), (40, 6, 2), (12, 12, 0), (12, 20, 5), (25, 1, 9)]
     for n, k, seed in baseline_cases:
         o = CountingOracle(generate_instance("grid", n, seed))
-        res = sampling_baseline(o, n, sample_size=k, rng_seed=seed)
+        res = SamplingInner(rng_seed=seed, sample_size=k).solve(o, range(n))
         pairs = [(e.a, e.b) for e in o.transcript]
         digest.update(
             repr(("baseline", n, k, seed, res.output, res.queries_used, res.claimed_beta, pairs)).encode()
