@@ -36,6 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -82,10 +83,6 @@ class PadOverflowError(RuntimeError):
 def minimal_cap(n: int, rounds: int, degree: int) -> int:
     """Smallest integer cap C with C > 2*degree + 4*rounds/n."""
     return 2 * degree + (4 * rounds) // n + 1
-
-
-def _norm_edge(u: int, v: int) -> Edge:
-    return (u, v) if u < v else (v, u)
 
 
 class Adversary:
@@ -305,55 +302,90 @@ def verify_consistency(cert: Certificate, transcript: list[TranscriptEntry] | No
 def verify_path_discipline(cert: Certificate) -> bool:
     """Re-derive the permanence timeline and the pruning from the reply paths.
 
-    Checks, per round: the reply path contained at most one edge that
+    Checks, per round: the reply path repeats no edge, at most two of
+    its edges touch any one vertex, it contained at most one edge that
     was not yet permanent when it was picked, that edge did not touch a
-    pruned vertex, at most two of the path's edges touch any one vertex,
-    and the round pruned exactly the vertices whose permanent degree
-    first exceeded the cap in it.  The recomputed final permanent edge
-    set must match the recorded one, and the final metric must walk
-    those edges plus a clique on the vertices never pruned.
+    pruned vertex, and the round pruned exactly the vertices whose
+    permanent degree first exceeded the cap in it.  The recomputed final
+    permanent edge set must match the recorded one, and the final metric
+    must walk those edges plus a clique on the vertices never pruned.
+
+    The timeline depends on the paths and the anchor alone; the log is
+    only compared with it.  So every round is replayed at once, in
+    array passes over all path edges, and the verdict is the one a
+    round-by-round walk that stops at the first failing round gives.
     """
-    if len(cert.pruned_log) != len(cert.paths):
+    n, rounds = cert.n, len(cert.paths)
+    if len(cert.pruned_log) != rounds:
         return False
-    perm: set[Edge] = set(cert.anchor_edges)
-    degree = [0] * cert.n
-    for u, v in perm:
-        degree[u] += 1
-        degree[v] += 1
-    pruned_so_far: set[int] = set()
-    for path, pruned in zip(cert.paths, cert.pruned_log):
-        edges = [_norm_edge(u, v) for u, v in zip(path, path[1:])]
-        if len(edges) != len(set(edges)):
-            return False  # reply paths are simple
-        fresh = [e for e in edges if e not in perm]
-        if len(fresh) > 1:
-            return False
-        per_vertex: dict[int, int] = {}
-        for u, v in edges:
-            per_vertex[u] = per_vertex.get(u, 0) + 1
-            per_vertex[v] = per_vertex.get(v, 0) + 1
-        if per_vertex and max(per_vertex.values()) > 2:
-            return False
-        for u, v in fresh:
-            if u in pruned_so_far or v in pruned_so_far:
-                return False  # pruning cut every flexible edge at a pruned vertex
-            degree[u] += 1
-            degree[v] += 1
-        due = sorted({v for e in fresh for v in e if degree[v] > cert.cap})
-        if list(pruned) != due:
-            return False
-        pruned_so_far.update(due)
-        perm.update(edges)
-    us, vs = np.nonzero(np.triu(cert.perm, 1))
-    if set(zip(us.tolist(), vs.tolist())) != perm:
+    anchor = np.fromiter(chain.from_iterable(cert.anchor_edges), dtype=np.int64).reshape(-1, 2)
+    if ((anchor < 0) | (anchor >= n)).any():
         return False
-    # the log now matches the cap rule in every round, so the final
-    # metric must be the recorded edges plus the clique it never pruned
+    anchor_keys = np.unique(anchor[:, 0] * n + anchor[:, 1])
+
+    # every path edge, in round order, as a (u < v) key tagged with its round
+    lengths = np.fromiter(map(len, cert.paths), dtype=np.int64, count=rounds)
+    walk = np.fromiter(chain.from_iterable(cert.paths), dtype=np.int64, count=int(lengths.sum()))
+    if ((walk < 0) | (walk >= n)).any():
+        return False
+    step_round = np.repeat(np.arange(rounds), lengths)
+    inside = step_round[:-1] == step_round[1:]
+    u, v, edge_round = walk[:-1][inside], walk[1:][inside], step_round[:-1][inside]
+    lo, hi = np.minimum(u, v), np.maximum(u, v)
+    keys = lo * n + hi
+    if _occurs_over(1, edge_round, keys):
+        return False  # reply paths are simple
+    if _occurs_over(2, np.concatenate([edge_round, edge_round]), np.concatenate([u, v])):
+        return False  # at most two of a path's edges touch any one vertex
+
+    # an edge is fresh in the round of its first use, unless the anchor holds it
+    first = np.zeros(len(keys), dtype=bool)
+    first[np.unique(keys, return_index=True)[1]] = True
+    fresh = first & ~np.isin(keys, anchor_keys)
+    fresh_round = edge_round[fresh]
+    if (fresh_round[1:] == fresh_round[:-1]).any():
+        return False  # at most one fresh edge per round
+
+    # permanent degree after each fresh edge at each of its ends, in round order
+    touch_round = np.concatenate([fresh_round, fresh_round])
+    touched = np.concatenate([lo[fresh], hi[fresh]])
+    order = np.lexsort((touch_round, touched))
+    touch_round, touched = touch_round[order], touched[order]
+    rank = np.arange(len(touched)) - np.searchsorted(touched, touched) + 1
+    anchor_degree = np.bincount(np.concatenate([anchor_keys // n, anchor_keys % n]), minlength=n)
+    over = anchor_degree[touched] + rank > cert.cap
+    if np.bincount(touched[over], minlength=n).max(initial=0) > 1:
+        return False  # pruning cut every flexible edge at a pruned vertex
+    # the vertices due in each round are those first over the cap in it
+    due_round, due = touch_round[over], touched[over]
+    order = np.lexsort((due, due_round))
+    logged = np.fromiter(map(len, cert.pruned_log), dtype=np.int64, count=rounds)
+    if not np.array_equal(np.bincount(due_round, minlength=rounds), logged):
+        return False
+    if not np.array_equal(due[order], np.fromiter(chain.from_iterable(cert.pruned_log), dtype=np.int64)):
+        return False
+
+    # the recorded edge set is the anchor plus every path edge, and the
+    # final metric walks those edges plus the clique it never pruned
     final = cert.final_metric
-    return bool(
-        np.array_equal(final.adjacency, cert.perm)
-        and np.array_equal(final.clique, cert.alive_after(len(cert.pruned_log)))
-    )
+    if cert.perm.shape != (n, n) or final.adjacency.shape != (n, n):
+        return False
+    rows, cols = np.nonzero(cert.perm)
+    upper = rows < cols
+    if not np.array_equal(rows[upper] * n + cols[upper], np.union1d(anchor_keys, keys)):
+        return False
+    if final.adjacency is not cert.perm:  # one array equals itself without a pass
+        final_rows, final_cols = np.nonzero(final.adjacency)
+        if not (np.array_equal(final_rows, rows) and np.array_equal(final_cols, cols)):
+            return False
+    return bool(np.array_equal(final.clique, cert.alive_after(len(cert.pruned_log))))
+
+
+def _occurs_over(k: int, group: np.ndarray, values: np.ndarray) -> bool:
+    """True when some (group[i], values[i]) pair occurs more than k times."""
+    order = np.lexsort((values, group))
+    group, values = group[order], values[order]
+    return bool(((group[k:] == group[:-k]) & (values[k:] == values[:-k])).any())
 
 
 def good_point_bound(cert: Certificate) -> tuple[int, int]:

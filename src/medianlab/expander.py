@@ -31,7 +31,8 @@ import numpy as np
 import scipy.sparse.csgraph
 import scipy.sparse.linalg
 
-from .metric import DisconnectedGraphError, bfs_hop_row, edge_graph
+# perfbench/tracer.py wraps expander.bfs_hop_row by name, so the binding stays
+from .metric import DisconnectedGraphError, bfs_hop_row, edge_graph  # noqa: F401
 
 __all__ = [
     "InfeasibleError",
@@ -326,11 +327,26 @@ def _vertex_set(g: RegularGraph, vertices: Iterable[int]) -> list[int]:
 
 
 def bfs_levels(g: RegularGraph, root_set: Iterable[int]) -> list[list[int]]:
-    """BFS level sets from a multi-source root set; level 0 is the root set."""
+    """BFS level sets from a multi-source root set; level 0 is the root set.
+
+    One unweighted csgraph walk over ``g.csr`` plus a super-source joined
+    to every root: a vertex's level is its hop distance from the
+    super-source, less one.  Vertices no root reaches are in no level.
+    """
     roots = _vertex_set(g, root_set)
     if not roots:
         raise ValueError("root set is empty")
-    dist = bfs_hop_row(g.adjacency(), roots)
+    csr = g.csr
+    joined = scipy.sparse.csr_matrix(
+        (
+            np.concatenate([csr.data, np.ones(len(roots))]),
+            np.concatenate([csr.indices, roots]),
+            np.append(csr.indptr, csr.nnz + len(roots)),
+        ),
+        shape=(g.n + 1, g.n + 1),
+    )
+    hops = scipy.sparse.csgraph.shortest_path(joined, directed=False, unweighted=True, indices=g.n)[: g.n]
+    dist = np.where(np.isinf(hops), -1, hops - 1).astype(np.int64)
     return [np.flatnonzero(dist == k).tolist() for k in range(int(dist.max()) + 1)]
 
 

@@ -6,7 +6,7 @@ Points are plain 0-based ints.  The query protocol has two sides:
   ``distance(a, b) -> ExactDistance`` method.  It may also define
   ``distances(a, b) -> (units, eps)``, which answers the pairs
   ``(a[k], b[k])`` of two equal-length int arrays as two int64 arrays;
-  :class:`MetricTable` does, with two fancy-index reads;
+  :class:`MetricTable` and :class:`HopMetric` do;
 * an *oracle* has ``n``, a ``queries_made`` count, a
   ``query(a, b) -> ExactDistance`` method and a batch form
   ``query_many(a, b) -> (units, eps)``, and is all an algorithm under
@@ -25,7 +25,8 @@ backings are provided:
 * :class:`HopMetric`, shortest-path distances over a fixed undirected
   graph plus a clique given as a vertex mask, computed lazily one BFS
   row at a time; ``distance`` answers 0 and 1 from the two arrays
-  without a BFS,
+  without a BFS, and ``distances`` reads one row per source of a
+  longer answer,
 * :class:`LineMetric`, ``d(i, j) = |i - j|``, for budget measurements on
   spaces far too large to materialize.
 
@@ -75,6 +76,10 @@ __all__ = [
 
 PointId = int
 
+# HopMetric's symmetry check compares one t x t tile with its mirror at a
+# time: no n x n temporary, and the mirror's strided reads stay in cache
+_TILE = 256
+
 
 class DisconnectedGraphError(ValueError):
     """Raised when a graph that must be connected is not."""
@@ -98,7 +103,7 @@ class Violation:
 
 
 def bfs_hop_row(adjacency: np.ndarray, source, clique: np.ndarray | None = None) -> np.ndarray:
-    """Hop distances from source over a boolean adjacency matrix.
+    """Hop distances from source over a symmetric boolean adjacency matrix.
 
     ``source`` is one vertex or a list of vertices; every source sits at
     level 0.  Returns an int64 vector with -1 for unreachable vertices.
@@ -106,21 +111,38 @@ def bfs_hop_row(adjacency: np.ndarray, source, clique: np.ndarray | None = None)
     vertices without building them: once a frontier meets the mask, the
     whole mask is reached at the next level.  The result equals a walk
     over the materialised graph, with every two mask vertices adjacent.
-    The level expansion is a vectorized row-gather.
+
+    Each level is expanded in the cheaper direction (Beamer, Asanovic and
+    Patterson, SC 2012): top-down, a gather of the frontier's rows, while
+    the frontier holds no more vertices than remain unvisited; otherwise
+    bottom-up, a gather of the unvisited rows tested against the
+    frontier.  Bottom-up reads row v for the edges into v, so the matrix
+    must be symmetric; the caller guarantees it.
     """
     dist = np.full(adjacency.shape[0], -1, dtype=np.int64)
     dist[source] = 0
     frontier = dist == 0
+    unvisited = ~frontier
     level = 0
-    while frontier.any():
+    while True:
+        width, left = np.count_nonzero(frontier), np.count_nonzero(unvisited)
+        if not width or not left:
+            return dist
         level += 1
-        reach = adjacency[frontier].any(axis=0)
+        if width <= left:
+            reach = adjacency[frontier].any(axis=0)
+        else:
+            idx = np.flatnonzero(unvisited)
+            rows = adjacency[idx]
+            rows &= frontier
+            reach = np.zeros_like(frontier)
+            reach[idx] = rows.any(axis=1)
         if clique is not None and (frontier & clique).any():
             reach |= clique
             clique = None  # the whole mask is reached; no later level adds to it
-        frontier = reach & (dist < 0)
+        frontier = reach & unvisited
+        unvisited ^= frontier
         dist[frontier] = level
-    return dist
 
 
 class MetricTable:
@@ -189,6 +211,9 @@ class HopMetric:
     (replay checks, cost lookups) never pay for the full all-pairs
     matrix; a distance of 0 or 1 needs no row beyond the one
     connectivity check.  Both arrays are held as given, not copied.
+    The adjacency must be symmetric, which is checked tile by tile so
+    that no n x n temporary is made.  A point outside 0..n-1 raises
+    ``IndexError``.
     """
 
     def __init__(self, adjacency: np.ndarray, clique: np.ndarray):
@@ -197,18 +222,29 @@ class HopMetric:
             raise ValueError("adjacency must be square")
         if adjacency.diagonal().any():
             raise ValueError("adjacency must have an empty diagonal")
+        n, t = adjacency.shape[0], _TILE
+        for i in range(0, n, t):
+            for j in range(i, n, t):
+                if not np.array_equal(adjacency[i : i + t, j : j + t], adjacency[j : j + t, i : i + t].T):
+                    raise ValueError("adjacency must be symmetric")
         clique = np.asarray(clique)
         if clique.dtype != bool or clique.shape != adjacency.shape[:1]:
-            raise ValueError(f"clique must be a bool mask of length {adjacency.shape[0]}")
+            raise ValueError(f"clique must be a bool mask of length {n}")
         # no copy: callers hand over arrays they no longer change
         self.adjacency = adjacency
         self.clique = clique
-        self.n = adjacency.shape[0]
+        self.n = n
         self._rows: dict[int, np.ndarray] = {}
+
+    def _check_points(self, *points) -> None:
+        for p in points:
+            if not 0 <= p < self.n:
+                raise IndexError(f"point {p} outside space of size {self.n}")
 
     def row(self, a: PointId) -> np.ndarray:
         cached = self._rows.get(a)
         if cached is None:
+            self._check_points(a)
             cached = bfs_hop_row(self.adjacency, a, clique=self.clique)
             if (cached < 0).any():
                 raise DisconnectedGraphError(f"vertex {a} cannot reach the whole graph")
@@ -218,10 +254,33 @@ class HopMetric:
     def distance(self, a: PointId, b: PointId) -> ExactDistance:
         # the graph is loop-free, so 0 and 1 come from the two arrays; the
         # cached row(0) keeps a disconnected graph raising on every pair
+        self._check_points(a, b)
         if a == b or self.adjacency[a, b] or (self.clique[a] and self.clique[b]):
             self.row(0)
             return ExactDistance(0 if a == b else 1)
         return ExactDistance(int(self.row(a)[b]))
+
+    def distances(self, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Batch form of :meth:`distance`, computing the same rows.
+
+        Answers 0 and 1 come from the two arrays; a longer answer reads
+        the row of its source, one row per distinct source.
+        """
+        a, b = _as_pairs(a, b)
+        outside = (a < 0) | (a >= self.n) | (b < 0) | (b >= self.n)
+        if outside.any():
+            k = int(outside.argmax())
+            raise IndexError(f"pair ({a[k]}, {b[k]}) outside space of size {self.n}")
+        units = (a != b).astype(np.int64)
+        short = (a == b) | self.adjacency[a, b] | (self.clique[a] & self.clique[b])
+        if short.any():
+            self.row(0)
+        far = np.flatnonzero(~short)
+        order = far[np.argsort(a[far], kind="stable")]
+        sources, starts = np.unique(a[order], return_index=True)
+        for source, group in zip(sources.tolist(), np.split(order, starts[1:])):
+            units[group] = self.row(source)[b[group]]
+        return units, np.zeros_like(units)
 
     def cost_of(self, a: PointId) -> int:
         return int(self.row(a).sum())
@@ -281,8 +340,26 @@ class TranscriptEntry(NamedTuple):
 
 
 def replay_verify(transcript, metric) -> bool:
-    """True iff every recorded answer matches the metric it claims to describe."""
-    return all(metric.distance(e.a, e.b) == e.answer for e in transcript)
+    """True iff every recorded answer matches the metric it claims to describe.
+
+    An entry with a point outside 0..n-1 matches nothing, and makes the
+    replay False before any distance is asked.  A metric with
+    ``distances`` answers the whole transcript as one batch; any other
+    is asked entry by entry.
+    """
+    try:
+        a, b, units, eps = np.array(
+            [(e.a, e.b, e.answer.units, e.answer.eps_count) for e in transcript], dtype=np.int64
+        ).reshape(-1, 4).T
+    except OverflowError:
+        return False  # no point or answer in a metric of n points lies outside int64
+    if ((a < 0) | (a >= metric.n) | (b < 0) | (b >= metric.n)).any():
+        return False
+    distances = getattr(metric, "distances", None)
+    if distances is None:
+        return all(metric.distance(e.a, e.b) == e.answer for e in transcript)
+    got_units, got_eps = distances(a, b)
+    return bool(np.array_equal(got_units, units) and np.array_equal(got_eps, eps))
 
 
 def _as_pairs(a, b) -> tuple[np.ndarray, np.ndarray]:

@@ -1,5 +1,6 @@
 import ast
 import dataclasses
+import functools
 import os
 import random
 import subprocess
@@ -9,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import medianlab.adversary as adversary_module
 import medianlab.metric as metric_module
@@ -218,21 +221,77 @@ def test_consistency_detects_tampered_answer():
     assert not verify_consistency(cert)
 
 
+def _norm_edge(u, v):
+    return (u, v) if u < v else (v, u)
+
+
+def _per_round_path_discipline(cert):
+    """``verify_path_discipline`` as a per-round walk, as it stood; kept as the reference."""
+    if len(cert.pruned_log) != len(cert.paths):
+        return False
+    perm = set(cert.anchor_edges)
+    degree = [0] * cert.n
+    for u, v in perm:
+        degree[u] += 1
+        degree[v] += 1
+    pruned_so_far = set()
+    for path, pruned in zip(cert.paths, cert.pruned_log):
+        edges = [_norm_edge(u, v) for u, v in zip(path, path[1:])]
+        if len(edges) != len(set(edges)):
+            return False  # reply paths are simple
+        fresh = [e for e in edges if e not in perm]
+        if len(fresh) > 1:
+            return False
+        per_vertex = {}
+        for u, v in edges:
+            per_vertex[u] = per_vertex.get(u, 0) + 1
+            per_vertex[v] = per_vertex.get(v, 0) + 1
+        if per_vertex and max(per_vertex.values()) > 2:
+            return False
+        for u, v in fresh:
+            if u in pruned_so_far or v in pruned_so_far:
+                return False  # pruning cut every flexible edge at a pruned vertex
+            degree[u] += 1
+            degree[v] += 1
+        due = sorted({v for e in fresh for v in e if degree[v] > cert.cap})
+        if list(pruned) != due:
+            return False
+        pruned_so_far.update(due)
+        perm.update(edges)
+    us, vs = np.nonzero(np.triu(cert.perm, 1))
+    if set(zip(us.tolist(), vs.tolist())) != perm:
+        return False
+    # the log now matches the cap rule in every round, so the final
+    # metric must be the recorded edges plus the clique it never pruned
+    final = cert.final_metric
+    return bool(
+        np.array_equal(final.adjacency, cert.perm)
+        and np.array_equal(final.clique, cert.alive_after(len(cert.pruned_log)))
+    )
+
+
+def _discipline(cert):
+    """The library's verdict, required to equal the per-round reference's."""
+    got = verify_path_discipline(cert)
+    assert got == _per_round_path_discipline(cert)
+    return got
+
+
 def test_path_discipline_detects_tampering():
     cert, _ = finished_game(n=16, degree=4, q=4)
-    assert verify_path_discipline(cert)
+    assert _discipline(cert)
     # a non-simple walk can never be an answer path
     bad_paths = cert.paths[:-1] + ((0, 1, 0),)
     tampered = dataclasses.replace(cert, paths=bad_paths)
-    assert not verify_path_discipline(tampered)
+    assert not _discipline(tampered)
     # and the recorded permanent matrix must match the replayed timeline
     wiped = dataclasses.replace(cert, perm=np.zeros_like(cert.perm))
-    assert not verify_path_discipline(wiped)
+    assert not _discipline(wiped)
 
     # pruning must follow the cap rule round by round; this game prunes
     # two vertices, each of which loses some flexible edges
     cert, _ = finished_game(n=32, degree=4, q=8)
-    assert verify_path_discipline(cert)
+    assert _discipline(cert)
     log = list(cert.pruned_log)
     r = next(i for i, pruned in enumerate(log) if pruned)
     assert r + 1 < len(log)
@@ -242,21 +301,29 @@ def test_path_discipline_detects_tampering():
         return dataclasses.replace(cert, pruned_log=tuple(changes.get(i, p) for i, p in enumerate(log)))
 
     # one pruned vertex dropped, then the same vertex pruned a round late
-    assert not verify_path_discipline(relogged({r: log[r][1:]}))
-    assert not verify_path_discipline(relogged({r: log[r][1:], r + 1: tuple(sorted(log[r + 1] + (v,)))}))
+    assert not _discipline(relogged({r: log[r][1:]}))
+    assert not _discipline(relogged({r: log[r][1:], r + 1: tuple(sorted(log[r + 1] + (v,)))}))
     # a vertex that never reached the cap, pruned in round one
     pruned_ever = {u for pruned in log for u in pruned}
     never_due = min(set(range(cert.n)) - pruned_ever)
-    assert not verify_path_discipline(relogged({0: tuple(sorted(log[0] + (never_due,)))}))
+    assert not _discipline(relogged({0: tuple(sorted(log[0] + (never_due,)))}))
 
     # the final clique must hold exactly the vertices never pruned: one
     # missing takes its flexible edges away, one pruned gives them back
     alive = cert.final_metric.clique
+    w_free = next(u for u in range(cert.n) if u != v and not cert.perm[v, u])
     for flipped in (never_due, v):
         mask = alive.copy()
         mask[flipped] = not mask[flipped]
         forged = dataclasses.replace(cert, final_metric=HopMetric(cert.perm, mask))
-        assert not verify_path_discipline(forged), flipped
+        assert not _discipline(forged), flipped
+
+    # the final metric is audited by value: an equal copy of the edges
+    # passes, one extra edge fails
+    assert _discipline(dataclasses.replace(cert, final_metric=HopMetric(cert.perm.copy(), alive)))
+    grown = cert.perm.copy()
+    grown[v, w_free] = grown[w_free, v] = True
+    assert not _discipline(dataclasses.replace(cert, final_metric=HopMetric(grown, alive)))
 
     # an extra round may not reopen an edge that pruning cut, even with
     # the permanent set, the log and the final graph forged to match
@@ -273,7 +340,105 @@ def test_path_discipline_detects_tampering():
         perm=perm,
         final_metric=HopMetric(perm, cert.final_metric.clique),
     )
-    assert not verify_path_discipline(reopened)
+    assert not _discipline(reopened)
+
+    # a pruned vertex swapped for another keeps every round's count, and
+    # logged vertices trading rounds keep the final mask too
+    assert not _discipline(relogged({r: tuple(sorted(set(log[r]) - {v} | {never_due}))}))
+    reversed_log = iter([u for pruned in log for u in pruned][::-1])
+    traded = tuple(tuple(next(reversed_log) for _ in pruned) for pruned in log)
+    assert traded != cert.pruned_log
+    assert not _discipline(dataclasses.replace(cert, pruned_log=traded))
+
+    # an extra round over permanent edges alone may still not touch one
+    # vertex with three of its edges: a -> x -> b, around x to c, then x
+    x = never_due
+    a, b, c = np.flatnonzero(cert.perm[x])[:3].tolist()
+    around = cert.perm.copy()
+    around[x] = around[:, x] = False
+    hops = bfs_hop_row(around, c)
+    detour = [b]
+    while detour[-1] != c:
+        detour.append(int(np.flatnonzero(around[detour[-1]] & (hops == hops[detour[-1]] - 1))[0]))
+    three = dataclasses.replace(cert, paths=cert.paths + ((a, x, *detour, x),), pruned_log=cert.pruned_log + ((),))
+    assert not _discipline(three)
+
+    # an extra round with two fresh edges, forged into every other record
+    low = [u for u in range(cert.n) if u not in pruned_ever and cert.perm[u].sum() + 2 <= cert.cap]
+    p, s, t = next(
+        (p, s, t) for s in low for p in low for t in low
+        if len({p, s, t}) == 3 and not (cert.perm[p, s] or cert.perm[s, t])
+    )
+    perm = cert.perm.copy()
+    perm[p, s] = perm[s, p] = perm[s, t] = perm[t, s] = True
+    two_fresh = dataclasses.replace(
+        cert,
+        paths=cert.paths + ((p, s, t),),
+        pruned_log=cert.pruned_log + ((),),
+        perm=perm,
+        final_metric=HopMetric(perm, cert.final_metric.clique),
+    )
+    assert not _discipline(two_fresh)
+
+    # points outside the space are never part of a valid timeline
+    for forged_path in ((0, cert.n), (-1, 0)):
+        assert not verify_path_discipline(dataclasses.replace(cert, paths=cert.paths[:-1] + (forged_path,)))
+    assert not verify_path_discipline(dataclasses.replace(cert, anchor_edges=cert.anchor_edges + ((-1, 5),)))
+
+
+def test_path_discipline_matches_per_round_reference_on_finished_games():
+    for n, q, algo, seed in ((16, 4, "exact", 4), (32, 48, "random", 1), (64, 96, "pivot", 2), (256, 512, "random", 3)):
+        cert, _ = finished_game(n=n, degree=4, q=q, seed=seed, algo=algo)
+        assert any(cert.pruned_log)
+        assert _discipline(cert), (n, q, algo)
+
+
+@functools.cache
+def _edit_base(index):
+    n, q, algo, seed = ((32, 48, "random", 1), (24, 16, "exact", 4))[index]
+    return finished_game(n=n, degree=4, q=q, seed=seed, algo=algo)[0]
+
+
+@st.composite
+def _one_edit(draw):
+    """A finished certificate with one random edit to its paths or its pruning log.
+
+    A path loses, repeats or swaps one vertex; a round's log gains a
+    vertex, or one logged vertex is dropped, moved to another round or
+    swapped for another vertex.
+    """
+    cert = _edit_base(draw(st.integers(0, 1)))
+    r = draw(st.integers(0, len(cert.paths) - 1))
+    vertex = st.integers(0, cert.n - 1)
+    kind = draw(st.sampled_from(["drop", "duplicate", "swap", "add pruned", "drop pruned", "move pruned", "swap pruned"]))
+    if kind in ("drop", "duplicate", "swap"):
+        path = list(cert.paths[r])
+        i = draw(st.integers(0, len(path) - 1))
+        if kind == "drop":
+            del path[i]
+        elif kind == "duplicate":
+            path.insert(i, path[i])
+        else:
+            path[i] = draw(vertex)
+        return dataclasses.replace(cert, paths=cert.paths[:r] + (tuple(path),) + cert.paths[r + 1 :])
+    log = [list(pruned) for pruned in cert.pruned_log]
+    pruned_rounds = [i for i, pruned in enumerate(log) if pruned]
+    if kind == "add pruned" or not pruned_rounds:
+        log[r].insert(draw(st.integers(0, len(log[r]))), draw(vertex))
+    else:
+        src = draw(st.sampled_from(pruned_rounds))
+        moved = log[src].pop(draw(st.integers(0, len(log[src]) - 1)))
+        if kind == "swap pruned":
+            log[src] = sorted(log[src] + [draw(vertex)])
+        elif kind == "move pruned":
+            log[r] = sorted(log[r] + [moved]) if draw(st.booleans()) else log[r] + [moved]
+    return dataclasses.replace(cert, pruned_log=tuple(tuple(pruned) for pruned in log))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_one_edit())
+def test_path_discipline_matches_per_round_reference_after_one_edit(cert):
+    _discipline(cert)
 
 
 def test_answers_are_deterministic():

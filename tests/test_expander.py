@@ -20,7 +20,7 @@ from medianlab.expander import (
     default_lambda2_threshold,
     verify_level_decay,
 )
-from medianlab.metric import DisconnectedGraphError
+from medianlab.metric import DisconnectedGraphError, bfs_hop_row
 
 K4_EDGES = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
 C8_EDGES = [(i, (i + 1) % 8) for i in range(8)]
@@ -129,6 +129,58 @@ def test_bfs_helpers_reject_vertices_outside_the_graph():
         boundary_distance_sum(g, [0, 1, 99])
     with pytest.raises(ValueError, match="vertex -3 outside"):
         verify_level_decay(g, [0, 1, -3], 0.5)
+
+
+def _dense_bfs_levels(g, root_set):
+    """``bfs_levels`` as a dense walk, as it stood; kept as the reference."""
+    roots = expander._vertex_set(g, root_set)
+    if not roots:
+        raise ValueError("root set is empty")
+    dist = bfs_hop_row(g.adjacency(), roots)
+    return [np.flatnonzero(dist == k).tolist() for k in range(int(dist.max()) + 1)]
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def _level_graphs():
+    yield RegularGraph(8, 2, C8_EDGES)
+    yield RegularGraph(8, 2, [(0, 1), (1, 2), (2, 3), (3, 0), (4, 5), (5, 6), (6, 7), (7, 4)])  # two 4-cycles
+    yield RegularGraph(10, 4, expander._circulant_base(10, 4))
+    for n, d, seed in ((16, 4, 5), (24, 3, 1), (40, 6, 2), (96, 8, 3)):
+        yield build_regular(n, d, seed=seed)
+
+
+def test_bfs_level_helpers_match_the_dense_reference(monkeypatch):
+    rng = random.Random(11)
+    for g in _level_graphs():
+        sets = [[0], [g.n - 1], list(range(g.n)), [], [-1], [0, g.n]]
+        sets += [rng.sample(range(g.n), rng.randint(1, g.n // 2)) for _ in range(12)]
+        alphas = [Fraction(1, 100), g.expansion.alpha_lower if g.expansion else Fraction(1, 8), Fraction(99, 100), 0]
+        for vertices in sets:
+            got = [_outcome(bfs_levels, g, vertices), _outcome(boundary_distance_sum, g, vertices)]
+            got += [_outcome(verify_level_decay, g, vertices, alpha) for alpha in alphas]
+            with monkeypatch.context() as m:
+                m.setattr(expander, "bfs_levels", _dense_bfs_levels)
+                want = [_outcome(_dense_bfs_levels, g, vertices), _outcome(expander.boundary_distance_sum, g, vertices)]
+                want += [_outcome(expander.verify_level_decay, g, vertices, alpha) for alpha in alphas]
+            assert got == want, (g, vertices)
+
+
+def test_bfs_levels_stay_sparse():
+    g = RegularGraph(8192, 8, expander._circulant_base(8192, 8))
+    tracemalloc.start()
+    try:
+        levels = bfs_levels(g, [0])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(map(len, levels)) == g.n
+    assert peak < 8 * 2**20, peak  # one dense 8192 x 8192 bool copy is 64 MiB
 
 
 def test_boundary_distance_sum_full_set_rejected():

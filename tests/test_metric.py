@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import medianlab.metric as metric_module
 from medianlab import fileio
 from medianlab.distances import EPS, ONE, ZERO, ExactDistance
 from medianlab.fileio import (
@@ -25,6 +26,7 @@ from medianlab.metric import (
     MetricTable,
     QueryOutsideSubsetError,
     RestrictedOracle,
+    TranscriptEntry,
     bfs_hop_row,
     brute_force_cost,
     brute_force_median,
@@ -32,6 +34,7 @@ from medianlab.metric import (
     graph_metric,
     is_metric,
     median_cost,
+    replay_verify,
     sum_bound,
     validate_metric,
     Violation,
@@ -86,6 +89,85 @@ def test_bfs_clique_mask_matches_materialised_clique():
             got = bfs_hop_row(adj, source, clique=clique)
             want = bfs_hop_row(full, source)
             assert got.tolist() == want.tolist(), (trial, source)
+
+
+def _top_down_bfs_hop_row(adjacency, source, clique=None):
+    """``bfs_hop_row`` as it stood before the bottom-up step, kept as the reference."""
+    dist = np.full(adjacency.shape[0], -1, dtype=np.int64)
+    dist[source] = 0
+    frontier = dist == 0
+    level = 0
+    while frontier.any():
+        level += 1
+        reach = adjacency[frontier].any(axis=0)
+        if clique is not None and (frontier & clique).any():
+            reach |= clique
+            clique = None  # the whole mask is reached; no later level adds to it
+        frontier = reach & (dist < 0)
+        dist[frontier] = level
+    return dist
+
+
+def _random_symmetric(rng, n):
+    upper = np.triu(rng.random((n, n)) < rng.choice([0.0, 0.02, 0.1, 0.4, 0.9]), 1)
+    return upper | upper.T
+
+
+def _assert_same_rows(adj, clique, sources, tag):
+    for source in sources:
+        got = bfs_hop_row(adj, source, clique=clique)
+        want = _top_down_bfs_hop_row(adj, source, clique=clique)
+        assert got.dtype == want.dtype and got.tolist() == want.tolist(), (tag, source)
+
+
+def test_bfs_hop_row_matches_top_down_reference():
+    rng = np.random.default_rng(17)
+    sizes = list(range(1, 41)) + [64, 100, 137, 200]
+    for n in sizes:
+        adj = _random_symmetric(rng, n)
+        if n >= 4:  # two halves with no edge between them
+            half = n // 2
+            adj[:half, half:] = adj[half:, :half] = False
+        masks = {
+            "none": None,
+            "empty": np.zeros(n, dtype=bool),
+            "full": np.ones(n, dtype=bool),
+            "random": rng.random(n) < rng.uniform(0.1, 0.9),
+        }
+        sources = [0, n - 1, int(rng.integers(n)), sorted(set(rng.integers(n, size=3).tolist()))]
+        for name, clique in masks.items():
+            _assert_same_rows(adj, clique, sources, (n, name))
+
+
+def test_bfs_hop_row_matches_top_down_reference_in_finished_games():
+    for n, q, algo in ((256, 256, "exact"), (1024, 1024, "random")):
+        cert, _ = play_adversary_game(n, q, 8, make_player(algo, budget=q, seed=1), seed=1, metric_axioms_cap=0)
+        perm, alive = cert.perm, cert.final_metric.clique
+        assert not alive.all()
+        pruned = np.flatnonzero(~alive).tolist()
+        sources = list(range(0, n, 1 if n <= 256 else 16)) + pruned + [pruned[:3], [0, n - 1]]
+        _assert_same_rows(perm, alive, sources, (n, algo))
+        _assert_same_rows(perm, None, sources[::8], (n, algo, "perm only"))
+
+
+def test_bfs_hop_row_gathers_only_the_smaller_side():
+    # a near-clique: the frontier after one level is almost every vertex,
+    # so a top-down gather would copy almost the whole matrix
+    n = 1024
+    idx = np.arange(n)
+    adj = np.zeros((n, n), dtype=bool)
+    adj[idx, (idx + 1) % n] = adj[(idx + 1) % n, idx] = True
+    clique = np.ones(n, dtype=bool)
+    clique[::100] = False
+    for source in (0, 1, [0, 500]):
+        tracemalloc.start()
+        try:
+            row = bfs_hop_row(adj, source, clique=clique)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert row.tolist() == _top_down_bfs_hop_row(adj, source, clique=clique).tolist()
+        assert peak < n * n // 8, (source, peak)
 
 
 def test_brute_force_median_p4(p4):
@@ -375,6 +457,124 @@ def test_hop_distance_equals_row_entry():
         for a in range(n):
             for b in range(n):
                 assert h.distance(a, b) == ExactDistance(int(rows.row(a)[b])), (trial, a, b)
+
+
+def test_hop_distances_equal_per_pair_distance():
+    rng = np.random.default_rng(23)
+    for trial in range(30):
+        n = int(rng.integers(1, 25))
+        adj = _random_connected_adjacency(rng, n, int(rng.integers(0, n + 1)))
+        clique = rng.random(n) < rng.uniform(0.0, 0.7)
+        a, b = (ix.ravel() for ix in np.indices((n, n)))
+        units, eps = HopMetric(adj, clique).distances(a, b)
+        pairs = HopMetric(adj, clique)
+        want = [pairs.distance(x, y) for x, y in zip(a.tolist(), b.tolist())]
+        assert units.dtype == eps.dtype == np.int64
+        assert units.tolist() == [d.units for d in want], trial
+        assert not eps.any()
+
+
+def test_hop_distances_read_the_same_rows_as_per_pair_distance(monkeypatch):
+    rng = np.random.default_rng(29)
+    adj = _random_connected_adjacency(rng, 40, 10)
+    clique = rng.random(40) < 0.3
+    a, b = rng.integers(40, size=300), rng.integers(40, size=300)
+    rows = {}
+    real = metric_module.bfs_hop_row
+    for name in ("batch", "pairs"):
+        calls = []
+        monkeypatch.setattr(metric_module, "bfs_hop_row", lambda adj, s, clique=None: calls.append(s) or real(adj, s, clique=clique))
+        h = HopMetric(adj, clique)
+        if name == "batch":
+            h.distances(a, b)
+        else:
+            [h.distance(x, y) for x, y in zip(a.tolist(), b.tolist())]
+        rows[name] = sorted(calls)
+    assert rows["batch"] == rows["pairs"]
+    assert len(rows["batch"]) > 1
+
+
+def test_hop_distances_raise_on_disconnected_graph():
+    adj = np.zeros((3, 3), dtype=bool)
+    adj[0, 1] = adj[1, 0] = True  # vertex 2 is cut off
+    for a, b in (([0], [1]), ([1], [0]), ([2], [2]), ([0, 2], [2, 0])):
+        with pytest.raises(DisconnectedGraphError):
+            HopMetric(adj, np.zeros(3, dtype=bool)).distances(np.array(a), np.array(b))
+
+
+def test_hop_metric_rejects_points_outside_the_space():
+    adj = np.zeros((4, 4), dtype=bool)
+    for u, v in P4_EDGES:
+        adj[u, v] = adj[v, u] = True
+    h = HopMetric(adj, np.zeros(4, dtype=bool))
+    for p in (-1, 4):
+        with pytest.raises(IndexError):
+            h.row(p)
+        with pytest.raises(IndexError):
+            h.cost_of(p)
+        for a, b in ((p, 0), (0, p), (p, p)):
+            with pytest.raises(IndexError):
+                h.distance(a, b)
+            with pytest.raises(IndexError):
+                h.distances(np.array([1, a]), np.array([2, b]))
+    assert h.distance(3, 0) == ExactDistance(3)
+
+
+def test_replay_rejects_out_of_range_and_wrong_eps_entries():
+    adj = np.zeros((4, 4), dtype=bool)
+    for u, v in P4_EDGES:
+        adj[u, v] = adj[v, u] = True
+    honest = [TranscriptEntry(0, 3, ExactDistance(3)), TranscriptEntry(2, 1, ONE), TranscriptEntry(1, 1, ZERO)]
+
+    class Spy(HopMetric):
+        asked = 0
+
+        def distances(self, a, b):
+            Spy.asked += 1
+            return super().distances(a, b)
+
+    assert replay_verify(honest, Spy(adj, np.zeros(4, dtype=bool)))
+    assert Spy.asked == 1
+    # (-1, 0) wraps to d(3, 0) = 3 on a numpy row; it must match nothing
+    for forged in ((-1, 0, 3), (0, -1, 3), (4, 0, 1), (0, 2**70, 1)):
+        spy = Spy(adj, np.zeros(4, dtype=bool))
+        Spy.asked = 0
+        assert not replay_verify(honest + [TranscriptEntry(forged[0], forged[1], ExactDistance(forged[2]))], spy)
+        assert Spy.asked == 0, forged
+    assert not replay_verify(honest + [TranscriptEntry(0, 3, ExactDistance(3, 1))], Spy(adj, np.zeros(4, dtype=bool)))
+    assert not replay_verify([TranscriptEntry(0, 3, ExactDistance(2**70))], Spy(adj, np.zeros(4, dtype=bool)))
+    # a metric with no batch form is asked entry by entry, after the same range check
+    table = graph_metric(4, P4_EDGES)
+    assert replay_verify(honest, LineMetric(4))  # the path 0-1-2-3 is the line
+    assert not replay_verify([TranscriptEntry(-1, 0, ONE)], LineMetric(4))
+    assert replay_verify(honest, table)
+    assert not replay_verify([TranscriptEntry(-1, 0, ExactDistance(3))], table)
+    assert replay_verify([], table)
+
+
+def test_hop_metric_rejects_an_asymmetric_adjacency():
+    for n in (2, 5, 700):
+        adj = np.zeros((n, n), dtype=bool)
+        adj[0, n - 1] = True
+        with pytest.raises(ValueError, match="symmetric"):
+            HopMetric(adj, np.zeros(n, dtype=bool))
+        adj[n - 1, 0] = True
+        HopMetric(adj, np.zeros(n, dtype=bool))
+
+
+def test_hop_metric_symmetry_check_makes_no_square_temporary():
+    n = 2048
+    adj = np.zeros((n, n), dtype=bool)
+    idx = np.arange(n)
+    adj[idx, (idx + 1) % n] = adj[(idx + 1) % n, idx] = True
+    clique = np.zeros(n, dtype=bool)
+    tracemalloc.start()
+    try:
+        HopMetric(adj, clique)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * n // 8, peak
 
 
 def test_hop_distance_raises_on_disconnected_graph():
