@@ -17,8 +17,16 @@ edges plus a clique on the alive vertices, so it is never stored; the
 answer BFS and the final :class:`HopMetric` treat the alive set as a
 clique of their own.  A round only hardens edges between alive
 vertices, which were live already, so the live graph changes only when
-a vertex is pruned: ``answer`` keeps the last source's full hop row and
-reuses it until the next prune.
+a vertex is pruned: a round keeps the last source's full hop row, with
+the vertex list of each level it walked back through, and reuses both
+until the next prune.
+
+``answer`` serves one round; ``distances`` serves a batch of pairs in
+order as consecutive rounds, so a :class:`CountingOracle` hands it a
+player's whole ``query_many`` row, and ``finalize`` serves its padding
+as one such batch.  Each call checks that no anchor edge was lost after
+its last round, and a batch also checks before its first; the rounds
+in between are not checked one by one.
 
 The cost of the construction is that heavily queried vertices end up
 isolated behind their few permanent edges, far from everything, while
@@ -43,7 +51,7 @@ import numpy as np
 import scipy.sparse.csgraph
 
 from .distances import ExactDistance
-from .metric import HopMetric, TranscriptEntry, bfs_hop_row, is_metric, replay_verify
+from .metric import HopMetric, TranscriptEntry, _as_pairs, bfs_hop_row, is_metric, replay_verify
 from .expander import RegularGraph
 
 __all__ = [
@@ -115,8 +123,10 @@ class Adversary:
         self._perm[u, v] = self._perm[v, u] = True
         self._anchor_flat = u * n + v  # anchor cells of perm, flattened
         self._alive = np.ones(n, dtype=bool)
-        # (source, full hop row) of the last answer BFS; exact until a prune
-        self._hop_row: tuple[int, np.ndarray] | None = None
+        # the last answer BFS, exact until a prune: its source, full hop
+        # row, and per level walked back through, (sorted vertices, lowest
+        # alive one or n)
+        self._hop_row: tuple[int, np.ndarray, dict[int, tuple[np.ndarray, int]]] | None = None
 
         self.transcript: list[TranscriptEntry] = []
         self.paths: list[tuple[int, ...]] = []
@@ -128,6 +138,29 @@ class Adversary:
     def distance(self, a: int, b: int) -> ExactDistance:
         return ExactDistance(self.answer(a, b))
 
+    def distances(self, a, b) -> tuple[np.ndarray, np.ndarray]:
+        """Serve the pairs (a[k], b[k]) in order as consecutive rounds.
+
+        Returns the answers as int64 (units, eps) arrays, eps all zero.
+        A batch with a point outside 0..n-1, or with more pairs than
+        rounds left, raises before any pair is served.  The anchor is
+        checked before the first round and after the last, not per round.
+        """
+        a, b = _as_pairs(a, b)
+        left = self.rounds - self.rounds_served
+        if len(a) > left:
+            raise BudgetExhaustedError(f"a batch of {len(a)} rounds with {left} of {self.rounds} left")
+        outside = (a < 0) | (a >= self.n) | (b < 0) | (b >= self.n)
+        if outside.any():
+            k = int(outside.argmax())
+            raise IndexError(f"query ({a[k]}, {b[k]}) outside space of size {self.n}")
+        # a lost anchor cell that a later round of the batch hardens again
+        # would pass the check after the batch, so check before it too
+        self._check_anchor()
+        units = np.fromiter(map(self._serve, a.tolist(), b.tolist()), dtype=np.int64, count=len(a))
+        self._check_anchor()
+        return units, np.zeros_like(units)
+
     # -- play ----------------------------------------------------------
 
     def answer(self, a: int, b: int) -> int:
@@ -136,14 +169,25 @@ class Adversary:
             raise BudgetExhaustedError(f"all {self.rounds} rounds already served")
         if not (0 <= a < self.n and 0 <= b < self.n):
             raise IndexError(f"query ({a}, {b}) outside space of size {self.n}")
+        dist = self._serve(a, b)
+        self._check_anchor()
+        return dist
+
+    def _check_anchor(self) -> None:
+        # no round clears a perm cell, so an anchor cell is lost only by code
+        # outside the adversary, which never runs inside a call: reads at
+        # the ends of a call stand for one per round
+        if not self._perm.take(self._anchor_flat).all():
+            raise AssertionError("anchor edge lost")
+
+    def _serve(self, a: int, b: int) -> int:
+        """One round on points already checked: answer, mark the path, prune, record."""
         dist, path = self._distance_and_path(a, b)
         touched = self._mark_path(path)
         self.paths.append(tuple(path))
         self.pruned_log.append(self._prune(touched))
         self.transcript.append(TranscriptEntry(a, b, ExactDistance(dist)))
         self.rounds_served += 1
-        if not self._perm.take(self._anchor_flat).all():
-            raise AssertionError("anchor edge lost")
         return dist
 
     def _distance_and_path(self, a: int, b: int) -> tuple[int, list[int]]:
@@ -153,22 +197,34 @@ class Adversary:
         if (alive[a] and alive[b]) or perm[a, b]:
             return 1, [a, b]
         if self._hop_row is not None and self._hop_row[0] == a:
-            dist = self._hop_row[1]
+            _, dist, levels = self._hop_row
         else:
-            dist = bfs_hop_row(perm, a, clique=alive)
-            self._hop_row = (a, dist)
+            dist, levels = bfs_hop_row(perm, a, clique=alive), {}
+            self._hop_row = (a, dist, levels)
         if dist[b] < 0:
             raise AssertionError("adversary graph lost connectivity")
         # walk back choosing the lowest-index predecessor at every step;
-        # any shortest path is valid, this one is deterministic.  An
-        # alive vertex also neighbours every other alive vertex, and a
-        # is the only vertex at level 0.
+        # any shortest path is valid, this one is deterministic.  It is
+        # the first perm neighbour in the level below, unless the step
+        # starts at an alive vertex, which also neighbours every other
+        # alive vertex: then it is the lower of that and the level's
+        # lowest alive vertex.  a is the only vertex at level 0.
         path = [b]
         cur = b
-        while dist[cur] > 1:
-            row = perm[cur] | alive if alive[cur] else perm[cur]
-            cur = int(np.flatnonzero(row & (dist == dist[cur] - 1))[0])
-            path.append(cur)
+        for level in range(int(dist[b]) - 1, 0, -1):
+            below = levels.get(level)
+            if below is None:
+                vertices = np.flatnonzero(dist == level)
+                alive_there = vertices[alive.take(vertices)]
+                below = levels[level] = (vertices, int(alive_there[0]) if len(alive_there) else self.n)
+            vertices, lowest = below
+            hits = perm[cur].take(vertices)
+            k = int(hits.argmax())
+            step = int(vertices[k]) if hits[k] else self.n
+            if alive[cur] and lowest < step:
+                step = lowest
+            path.append(step)
+            cur = step
         path.append(a)
         path.reverse()
         return int(dist[b]), path
@@ -206,7 +262,7 @@ class Adversary:
 
         Padding first queries (output, x) for every point x, then
         repeats (output, output+1 mod n) until exactly ``rounds`` rounds
-        have been served.
+        have been served; the whole padding is one ``distances`` batch.
         """
         if not (0 <= output < self.n):
             raise IndexError(f"output {output} outside space of size {self.n}")
@@ -215,11 +271,9 @@ class Adversary:
                 f"{self.rounds - self.rounds_served} rounds left, "
                 f"padding needs {self.n}; configure rounds >= queries + n"
             )
-        for x in range(self.n):
-            self.answer(output, x)
-        filler = (output + 1) % self.n
-        while self.rounds_served < self.rounds:
-            self.answer(output, filler)
+        pad = np.full(self.rounds - self.rounds_served, (output + 1) % self.n, dtype=np.int64)
+        pad[: self.n] = np.arange(self.n)
+        self.distances(np.full(len(pad), output, dtype=np.int64), pad)
 
         # no copies: every later answer raises BudgetExhaustedError
         final = HopMetric(self._perm, self._alive)

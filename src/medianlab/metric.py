@@ -6,7 +6,10 @@ Points are plain 0-based ints.  The query protocol has two sides:
   ``distance(a, b) -> ExactDistance`` method.  It may also define
   ``distances(a, b) -> (units, eps)``, which answers the pairs
   ``(a[k], b[k])`` of two equal-length int arrays as two int64 arrays;
-  :class:`MetricTable` and :class:`HopMetric` do;
+  :class:`MetricTable` and :class:`HopMetric` do, and so does the
+  adaptive adversary, which serves a batch in order as consecutive
+  rounds, checks its anchor before and after a batch instead of after
+  every round, and serves its padding as one batch;
 * an *oracle* has ``n``, a ``queries_made`` count, a
   ``query(a, b) -> ExactDistance`` method and a batch form
   ``query_many(a, b) -> (units, eps)``, and is all an algorithm under
@@ -372,8 +375,9 @@ def _as_pairs(a, b) -> tuple[np.ndarray, np.ndarray]:
 def query_each(oracle, a, b) -> tuple[np.ndarray, np.ndarray]:
     """``query_many`` as one ``oracle.query`` call per pair, in order.
 
-    For oracles whose answers must come one at a time: an adaptive
-    backing, or a renaming that assigns names at first sight.  Raises
+    For oracles whose answers must come one at a time: a backing
+    without ``distances``, or a renaming that assigns names at first
+    sight.  Raises
     ``ValueError`` on an answer beyond ``sum_bound(oracle.n)``, whose
     int64 sums could wrap.
     """

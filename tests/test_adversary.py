@@ -555,23 +555,28 @@ def _random_queries(rng, n, q):
     return queries, hot
 
 
+def _dense_regime(game):
+    """Anchor, rounds, cap, query stream and output of one reference game."""
+    rng = random.Random(game)
+    d = rng.choice((3, 4))
+    n = rng.choice(range(8, 65, 2))
+    q = rng.randrange(n // 2, 4 * n)
+    rounds = q + n
+    cap = minimal_cap(n, rounds, d) + rng.choice((0, 0, 1, 3))
+    queries, hot = _random_queries(rng, n, q)
+    output = rng.choice(hot + [rng.randrange(n)])
+    return build_regular(n, d, game), rounds, cap, queries, output
+
+
 def test_matches_dense_reference():
     pruned_in_play = long_answers = 0
     for game in range(40):
-        rng = random.Random(game)
-        d = rng.choice((3, 4))
-        n = rng.choice(range(8, 65, 2))
-        q = rng.randrange(n // 2, 4 * n)
-        rounds = q + n
-        cap = minimal_cap(n, rounds, d) + rng.choice((0, 0, 1, 3))
-        anchor = build_regular(n, d, game)
+        anchor, rounds, cap, queries, output = _dense_regime(game)
         adv, ref = Adversary(anchor, rounds, cap), _DenseReference(anchor, rounds, cap)
-        queries, hot = _random_queries(rng, n, q)
         for a, b in queries:
             assert adv.answer(a, b) == ref.answer(a, b), (game, a, b)
             assert (adv.paths[-1], adv.pruned_log[-1]) == (ref.paths[-1], ref.pruned_log[-1]), (game, a, b)
         pruned_in_play += any(ref.pruned_log)
-        output = rng.choice(hot + [rng.randrange(n)])
         cert = adv.finalize(output)
         final, bad, z_cost, best_good = ref.finalize(output)
         long_answers += sum(dist >= 2 for dist in ref.answers)
@@ -607,21 +612,26 @@ def _source_sweeps(rng, n, q):
     return queries[:q]
 
 
+def _sweep_regime(game):
+    """Anchor, rounds, cap and source-sweep stream of one reference game."""
+    rng = random.Random(game)
+    d = rng.choice((3, 4))
+    n = rng.choice(range(8, 65, 2))
+    q = rng.randrange(2 * n, 4 * n)
+    rounds = q + n
+    cap = minimal_cap(n, rounds, d) + rng.choice((0, 1))
+    return build_regular(n, d, game), rounds, cap, _source_sweeps(rng, n, q)
+
+
 def test_matches_dense_reference_across_a_prune_in_play():
     # a row cached from a source must not answer for it after a prune;
     # the padding is never reached, so only play rounds are compared
     reasked = 0
     for game in range(20):
-        rng = random.Random(game)
-        d = rng.choice((3, 4))
-        n = rng.choice(range(8, 65, 2))
-        q = rng.randrange(2 * n, 4 * n)
-        rounds = q + n
-        cap = minimal_cap(n, rounds, d) + rng.choice((0, 1))
-        anchor = build_regular(n, d, game)
+        anchor, rounds, cap, queries = _sweep_regime(game)
         adv, ref = Adversary(anchor, rounds, cap), _DenseReference(anchor, rounds, cap)
         bfs_source, pruned_since = None, False
-        for a, b in _source_sweeps(rng, n, q):
+        for a, b in queries:
             assert adv.answer(a, b) == ref.answer(a, b), (game, a, b)
             assert (adv.paths[-1], adv.pruned_log[-1]) == (ref.paths[-1], ref.pruned_log[-1]), (game, a, b)
             if ref.answers[-1] >= 2:
@@ -631,6 +641,94 @@ def test_matches_dense_reference_across_a_prune_in_play():
             pruned_since = pruned_since or bool(ref.pruned_log[-1])
     # long answers from the last BFS source with a prune since its BFS
     assert reasked >= 20
+
+
+def _ask_in_batches(adv, queries, rng):
+    """Ask the stream through a CountingOracle in random batch sizes 1..3n.
+
+    Returns the number of batches with a prune before their last round,
+    whose later rounds must miss the cached hop row.
+    """
+    oracle = CountingOracle(adv)
+    early_prunes = k = 0
+    while k < len(queries):
+        batch = queries[k : k + rng.randint(1, 3 * adv.n)]
+        before = len(adv.pruned_log)
+        units, eps = oracle.query_many([a for a, _ in batch], [b for _, b in batch])
+        assert units.dtype == eps.dtype == np.int64 and not eps.any()
+        assert units.tolist() == [e.answer.units for e in adv.transcript[before:]]
+        early_prunes += any(adv.pruned_log[before:-1])
+        k += len(batch)
+    assert oracle.queries_made == adv.rounds_served == len(queries)
+    assert oracle.transcript == adv.transcript
+    return early_prunes
+
+
+def _same_game(adv, other):
+    return (
+        adv.transcript == other.transcript
+        and adv.paths == other.paths
+        and adv.pruned_log == other.pruned_log
+        and np.array_equal(adv._perm, other._perm)
+        and np.array_equal(adv._alive, other._alive)
+    )
+
+
+def test_batches_match_pair_by_pair_and_dense_reference():
+    # a batch is its pairs served in order as consecutive rounds, a
+    # prune inside it included
+    early_prunes = 0
+    for game in range(60):
+        if game < 40:
+            anchor, rounds, cap, queries, output = _dense_regime(game)
+        else:
+            (anchor, rounds, cap, queries), output = _sweep_regime(game - 40), None
+        pairwise, batched = Adversary(anchor, rounds, cap), Adversary(anchor, rounds, cap)
+        ref = _DenseReference(anchor, rounds, cap)
+        for a, b in queries:
+            pairwise.answer(a, b)
+            ref.answer(a, b)
+        early_prunes += _ask_in_batches(batched, queries, random.Random(1000 + game))
+        if output is not None:
+            pairwise.finalize(output)
+            batched.finalize(output)
+            ref.finalize(output)
+        assert _same_game(batched, pairwise), game
+        assert [e.answer.units for e in batched.transcript] == ref.answers, game
+        assert batched.paths == ref.paths, game
+        assert batched.pruned_log == ref.pruned_log, game
+        assert np.array_equal(batched._perm, ref.perm), game
+    assert early_prunes >= 30
+
+
+def test_failing_batch_serves_nothing():
+    adv = small_game(n=8, rounds=20)
+    oracle = CountingOracle(adv)
+    oracle.query_many([0, 1, 2], [3, 4, 5])
+
+    def state():
+        return (
+            adv.rounds_served, list(adv.transcript), list(adv.paths), list(adv.pruned_log),
+            adv._perm.tobytes(), oracle.queries_made, list(oracle.transcript),
+        )
+
+    before = state()
+    failing = [
+        ([0, 8], [1, 2], IndexError),
+        ([0, 1], [1, -1], IndexError),
+        ([0] * 18, [1] * 18, BudgetExhaustedError),  # 17 rounds are left
+    ]
+    for a, b, error in failing:
+        with pytest.raises(error):
+            oracle.query_many(a, b)
+        with pytest.raises(error):
+            adv.distances(a, b)
+        assert state() == before, (a, b)
+    units, _ = adv.distances([0] * 17, [1] * 17)
+    assert units.tolist() == [1] * 17 and adv.rounds_served == 20
+    with pytest.raises(BudgetExhaustedError):
+        adv.distances([0], [1])
+    assert adv.distances([], [])[0].shape == (0,)
 
 
 def test_replay_runs_one_row_per_long_source(monkeypatch):
@@ -681,13 +779,20 @@ def test_invariants_raise_under_optimize_flag():
 from medianlab.adversary import Adversary, minimal_cap
 from medianlab.expander import build_regular
 anchor = build_regular(8, 3, 4)
-adv = Adversary(anchor, 20, minimal_cap(8, 20, 3))
-u, v = anchor.edges[0]
-adv._perm[u, v] = adv._perm[v, u] = False
-try:
-    adv.answer(0, 1)
-except AssertionError as exc:
-    print(exc)
+u, v = anchor.edges[0]  # (0, 2)
+calls = [
+    lambda adv: adv.answer(0, 1),
+    lambda adv: adv.distances([0, 1, 3], [1, 3, 4]),
+    lambda adv: adv.distances([1, 0], [3, 2]),  # its second round hardens (0, 2) again
+    lambda adv: adv.finalize(5),
+]
+for call in calls:
+    adv = Adversary(anchor, 20, minimal_cap(8, 20, 3))
+    adv._perm[u, v] = adv._perm[v, u] = False
+    try:
+        call(adv)
+    except AssertionError as exc:
+        print(exc)
 """
     src = str(Path(__file__).resolve().parents[1] / "src")
     out = subprocess.run(
@@ -695,7 +800,7 @@ except AssertionError as exc:
         capture_output=True, text=True, check=True, timeout=120,
         env={**os.environ, "PYTHONPATH": src},
     )
-    assert out.stdout.strip() == "anchor edge lost"
+    assert out.stdout.split("\n") == ["anchor edge lost"] * 4 + [""]
 
 
 def test_no_assert_statements_in_the_library():
