@@ -45,13 +45,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 import scipy.sparse.csgraph
 
 from .distances import ExactDistance
-from .metric import HopMetric, TranscriptEntry, _as_pairs, bfs_hop_row, is_metric, replay_verify
+from .metric import HopMetric, TranscriptEntry, _as_pairs_in, bfs_hop_row, is_metric, replay_verify
 from .expander import RegularGraph
 
 __all__ = [
@@ -63,7 +63,6 @@ __all__ = [
     "minimal_cap",
     "verify_consistency",
     "verify_path_discipline",
-    "good_point_bound",
     "ball_growth_ok",
     "verify_certificate",
 ]
@@ -113,7 +112,6 @@ class Adversary:
             )
         self.n = n
         self.rounds = rounds
-        self.degree = degree
         self.cap = cap
         self.anchor = anchor
 
@@ -146,14 +144,10 @@ class Adversary:
         rounds left, raises before any pair is served.  The anchor is
         checked before the first round and after the last, not per round.
         """
-        a, b = _as_pairs(a, b)
+        a, b = _as_pairs_in(a, b, self.n)
         left = self.rounds - self.rounds_served
         if len(a) > left:
             raise BudgetExhaustedError(f"a batch of {len(a)} rounds with {left} of {self.rounds} left")
-        outside = (a < 0) | (a >= self.n) | (b < 0) | (b >= self.n)
-        if outside.any():
-            k = int(outside.argmax())
-            raise IndexError(f"query ({a[k]}, {b[k]}) outside space of size {self.n}")
         # a lost anchor cell that a later round of the batch hardens again
         # would pass the check after the batch, so check before it too
         self._check_anchor()
@@ -183,9 +177,9 @@ class Adversary:
     def _serve(self, a: int, b: int) -> int:
         """One round on points already checked: answer, mark the path, prune, record."""
         dist, path = self._distance_and_path(a, b)
-        touched = self._mark_path(path)
+        fresh = self._mark_path(path)
         self.paths.append(tuple(path))
-        self.pruned_log.append(self._prune(touched))
+        self.pruned_log.append(self._prune(fresh))
         self.transcript.append(TranscriptEntry(a, b, ExactDistance(dist)))
         self.rounds_served += 1
         return dist
@@ -229,27 +223,32 @@ class Adversary:
         path.reverse()
         return int(dist[b]), path
 
-    def _mark_path(self, path: Sequence[int]) -> set[int]:
+    def _mark_path(self, path: Sequence[int]) -> tuple[int, ...]:
+        """Harden the path's fresh edge and return its ends (lo, hi), or () if none.
+
+        A shortest live path takes at most one clique hop: two would have a shortcut.
+        """
         perm, alive = self._perm, self._alive
-        touched: set[int] = set()
+        fresh: tuple[int, ...] = ()
         for u, v in zip(path, path[1:]):
             if perm[u, v]:
                 continue
+            if fresh:
+                raise AssertionError("reply path has two fresh edges")
             if not (alive[u] and alive[v]):
                 raise AssertionError("reply path uses a missing edge")
             perm[u, v] = perm[v, u] = True
-            touched.add(u)
-            touched.add(v)
-        return touched
+            fresh = (min(u, v), max(u, v))
+        return fresh
 
-    def _prune(self, touched: Iterable[int]) -> tuple[int, ...]:
-        """Prune each touched vertex whose permanent degree is now over the cap.
+    def _prune(self, fresh: tuple[int, ...]) -> tuple[int, ...]:
+        """Prune each end of the fresh edge whose permanent degree is now over the cap.
 
         A pruned vertex leaves the alive clique and keeps only its
         permanent edges, so it is never touched again and never pruned
         twice.
         """
-        pruned = tuple(v for v in sorted(touched) if np.count_nonzero(self._perm[v]) > self.cap)
+        pruned = tuple(v for v in fresh if np.count_nonzero(self._perm[v]) > self.cap)
         if pruned:
             self._alive[list(pruned)] = False
             self._hop_row = None  # the live graph just lost edges
@@ -277,54 +276,68 @@ class Adversary:
 
         # no copies: every later answer raises BudgetExhaustedError
         final = HopMetric(self._perm, self._alive)
-        bad = tuple(int(v) for v in np.nonzero(self._perm.sum(axis=1) >= self.cap)[0])
-        good = sorted(set(range(self.n)) - set(bad))
-        if not good:
+        good = np.flatnonzero(~_went_bad(self._perm, self.cap))
+        if not len(good):
             raise AssertionError("fewer than half the points may go bad")
         z_cost = final.cost_of(output)
-        y, y_cost = final.cheapest(good)
         return Certificate(
             n=self.n,
-            rounds=self.rounds,
-            degree=self.degree,
+            degree=self.anchor.d,
             cap=self.cap,
             final_metric=final,
-            perm=self._perm,
             anchor_edges=self.anchor.edges,
             paths=tuple(self.paths),
             pruned_log=tuple(self.pruned_log),
             transcript=self.transcript,
-            bad=bad,
             z_star=output,
             z_star_cost=z_cost,
-            best_good=(y, y_cost),
-            ratio=Fraction(z_cost, y_cost),
+            best_good=final.cheapest(good.tolist()),
         )
+
+
+def _went_bad(perm: np.ndarray, cap: int) -> np.ndarray:
+    """The cap rule: mask of the vertices whose permanent degree reached C."""
+    return np.count_nonzero(perm, axis=1) >= cap
 
 
 @dataclass
 class Certificate:
-    """Everything needed to audit one finished game.
+    """Everything needed to audit one finished game, each fact stored once.
 
-    ``final_metric`` walks ``perm`` itself plus a clique on the vertices
-    never pruned, so a finished game holds one m x m matrix.
+    The fields hold the game's configuration, its record and its claims
+    (``z_star``, ``z_star_cost``, ``best_good``).  ``perm``, ``bad``,
+    ``rounds`` and ``ratio`` are read-only views of them: ``bad`` is read
+    from the permanent edges that path discipline audits.  ``final_metric``
+    walks ``perm`` plus a clique on the vertices never pruned.
     """
 
     n: int
-    rounds: int
     degree: int
     cap: int
     final_metric: HopMetric
-    perm: np.ndarray
     anchor_edges: tuple[Edge, ...]
     paths: tuple[tuple[int, ...], ...]
     pruned_log: tuple[tuple[int, ...], ...]
     transcript: list[TranscriptEntry]
-    bad: tuple[int, ...]
     z_star: int
     z_star_cost: int
     best_good: tuple[int, int]
-    ratio: Fraction
+
+    @property
+    def perm(self) -> np.ndarray:
+        return self.final_metric.adjacency
+
+    @property
+    def bad(self) -> tuple[int, ...]:
+        return tuple(np.flatnonzero(_went_bad(self.perm, self.cap)).tolist())
+
+    @property
+    def rounds(self) -> int:
+        return len(self.transcript)
+
+    @property
+    def ratio(self) -> Fraction:
+        return Fraction(self.z_star_cost, self.best_good[1])
 
     @property
     def max_perm_degree(self) -> int:
@@ -348,9 +361,9 @@ class Certificate:
 # -- auditors -----------------------------------------------------------
 
 
-def verify_consistency(cert: Certificate, transcript: list[TranscriptEntry] | None = None) -> bool:
+def verify_consistency(cert: Certificate) -> bool:
     """Every answer ever given equals the final metric's distance."""
-    return replay_verify(cert.transcript if transcript is None else transcript, cert.final_metric)
+    return replay_verify(cert.transcript, cert.final_metric)
 
 
 def verify_path_discipline(cert: Certificate) -> bool:
@@ -360,9 +373,9 @@ def verify_path_discipline(cert: Certificate) -> bool:
     its edges touch any one vertex, it contained at most one edge that
     was not yet permanent when it was picked, that edge did not touch a
     pruned vertex, and the round pruned exactly the vertices whose
-    permanent degree first exceeded the cap in it.  The recomputed final
-    permanent edge set must match the recorded one, and the final metric
-    must walk those edges plus a clique on the vertices never pruned.
+    permanent degree first exceeded the cap in it.  The final metric
+    must walk exactly the recomputed permanent edges plus a clique on
+    the vertices never pruned.
 
     The timeline depends on the paths and the anchor alone; the log is
     only compared with it.  So every round is replayed at once, in
@@ -419,19 +432,15 @@ def verify_path_discipline(cert: Certificate) -> bool:
     if not np.array_equal(due[order], np.fromiter(chain.from_iterable(cert.pruned_log), dtype=np.int64)):
         return False
 
-    # the recorded edge set is the anchor plus every path edge, and the
-    # final metric walks those edges plus the clique it never pruned
+    # the final metric walks the anchor plus every path edge, and the
+    # clique it never pruned
     final = cert.final_metric
-    if cert.perm.shape != (n, n) or final.adjacency.shape != (n, n):
+    if final.adjacency.shape != (n, n):
         return False
-    rows, cols = np.nonzero(cert.perm)
+    rows, cols = np.nonzero(final.adjacency)
     upper = rows < cols
     if not np.array_equal(rows[upper] * n + cols[upper], np.union1d(anchor_keys, keys)):
         return False
-    if final.adjacency is not cert.perm:  # one array equals itself without a pass
-        final_rows, final_cols = np.nonzero(final.adjacency)
-        if not (np.array_equal(final_rows, rows) and np.array_equal(final_cols, cols)):
-            return False
     return bool(np.array_equal(final.clique, cert.alive_after(len(cert.pruned_log))))
 
 
@@ -440,14 +449,6 @@ def _occurs_over(k: int, group: np.ndarray, values: np.ndarray) -> bool:
     order = np.lexsort((values, group))
     group, values = group[order], values[order]
     return bool(((group[k:] == group[:-k]) & (values[k:] == values[:-k])).any())
-
-
-def good_point_bound(cert: Certificate) -> tuple[int, int]:
-    """Recompute the cheapest point that never went bad."""
-    good = sorted(set(range(cert.n)) - set(cert.bad))
-    if not good:
-        raise ValueError("no good points to choose from")
-    return cert.final_metric.cheapest(good)
 
 
 def ball_growth_ok(cert: Certificate) -> bool:
@@ -498,24 +499,21 @@ def _hub_costs(cert: Certificate, points: Sequence[int]) -> list[int] | None:
 
 
 def _ratio_exact(cert: Certificate) -> bool:
-    """cost(z*), cost(y) and their ratio equal the hub graph's, exactly."""
-    costs = _hub_costs(cert, [cert.z_star, cert.best_good[0]])
-    if costs is None or costs != [cert.z_star_cost, cert.best_good[1]]:
-        return False
-    return cert.ratio == Fraction(*costs)
+    """cost(z*) and cost(y), whose quotient is the ratio, equal the hub graph's, exactly."""
+    return _hub_costs(cert, [cert.z_star, cert.best_good[0]]) == [cert.z_star_cost, cert.best_good[1]]
 
 
 def verify_certificate(cert: Certificate, metric_axioms_cap: int = 0) -> dict[str, bool]:
     """Run every per-game audit; all values must be True for a clean game."""
-    y, y_cost = good_point_bound(cert)
+    bad = _went_bad(cert.perm, cert.cap)
     checks = {
         "consistency": verify_consistency(cert),
         "path_discipline": verify_path_discipline(cert),
         "anchor_preserved": _anchor_preserved(cert),
-        "bad_at_most_half": 2 * len(cert.bad) <= cert.n,
+        "bad_at_most_half": 2 * int(np.count_nonzero(bad)) <= cert.n,
         "perm_degree_cap": cert.max_perm_degree <= cert.cap + 2,
         "ball_growth": ball_growth_ok(cert),
-        "best_good_matches": (y, y_cost) == cert.best_good,
+        "best_good_matches": cert.final_metric.cheapest(np.flatnonzero(~bad).tolist()) == cert.best_good,
         "ratio_exact": _ratio_exact(cert),
     }
     if metric_axioms_cap and cert.n <= metric_axioms_cap:

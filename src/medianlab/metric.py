@@ -269,11 +269,7 @@ class HopMetric:
         Answers 0 and 1 come from the two arrays; a longer answer reads
         the row of its source, one row per distinct source.
         """
-        a, b = _as_pairs(a, b)
-        outside = (a < 0) | (a >= self.n) | (b < 0) | (b >= self.n)
-        if outside.any():
-            k = int(outside.argmax())
-            raise IndexError(f"pair ({a[k]}, {b[k]}) outside space of size {self.n}")
+        a, b = _as_pairs_in(a, b, self.n)
         units = (a != b).astype(np.int64)
         short = (a == b) | self.adjacency[a, b] | (self.clique[a] & self.clique[b])
         if short.any():
@@ -372,6 +368,16 @@ def _as_pairs(a, b) -> tuple[np.ndarray, np.ndarray]:
     return a, b
 
 
+def _as_pairs_in(a, b, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``_as_pairs`` whose first pair with a point outside 0..n-1 raises ``IndexError``."""
+    a, b = _as_pairs(a, b)
+    outside = (a < 0) | (a >= n) | (b < 0) | (b >= n)
+    if outside.any():
+        k = int(outside.argmax())
+        raise IndexError(f"query ({a[k]}, {b[k]}) outside space of size {n}")
+    return a, b
+
+
 def query_each(oracle, a, b) -> tuple[np.ndarray, np.ndarray]:
     """``query_many`` as one ``oracle.query`` call per pair, in order.
 
@@ -423,11 +429,7 @@ class CountingOracle:
         that many ``query`` calls.  A backing with ``distances`` answers
         the whole batch in one call; any other is asked pair by pair.
         """
-        a, b = _as_pairs(a, b)
-        outside = (a < 0) | (a >= self.n) | (b < 0) | (b >= self.n)
-        if outside.any():
-            k = int(outside.argmax())
-            raise IndexError(f"query ({a[k]}, {b[k]}) outside space of size {self.n}")
+        a, b = _as_pairs_in(a, b, self.n)
         distances = getattr(self.backing, "distances", None)
         if distances is None:
             return query_each(self, a, b)
@@ -446,8 +448,7 @@ class RestrictedOracle:
 
     def __init__(self, oracle, allowed: Iterable[PointId]):
         self._oracle = oracle
-        self.allowed = frozenset(int(p) for p in allowed)
-        self._sorted = np.array(sorted(self.allowed), dtype=np.int64)
+        self._sorted = np.unique(np.fromiter(allowed, dtype=np.int64))
 
     @property
     def n(self) -> int:
@@ -458,7 +459,7 @@ class RestrictedOracle:
         return self._oracle.queries_made
 
     def query(self, a: PointId, b: PointId) -> ExactDistance:
-        if a not in self.allowed or b not in self.allowed:
+        if not self._allows(np.array([a, b], dtype=np.int64)).all():
             raise QueryOutsideSubsetError(f"query ({a}, {b}) leaves the allowed subset")
         return self._oracle.query(a, b)
 

@@ -13,6 +13,7 @@ in which case the tolerance is stated inline.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -200,6 +201,16 @@ def test_golden_game_certificates(adversary_games):
         digest.update(cert.perm.tobytes())
         digest.update(repr((cert.bad, cert.z_star, cert.best_good, cert.ratio)).encode())
     assert digest.hexdigest() == GOLDEN_GAME_CERTIFICATES
+
+
+def test_certificate_derives_bad_and_rounds(adversary_games):
+    # the bad set is a view of the audited permanent edges, never a claim
+    with pytest.raises(TypeError):
+        dataclasses.replace(adversary_games[0][1], bad=())
+    for params, cert, _ in adversary_games:
+        degree = cert.perm.sum(axis=1)
+        assert cert.bad == tuple(v for v in range(cert.n) if degree[v] >= cert.cap), params
+        assert cert.rounds == len(cert.transcript), params
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,6 @@ import os
 import random
 import subprocess
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +20,6 @@ from medianlab.adversary import (
     BudgetExhaustedError,
     PadOverflowError,
     ball_growth_ok,
-    good_point_bound,
     minimal_cap,
     verify_certificate,
     verify_consistency,
@@ -140,7 +138,7 @@ def test_certificate_checks_pass_across_algorithms():
             checks = verify_certificate(cert, metric_axioms_cap=64)
             assert all(checks.values()), (algo, q, checks)
             # replaying the player's own transcript against the final metric
-            assert verify_consistency(cert, oracle.transcript)
+            assert replay_verify(oracle.transcript, cert.final_metric)
 
 
 def test_max_perm_degree_within_cap_plus_two():
@@ -162,7 +160,7 @@ def test_final_metric_walks_perm_with_the_alive_mask():
     adv = Adversary(build_regular(n, 4, 4), q + n, minimal_cap(n, q + n, 4))
     output = make_player("exact", budget=q, seed=4).run(CountingOracle(adv), n)
     cert = adv.finalize(output)
-    assert cert.final_metric.adjacency is cert.perm
+    assert cert.perm is adv._perm
     assert cert.final_metric.clique is adv._alive
     assert np.array_equal(cert.final_metric.clique, cert.alive_after(cert.rounds))
     assert not cert.final_metric.clique.all()
@@ -204,9 +202,16 @@ def test_snapshots_only_lose_edges():
         cert.alive_after(cert.rounds + 1)
 
 
-def test_good_point_bound_matches_certificate():
+def test_best_good_is_the_cheapest_good_point():
     cert, _ = finished_game(n=24, degree=4, q=16)
-    assert good_point_bound(cert) == cert.best_good
+    costs = {v: cert.final_metric.cost_of(v) for v in range(cert.n) if v not in cert.bad}
+    y = min(costs, key=lambda v: (costs[v], v))
+    assert cert.best_good == (y, costs[y])
+    # a claim moved to the next-cheapest good point, with its true cost
+    runner_up = min((c, v) for v, c in costs.items() if v != y)
+    checks = verify_certificate(dataclasses.replace(cert, best_good=runner_up[::-1]))
+    assert not checks["best_good_matches"]
+    assert checks["ratio_exact"]
 
 
 def test_ball_growth_bound():
@@ -284,8 +289,8 @@ def test_path_discipline_detects_tampering():
     bad_paths = cert.paths[:-1] + ((0, 1, 0),)
     tampered = dataclasses.replace(cert, paths=bad_paths)
     assert not _discipline(tampered)
-    # and the recorded permanent matrix must match the replayed timeline
-    wiped = dataclasses.replace(cert, perm=np.zeros_like(cert.perm))
+    # and the final metric's edges must match the replayed timeline
+    wiped = dataclasses.replace(cert, final_metric=HopMetric(np.zeros_like(cert.perm), cert.final_metric.clique))
     assert not _discipline(wiped)
 
     # pruning must follow the cap rule round by round; this game prunes
@@ -326,7 +331,7 @@ def test_path_discipline_detects_tampering():
     assert not _discipline(dataclasses.replace(cert, final_metric=HopMetric(grown, alive)))
 
     # an extra round may not reopen an edge that pruning cut, even with
-    # the permanent set, the log and the final graph forged to match
+    # the log and the final graph forged to match
     w = next(
         u for u in range(cert.n)
         if u != v and not cert.perm[v, u] and u not in pruned_ever and cert.perm[u].sum() < cert.cap
@@ -337,7 +342,6 @@ def test_path_discipline_detects_tampering():
         cert,
         paths=cert.paths + ((v, w),),
         pruned_log=cert.pruned_log + ((v,),),
-        perm=perm,
         final_metric=HopMetric(perm, cert.final_metric.clique),
     )
     assert not _discipline(reopened)
@@ -375,7 +379,6 @@ def test_path_discipline_detects_tampering():
         cert,
         paths=cert.paths + ((p, s, t),),
         pruned_log=cert.pruned_log + ((),),
-        perm=perm,
         final_metric=HopMetric(perm, cert.final_metric.clique),
     )
     assert not _discipline(two_fresh)
@@ -462,6 +465,19 @@ def test_live_backing_counts_rounds():
     oracle.query(0, 1)
     assert adv.rounds_served == 2
     assert oracle.queries_made == 2
+
+
+def test_a_round_hardens_at_most_one_edge():
+    adv = small_game()
+    perm = adv._perm.copy()
+    p, s, t = next(
+        (p, s, t) for s in range(adv.n) for p in range(adv.n) for t in range(adv.n)
+        if len({p, s, t}) == 3 and not (perm[p, s] or perm[s, t])
+    )
+    assert adv._mark_path([p, s]) == (min(p, s), max(p, s))
+    adv._perm[:] = perm
+    with pytest.raises(AssertionError, match="two fresh edges"):
+        adv._mark_path([p, s, t])
 
 
 def test_answers_never_shrink_per_pair():
@@ -763,9 +779,8 @@ def test_ratio_exact_recomputes_both_costs():
     assert verify_certificate(cert)["ratio_exact"]
     z, (y, y_cost) = cert.z_star_cost, cert.best_good
     forged = [
-        dataclasses.replace(cert, z_star_cost=z + 1, ratio=Fraction(z + 1, y_cost)),
-        dataclasses.replace(cert, best_good=(y, y_cost - 1), ratio=Fraction(z, y_cost - 1)),
-        dataclasses.replace(cert, ratio=cert.ratio + 1),
+        dataclasses.replace(cert, z_star_cost=z + 1),
+        dataclasses.replace(cert, best_good=(y, y_cost - 1)),
     ]
     for tampered in forged:
         checks = verify_certificate(tampered)
