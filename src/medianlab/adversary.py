@@ -21,6 +21,13 @@ a vertex is pruned: a round keeps the last source's full hop row, with
 the vertex list of each level it walked back through, and reuses both
 until the next prune.
 
+A round is one pass.  The branch that picks the answer also names the
+reply path's one edge that may not be permanent yet: none for 0, the
+pair itself for 1 between two alive ends not yet joined, and for a
+longer answer the walk-back's one clique hop, or its last step into the
+source if that is not permanent.  Only that edge is hardened and only
+its two ends are held against the cap.
+
 ``answer`` serves one round; ``distances`` serves a batch of pairs in
 order as consecutive rounds, so a :class:`CountingOracle` hands it a
 player's whole ``query_many`` row, and ``finalize`` serves its padding
@@ -42,6 +49,7 @@ permanent, at most two per vertex, so few vertices can ever go bad.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
@@ -68,6 +76,9 @@ __all__ = [
 ]
 
 Edge = tuple[int, int]
+
+# answers are frozen, so one instance per hop distance serves every round
+_exact = functools.cache(ExactDistance)
 
 
 class BadConstantError(ValueError):
@@ -134,7 +145,7 @@ class Adversary:
     # -- backing interface, so a CountingOracle can front the game -----
 
     def distance(self, a: int, b: int) -> ExactDistance:
-        return ExactDistance(self.answer(a, b))
+        return _exact(self.answer(a, b))
 
     def distances(self, a, b) -> tuple[np.ndarray, np.ndarray]:
         """Serve the pairs (a[k], b[k]) in order as consecutive rounds.
@@ -175,37 +186,47 @@ class Adversary:
             raise AssertionError("anchor edge lost")
 
     def _serve(self, a: int, b: int) -> int:
-        """One round on points already checked: answer, mark the path, prune, record."""
-        dist, path = self._distance_and_path(a, b)
-        fresh = self._mark_path(path)
-        self.paths.append(tuple(path))
-        self.pruned_log.append(self._prune(fresh))
-        self.transcript.append(TranscriptEntry(a, b, ExactDistance(dist)))
+        """One round on points already checked: answer, harden the fresh edge, prune, record."""
+        perm, alive = self._perm, self._alive
+        if a == b:
+            dist, path, fresh = 0, (a,), None
+        elif perm[a, b]:
+            dist, path, fresh = 1, (a, b), None
+        elif alive[a] and alive[b]:
+            dist, path, fresh = 1, (a, b), (a, b)
+        else:
+            dist, path, fresh = self._walk_back(a, b)
+        self.paths.append(path)
+        self.pruned_log.append(() if fresh is None else self._harden(*fresh))
+        self.transcript.append(TranscriptEntry(a, b, _exact(dist)))
         self.rounds_served += 1
         return dist
 
-    def _distance_and_path(self, a: int, b: int) -> tuple[int, list[int]]:
-        if a == b:
-            return 0, [a]
+    def _walk_back(self, a: int, b: int) -> tuple[int, tuple[int, ...], Edge | None]:
+        """A long answer: its hop distance, reply path, and the path's fresh edge or None.
+
+        The path walks back from b choosing the lowest-index predecessor
+        at every step; any shortest path is valid, this one is
+        deterministic.  A step is the first perm neighbour in the level
+        below, unless it starts at an alive vertex, which also neighbours
+        every other alive vertex: then it is the lower of that and the
+        level's lowest alive vertex, a clique hop.  a is the only vertex
+        at level 0.  A clique hop taken that way, or a last step into a
+        that is not permanent, is the only edge that can be fresh.
+        """
         perm, alive = self._perm, self._alive
-        if (alive[a] and alive[b]) or perm[a, b]:
-            return 1, [a, b]
         if self._hop_row is not None and self._hop_row[0] == a:
             _, dist, levels = self._hop_row
         else:
             dist, levels = bfs_hop_row(perm, a, clique=alive), {}
             self._hop_row = (a, dist, levels)
-        if dist[b] < 0:
+        hops = int(dist[b])
+        if hops < 0:
             raise AssertionError("adversary graph lost connectivity")
-        # walk back choosing the lowest-index predecessor at every step;
-        # any shortest path is valid, this one is deterministic.  It is
-        # the first perm neighbour in the level below, unless the step
-        # starts at an alive vertex, which also neighbours every other
-        # alive vertex: then it is the lower of that and the level's
-        # lowest alive vertex.  a is the only vertex at level 0.
-        path = [b]
+        path = [a] * hops + [b]
+        fresh = None
         cur = b
-        for level in range(int(dist[b]) - 1, 0, -1):
+        for level in range(hops - 1, 0, -1):
             below = levels.get(level)
             if below is None:
                 vertices = np.flatnonzero(dist == level)
@@ -217,38 +238,35 @@ class Adversary:
             step = int(vertices[k]) if hits[k] else self.n
             if alive[cur] and lowest < step:
                 step = lowest
-            path.append(step)
-            cur = step
-        path.append(a)
-        path.reverse()
-        return int(dist[b]), path
+                fresh = self._only_fresh(fresh, cur, step)
+            elif step == self.n:
+                raise AssertionError("reply path uses a missing edge")
+            path[level] = cur = step
+        if not perm[cur, a]:
+            fresh = self._only_fresh(fresh, cur, a)
+        return hops, tuple(path), fresh
 
-    def _mark_path(self, path: Sequence[int]) -> tuple[int, ...]:
-        """Harden the path's fresh edge and return its ends (lo, hi), or () if none.
+    def _only_fresh(self, fresh: Edge | None, u: int, v: int) -> Edge:
+        """(u, v) as the path's fresh edge: a clique hop, and the path's first.
 
         A shortest live path takes at most one clique hop: two would have a shortcut.
         """
-        perm, alive = self._perm, self._alive
-        fresh: tuple[int, ...] = ()
-        for u, v in zip(path, path[1:]):
-            if perm[u, v]:
-                continue
-            if fresh:
-                raise AssertionError("reply path has two fresh edges")
-            if not (alive[u] and alive[v]):
-                raise AssertionError("reply path uses a missing edge")
-            perm[u, v] = perm[v, u] = True
-            fresh = (min(u, v), max(u, v))
-        return fresh
+        if fresh is not None:
+            raise AssertionError("reply path has two fresh edges")
+        if not (self._alive[u] and self._alive[v]):
+            raise AssertionError("reply path uses a missing edge")
+        return u, v
 
-    def _prune(self, fresh: tuple[int, ...]) -> tuple[int, ...]:
-        """Prune each end of the fresh edge whose permanent degree is now over the cap.
+    def _harden(self, u: int, v: int) -> tuple[int, ...]:
+        """Make the fresh edge permanent and prune each end now over the cap, lower end first.
 
         A pruned vertex leaves the alive clique and keeps only its
         permanent edges, so it is never touched again and never pruned
         twice.
         """
-        pruned = tuple(v for v in fresh if np.count_nonzero(self._perm[v]) > self.cap)
+        perm = self._perm
+        perm[u, v] = perm[v, u] = True
+        pruned = tuple(x for x in ((u, v) if u < v else (v, u)) if np.count_nonzero(perm[x]) > self.cap)
         if pruned:
             self._alive[list(pruned)] = False
             self._hop_row = None  # the live graph just lost edges
@@ -433,13 +451,16 @@ def verify_path_discipline(cert: Certificate) -> bool:
         return False
 
     # the final metric walks the anchor plus every path edge, and the
-    # clique it never pruned
+    # clique it never pruned.  Its adjacency is symmetric with an empty
+    # diagonal, so holding every recomputed (u < v) edge and no more
+    # cells than those edges fill is the same edge set.
     final = cert.final_metric
     if final.adjacency.shape != (n, n):
         return False
-    rows, cols = np.nonzero(final.adjacency)
-    upper = rows < cols
-    if not np.array_equal(rows[upper] * n + cols[upper], np.union1d(anchor_keys, keys)):
+    rows, cols = np.divmod(np.union1d(anchor_keys, keys), n)
+    if not ((rows < cols).all() and final.adjacency[rows, cols].all()):
+        return False
+    if np.count_nonzero(final.adjacency) != 2 * len(rows):
         return False
     return bool(np.array_equal(final.clique, cert.alive_after(len(cert.pruned_log))))
 
@@ -506,6 +527,7 @@ def _ratio_exact(cert: Certificate) -> bool:
 def verify_certificate(cert: Certificate, metric_axioms_cap: int = 0) -> dict[str, bool]:
     """Run every per-game audit; all values must be True for a clean game."""
     bad = _went_bad(cert.perm, cert.cap)
+    good = np.flatnonzero(~bad).tolist()  # empty when the cap marks every vertex bad
     checks = {
         "consistency": verify_consistency(cert),
         "path_discipline": verify_path_discipline(cert),
@@ -513,7 +535,7 @@ def verify_certificate(cert: Certificate, metric_axioms_cap: int = 0) -> dict[st
         "bad_at_most_half": 2 * int(np.count_nonzero(bad)) <= cert.n,
         "perm_degree_cap": cert.max_perm_degree <= cert.cap + 2,
         "ball_growth": ball_growth_ok(cert),
-        "best_good_matches": cert.final_metric.cheapest(np.flatnonzero(~bad).tolist()) == cert.best_good,
+        "best_good_matches": bool(good) and cert.final_metric.cheapest(good) == cert.best_good,
         "ratio_exact": _ratio_exact(cert),
     }
     if metric_axioms_cap and cert.n <= metric_axioms_cap:

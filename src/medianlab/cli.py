@@ -18,6 +18,7 @@ exits 1.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -263,7 +264,9 @@ def _global_options(parser: argparse.ArgumentParser, suppress: bool) -> None:
         parser.set_defaults(seed=0, out=None, brute_force_cap=4096)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process and shared by every ``main`` call; do not change it."""
     parser = argparse.ArgumentParser(
         prog="medianlab",
         description="Budgeted metric 1-median selection, adversarial lower-bound games, and their audits.",

@@ -2,7 +2,8 @@
 
 A player is anything with a ``name`` attribute and a
 ``run(oracle, n) -> int`` method: it may call ``oracle.query(a, b)``
-with 0-based points of an n-point space and must finally return one
+or ``oracle.query_many(a, b)`` with 0-based points of an n-point space
+and must finally return one
 point as its median guess.  Players are deterministic given their
 constructor arguments, which is what makes every game replayable.
 """
@@ -72,7 +73,12 @@ class SamplingPlayer:
 
 
 class RandomFuzzer:
-    """Spends the whole budget on seeded uniform queries, answers ignored."""
+    """Spends the whole budget on seeded uniform queries, answers ignored.
+
+    The pairs are drawn first, a then b for each, and asked as one
+    ``query_many`` batch; the answers are ignored, so the transcript is
+    the one the same pairs asked one ``query`` at a time would give.
+    """
 
     def __init__(self, budget: int, seed: int):
         self.budget = budget
@@ -81,8 +87,8 @@ class RandomFuzzer:
 
     def run(self, oracle, n: int) -> int:
         rng = random.Random(self.seed)
-        for _ in range(self.budget):
-            oracle.query(rng.randrange(n), rng.randrange(n))
+        pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(self.budget)]
+        oracle.query_many([a for a, _ in pairs], [b for _, b in pairs])
         return rng.randrange(n)
 
 

@@ -330,6 +330,31 @@ def test_path_discipline_detects_tampering():
     grown[v, w_free] = grown[w_free, v] = True
     assert not _discipline(dataclasses.replace(cert, final_metric=HopMetric(grown, alive)))
 
+    # the final edge set is audited cell by cell: an edge inside the
+    # never-pruned clique changes no distance and still fails, and so
+    # does a hardened edge taken away
+    inside = np.flatnonzero(alive)
+    x, y = next((x, y) for x in inside for y in inside if x < y and not cert.perm[x, y])
+    extra = cert.perm.copy()
+    extra[x, y] = extra[y, x] = True
+    assert not _discipline(dataclasses.replace(cert, final_metric=HopMetric(extra, alive)))
+    anchor = set(cert.anchor_edges)
+    x, y = next(_norm_edge(u, w) for path in cert.paths for u, w in zip(path, path[1:]) if _norm_edge(u, w) not in anchor)
+    missing = cert.perm.copy()
+    missing[x, y] = missing[y, x] = False
+    assert not _discipline(dataclasses.replace(cert, final_metric=HopMetric(missing, alive)))
+    # both at once keep the count of cells
+    extra[x, y] = extra[y, x] = False
+    assert extra.sum() == cert.perm.sum()
+    assert not _discipline(dataclasses.replace(cert, final_metric=HopMetric(extra, alive)))
+    # the anchor's pairs are read as given: (w, u) for (u, w) is no anchor
+    # edge, even one that no reply path walks
+    walked = {_norm_edge(u, w) for path in cert.paths for u, w in zip(path, path[1:])}
+    k = next(k for k, edge in enumerate(cert.anchor_edges) if edge not in walked)
+    u, w = cert.anchor_edges[k]
+    flipped = cert.anchor_edges[:k] + ((w, u),) + cert.anchor_edges[k + 1 :]
+    assert not _discipline(dataclasses.replace(cert, anchor_edges=flipped))
+
     # an extra round may not reopen an edge that pruning cut, even with
     # the log and the final graph forged to match
     w = next(
@@ -467,17 +492,59 @@ def test_live_backing_counts_rounds():
     assert oracle.queries_made == 2
 
 
+def _tampered_row(adv, levels):
+    """Stand a hop row for source levels[0] in for the BFS: levels[k] at hop k."""
+    dist = np.full(adv.n, -1, dtype=np.int64)
+    for hop, v in enumerate(levels):
+        dist[v] = hop
+    adv._hop_row = (levels[0], dist, {})
+
+
 def test_a_round_hardens_at_most_one_edge():
     adv = small_game()
     perm = adv._perm.copy()
-    p, s, t = next(
-        (p, s, t) for s in range(adv.n) for p in range(adv.n) for t in range(adv.n)
-        if len({p, s, t}) == 3 and not (perm[p, s] or perm[s, t])
+    p, s = next((p, s) for p in range(adv.n) for s in range(p) if not perm[p, s])
+    assert adv.answer(p, s) == 1 and adv.paths[-1] == (p, s)
+    perm[p, s] = perm[s, p] = True
+    assert np.array_equal(adv._perm, perm)
+
+    # a row that walks b -> s -> t -> a takes the clique hop (s, t) and
+    # then the clique hop (t, a): two fresh edges
+    adv = small_game()
+    perm = adv._perm
+    n = range(adv.n)
+    a, t, s, b = next(
+        (a, t, s, b) for a in n for t in n for s in n for b in n
+        if len({a, t, s, b}) == 4 and perm[b, s] and not (perm[s, t] or perm[t, a] or perm[a, b])
     )
-    assert adv._mark_path([p, s]) == (min(p, s), max(p, s))
-    adv._perm[:] = perm
+    adv._alive[b] = False
+    _tampered_row(adv, [a, t, s, b])
     with pytest.raises(AssertionError, match="two fresh edges"):
-        adv._mark_path([p, s, t])
+        adv.answer(a, b)
+
+    # a row that walks b -> s -> a ends in a clique hop into a pruned a
+    adv = small_game()
+    perm = adv._perm
+    a, s, b = next(
+        (a, s, b) for a in n for s in n for b in n
+        if len({a, s, b}) == 3 and perm[b, s] and not (perm[s, a] or perm[a, b])
+    )
+    adv._alive[a] = False
+    _tampered_row(adv, [a, s, b])
+    with pytest.raises(AssertionError, match="missing edge"):
+        adv.answer(a, b)
+
+    # and one whose pruned b has no live edge into the level below
+    adv = small_game()
+    perm = adv._perm
+    a, s, b = next(
+        (a, s, b) for a in n for s in n for b in n
+        if len({a, s, b}) == 3 and not (perm[b, s] or perm[a, b])
+    )
+    adv._alive[b] = False
+    _tampered_row(adv, [a, s, b])
+    with pytest.raises(AssertionError, match="missing edge"):
+        adv.answer(a, b)
 
 
 def test_answers_never_shrink_per_pair():
@@ -772,6 +839,13 @@ def test_hub_graph_costs_match_the_final_metric():
             assert any(cert.pruned_log)
             costs = adversary_module._hub_costs(cert, range(cert.n))
             assert costs == [cert.final_metric.cost_of(v) for v in range(cert.n)], (algo, q)
+
+
+def test_verdicts_when_the_cap_marks_every_vertex_bad():
+    cert, _ = finished_game(n=32, degree=4, q=8)
+    checks = verify_certificate(dataclasses.replace(cert, cap=0))
+    assert isinstance(checks, dict)
+    assert not checks["bad_at_most_half"] and not checks["best_good_matches"]
 
 
 def test_ratio_exact_recomputes_both_costs():

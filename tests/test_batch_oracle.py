@@ -18,7 +18,7 @@ from medianlab.adversary import Adversary, minimal_cap
 from medianlab.distances import ZERO, ExactDistance
 from medianlab.expander import build_regular
 from medianlab.harness import ConstantBacking, generate_instance
-from medianlab.lowerbound import glue_metric
+from medianlab.lowerbound import glue_metric, run_renamed
 from medianlab.metric import (
     CountingOracle,
     HopMetric,
@@ -31,6 +31,7 @@ from medianlab.metric import (
     median_cost,
     sum_bound,
 )
+from medianlab.players import RandomFuzzer
 from medianlab.solvers import ExactInner, PivotInner, SamplingInner, SolverResult, restrict_and_solve
 
 
@@ -81,6 +82,16 @@ def _reference_sampling_solve(inner, oracle, S):
     score = {c: sum((oracle.query(c, e) for e in evaluation), ZERO) for c in candidates}
     output = min(candidates, key=lambda c: (score[c], c))
     return SolverResult(output, oracle.queries_made - before, None)
+
+
+class _PerPairFuzzer(RandomFuzzer):
+    """``RandomFuzzer`` as it stood: one ``query`` per drawn pair."""
+
+    def run(self, oracle, n):
+        rng = random.Random(self.seed)
+        for _ in range(self.budget):
+            oracle.query(rng.randrange(n), rng.randrange(n))
+        return rng.randrange(n)
 
 
 # -- backings -----------------------------------------------------------
@@ -272,6 +283,30 @@ def test_solvers_match_reference_against_a_live_adversary():
         assert solve(new, range(6)) == reference(ref, range(6))
         assert new.transcript == ref.transcript
         assert new.backing.paths == ref.backing.paths
+
+
+@pytest.mark.parametrize("budget", [0, 1, 40])
+def test_fuzzer_batch_matches_per_pair_queries(budget):
+    # over a table and over the adversary, directly and renamed: the one
+    # batch asks, charges and records what the pair-by-pair loop did
+    for seed in range(3):
+        for make in (lambda: _eps_table(10, seed), lambda: _adversary(q=40, seed=seed)):
+            ref, new = CountingOracle(make()), CountingOracle(make())
+            n = ref.n
+            assert RandomFuzzer(budget, seed).run(new, n) == _PerPairFuzzer(budget, seed).run(ref, n)
+            assert new.queries_made == ref.queries_made == budget
+            assert new.transcript == ref.transcript
+            if isinstance(ref.backing, Adversary):
+                assert new.backing.paths == ref.backing.paths
+                assert new.backing.pruned_log == ref.backing.pruned_log
+        # names are given at first sight, at most 2 * budget + 1 of them
+        ref, new = (CountingOracle(_adversary(n=81, q=40, seed=seed)) for _ in range(2))
+        got = run_renamed(RandomFuzzer(budget, seed), new, 200, 40)
+        want = run_renamed(_PerPairFuzzer(budget, seed), ref, 200, 40)
+        assert (got.output, got.output_name, got.queries_used) == (want.output, want.output_name, budget)
+        assert got.renaming.mapping == want.renaming.mapping
+        assert got.inner_transcript == want.inner_transcript
+        assert new.transcript == ref.transcript
 
 
 def test_table_path_reads_no_single_entry(monkeypatch):
