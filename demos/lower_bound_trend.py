@@ -24,7 +24,7 @@ def main() -> None:
         report = hard_instance_game(player, n=n, q=q, degree=8, seed=2)
         assert report.all_ok
         print(
-            f"{n:>6} {q:>5} {report.m:>6} {report.queries_used:>8}"
+            f"{n:>6} {q:>5} {report.certificate.n:>6} {report.queries_used:>8}"
             f" {report.ratio_float:>8.3f} {report.f_hat:>6.3f}"
         )
         if previous is not None:

@@ -115,8 +115,7 @@ class Adversary:
             raise ValueError("the game needs at least two points")
         if rounds < 1:
             raise ValueError("the game needs at least one round")
-        # strict inequality, checked exactly: C*n > 2*d*n + 4*rounds
-        if cap * n <= 2 * degree * n + 4 * rounds:
+        if cap < minimal_cap(n, rounds, degree):
             raise BadConstantError(
                 f"cap {cap} must exceed 2*{degree} + 4*{rounds}/{n} = "
                 f"{Fraction(2 * degree * n + 4 * rounds, n)}"

@@ -36,8 +36,8 @@ from .harness import (
 )
 from .lowerbound import _fraction_text, hard_instance_game
 from .metric import CountingOracle, brute_force_cost, brute_force_median, validate_metric
-from .players import StreamPlayer, make_player
-from .solvers import cost_ratio, make_inner, restrict_and_solve, subset_size, transfer_bound
+from .players import PLAYERS, StreamPlayer, make_player
+from .solvers import INNERS, cost_ratio, make_inner, restrict_and_solve, subset_size, transfer_bound
 
 __all__ = ["main", "build_parser"]
 
@@ -278,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="approximate a median under a query budget", parents=[common])
     p.add_argument("--metric", required=True, help="metric file (triangular text or .json)")
-    p.add_argument("--inner", choices=("exact", "pivot", "sampling"), default="exact")
+    p.add_argument("--inner", choices=tuple(INNERS), default="exact")
     p.add_argument("--f-of-n", type=int, required=True, help="budget divisor f; subset size is ceil(n/sqrt(f))")
     p.add_argument("--sample-size", type=int, default=None, help="candidate count for the sampling inner")
     p.set_defaults(func=_cmd_solve)
@@ -294,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--C", type=int, default=None, help="pruning threshold (default: smallest valid)")
     p.add_argument(
         "--algo",
-        choices=("exact", "pivot", "sampling", "random", "extern"),
+        choices=(*PLAYERS, "extern"),
         default="exact",
         help="extern speaks QUERY/ANSWER/OUTPUT lines on stdio",
     )
@@ -304,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=4096)
     p.add_argument("--q", type=int, default=None, help="query budget (default: n/log2 n)")
     p.add_argument("--d", type=int, default=8, help="anchor expander degree (must be even)")
-    p.add_argument("--algo", choices=("exact", "pivot", "sampling", "random"), default="exact")
+    p.add_argument("--algo", choices=tuple(PLAYERS), default="exact")
     p.add_argument("--sweep", default=None, help="comma-separated sizes; emits one row per size")
     p.set_defaults(func=_cmd_lowerbound)
 

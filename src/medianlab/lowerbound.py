@@ -24,23 +24,12 @@ from fractions import Fraction
 
 import numpy as np
 
-from .adversary import (
-    Adversary,
-    Certificate,
-    minimal_cap,
-    verify_certificate,
-)
+# perfbench/tracer.py wraps lowerbound.build_regular and .verify_certificate by name, so the bindings stay
+from .adversary import Certificate, verify_certificate  # noqa: F401
 from .distances import EPS, ExactDistance, eps_float, eps_value
-from .expander import InfeasibleError, build_regular
-from .metric import (
-    CountingOracle,
-    HopMetric,
-    MetricTable,
-    TranscriptEntry,
-    is_metric,
-    query_each,
-    replay_verify,
-)
+from .expander import InfeasibleError, build_regular  # noqa: F401
+from .harness import play_adversary_game
+from .metric import HopMetric, MetricTable, TranscriptEntry, is_metric, query_each, replay_verify
 
 __all__ = [
     "BudgetExceededError",
@@ -220,20 +209,14 @@ def glue_metric(base: HopMetric | MetricTable, y: int, n: int) -> GluedMetric:
 
 @dataclass
 class GameReport:
-    """Outcome and audit trail of one hard-instance game."""
+    """Outcome and audit trail of one hard-instance game; the arena's facts are the certificate's."""
 
     n: int
     q: int
-    m: int
-    degree: int
-    cap: int
     seed: int
     algorithm: str
     queries_used: int
     names_used: int
-    z_star: int
-    y: int
-    dist_z_y: int
     glued_cost_z: ExactDistance
     glued_cost_y: ExactDistance
     ratio: Fraction
@@ -247,19 +230,20 @@ class GameReport:
         return all(self.checks.values())
 
     def to_json_dict(self) -> dict:
+        cert = self.certificate
         return {
             "n": self.n,
             "q": self.q,
-            "m": self.m,
-            "degree": self.degree,
-            "cap": self.cap,
+            "m": cert.n,
+            "degree": cert.degree,
+            "cap": cert.cap,
             "seed": self.seed,
             "algorithm": self.algorithm,
             "queries_used": self.queries_used,
             "names_used": self.names_used,
-            "z_star": self.z_star + 1,
-            "best_good": self.y + 1,
-            "dist_z_y": self.dist_z_y,
+            "z_star": cert.z_star + 1,
+            "best_good": cert.best_good[0] + 1,
+            "dist_z_y": _dist_z_y(cert),
             "glued_cost_z": {"units": self.glued_cost_z.units, "eps_count": self.glued_cost_z.eps_count},
             "glued_cost_y": {"units": self.glued_cost_y.units, "eps_count": self.glued_cost_y.eps_count},
             "ratio": self.ratio_float,
@@ -267,6 +251,11 @@ class GameReport:
             "f_hat": self.f_hat,
             "checks": dict(sorted(self.checks.items())),
         }
+
+
+def _dist_z_y(cert: Certificate) -> int:
+    """d(z*, y) on the arena, from z*'s row, which finalize already computed."""
+    return int(cert.final_metric.row(cert.z_star)[cert.best_good[0]])
 
 
 def _fraction_text(value: Fraction) -> str:
@@ -283,20 +272,36 @@ def _fraction_text(value: Fraction) -> str:
         sys.set_int_max_str_digits(limit)
 
 
+class _RenamedPlayer:
+    """Plays an algorithm meant for n points on the arena, through the renamer."""
+
+    def __init__(self, algorithm, n: int, budget: int):
+        self.algorithm = algorithm
+        self.name = getattr(algorithm, "name", type(algorithm).__name__)
+        self.n = n
+        self.budget = budget
+        self.renamed: RenamedRun | None = None
+
+    def run(self, oracle, m: int) -> int:
+        self.renamed = run_renamed(self.algorithm, oracle, self.n, self.budget)
+        return self.renamed.output_name
+
+
 def hard_instance_game(
     algorithm,
     n: int,
     q: int,
     degree: int = 8,
-    cap: int | None = None,
     seed: int = 0,
     metric_axioms_cap: int = 512,
 ) -> GameReport:
     """Play one full lower-bound game and audit every step.
 
-    The adversary lives on m = 2q+1 points and is budgeted q + m rounds
-    so the mandatory padding always fits after the algorithm's q
-    queries.  Needs 2q+1 < n and an even degree (m is odd).
+    The game is :func:`play_adversary_game` on an arena of m = 2q+1
+    points, budgeted q + m rounds so the padding fits after the q
+    queries, with ``algorithm`` playing through the renamer.  The
+    arena's final metric is then glued up to n points.  Needs 2q+1 < n
+    and an even degree (m is odd).
     """
     if q < 1:
         raise ValueError("the game needs a positive query budget")
@@ -308,18 +313,10 @@ def hard_instance_game(
         )
     if m >= n:
         raise ValueError(f"need n > 2q+1 = {m} so the glued cluster is nonempty")
-    anchor = build_regular(m, degree, seed)
-    rounds = q + m
-    if cap is None:
-        cap = minimal_cap(m, rounds, degree)
-    adv = Adversary(anchor, rounds, cap)
-    oracle = CountingOracle(adv, record_transcript=False)
+    player = _RenamedPlayer(algorithm, n, q)
+    cert, checks = play_adversary_game(m, q, degree, player, seed=seed, metric_axioms_cap=0)
 
-    run = run_renamed(algorithm, oracle, n, q)
-    cert = adv.finalize(run.output_name)
-
-    z = run.output_name
-    y, _ = cert.best_good
+    z, y = cert.z_star, cert.best_good[0]
     glued = glue_metric(cert.final_metric, y, n)
     cost_z = glued.cost_of(z)
     cost_y = glued.cost_of(y)
@@ -328,27 +325,22 @@ def hard_instance_game(
     eps_f = eps_float(n)
     ratio_float = cost_z.approx_float(eps_f) / cost_y.approx_float(eps_f)
 
+    run = player.renamed
     report = GameReport(
         n=n,
         q=q,
-        m=m,
-        degree=degree,
-        cap=cap,
         seed=seed,
-        algorithm=getattr(algorithm, "name", type(algorithm).__name__),
+        algorithm=player.name,
         queries_used=run.queries_used,
         names_used=run.renaming.count,
-        z_star=z,
-        y=y,
-        dist_z_y=int(cert.final_metric.row(z)[y]),
         glued_cost_z=cost_z,
         glued_cost_y=cost_y,
         ratio=ratio,
         ratio_float=ratio_float,
         f_hat=ratio_float / math.log2(n),
         certificate=cert,
+        checks=checks,
     )
-    report.checks.update(verify_certificate(cert, metric_axioms_cap=0))
     report.checks.update(_game_checks(run, report, glued))
     if n <= metric_axioms_cap:
         report.checks["glued_metric_axioms"] = is_metric(glued.to_table(metric_axioms_cap))
@@ -359,22 +351,21 @@ def _game_checks(run: RenamedRun, report: GameReport, glued: GluedMetric) -> dic
     """Audit the renaming and the glued costs the report states."""
     cert = report.certificate
     names = list(run.renaming.mapping.values())
-    m = cert.n
     out: dict[str, bool] = {}
     out["renaming_injective"] = len(set(names)) == len(names)
-    out["names_in_window"] = run.renaming.count <= 2 * report.q + 1 and all(0 <= v < m for v in names)
+    out["names_in_window"] = run.renaming.count <= 2 * report.q + 1 and all(0 <= v < cert.n for v in names)
     out["budget_respected"] = run.queries_used <= report.q
     out["transcripts_aligned"] = _transcripts_aligned(run, cert)
     out["replay_glued"] = replay_verify(cert.transcript, glued)
-    cost_z, cost_y, dzy = report.glued_cost_z, report.glued_cost_y, report.dist_z_y
-    base_y = glued._base_row_sum(report.y)
+    z, (y, base_y) = cert.z_star, cert.best_good
+    dzy = _dist_z_y(cert)
     spread = glued.n - glued.m
-    if report.z_star == report.y:
-        out["cost_split_z"] = cost_z == cost_y
-    else:
-        base_z = glued._base_row_sum(report.z_star)
-        out["cost_split_z"] = cost_z == ExactDistance(base_z + spread * dzy)
-    out["cost_split_y"] = cost_y == ExactDistance(base_y, spread)
+    # base costs are the certificate's, which ratio_exact recounts on the hub graph;
+    # z* = y sees the other spread cluster members at eps
+    out["cost_split_z"] = report.glued_cost_z == ExactDistance(
+        cert.z_star_cost + spread * dzy, spread if z == y else 0
+    )
+    out["cost_split_y"] = report.glued_cost_y == ExactDistance(base_y, spread)
     # the advertised floor on the measured ratio, checked exactly
     floor = Fraction(spread * dzy) / (Fraction(base_y) + max(spread - 1, 0) * eps_value(glued.n))
     out["ratio_floor"] = report.ratio >= floor

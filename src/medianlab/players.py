@@ -23,6 +23,7 @@ __all__ = [
     "RandomFuzzer",
     "StreamPlayer",
     "ProtocolError",
+    "PLAYERS",
     "make_player",
     "largest_prefix_for_budget",
 ]
@@ -146,13 +147,16 @@ def _points(line: str, tokens: list[str], n: int) -> list[int]:
     return points
 
 
+# name -> factory(budget, seed); the CLI's --algo choices, in this order
+PLAYERS = {
+    "exact": lambda budget, seed: ExactOnPrefix(budget),
+    "pivot": lambda budget, seed: PivotOnPrefix(budget),
+    "sampling": SamplingPlayer,
+    "random": RandomFuzzer,
+}
+
+
 def make_player(name: str, budget: int, seed: int = 0):
-    if name == "exact":
-        return ExactOnPrefix(budget)
-    if name == "pivot":
-        return PivotOnPrefix(budget)
-    if name == "sampling":
-        return SamplingPlayer(budget, seed)
-    if name in ("random", "fuzzer"):
-        return RandomFuzzer(budget, seed)
-    raise ValueError(f"unknown player {name!r}")
+    if name not in PLAYERS:
+        raise ValueError(f"unknown player {name!r}")
+    return PLAYERS[name](budget, seed)

@@ -41,6 +41,7 @@ __all__ = [
     "SamplingInner",
     "solve_on_subset",
     "restrict_and_solve",
+    "INNERS",
     "make_inner",
 ]
 
@@ -216,11 +217,15 @@ def restrict_and_solve(oracle, n: int, f_of_n: int, inner) -> SolverResult:
     return solve_on_subset(oracle, S, inner)
 
 
+# name -> factory(rng_seed, sample_size); the CLI's --inner choices, in this order
+INNERS = {
+    "exact": lambda rng_seed, sample_size: ExactInner(),
+    "pivot": lambda rng_seed, sample_size: PivotInner(),
+    "sampling": SamplingInner,
+}
+
+
 def make_inner(name: str, rng_seed: int = 0, sample_size: int | None = None):
-    if name == "exact":
-        return ExactInner()
-    if name == "pivot":
-        return PivotInner()
-    if name == "sampling":
-        return SamplingInner(rng_seed, sample_size)
-    raise ValueError(f"unknown inner routine {name!r}")
+    if name not in INNERS:
+        raise ValueError(f"unknown inner routine {name!r}")
+    return INNERS[name](rng_seed, sample_size)

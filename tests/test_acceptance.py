@@ -300,7 +300,7 @@ def test_criterion_6_glued_metric_validity():
                                 metric_axioms_cap=0)
     from medianlab.lowerbound import glue_metric
 
-    glued = glue_metric(report.certificate.final_metric, report.y, 128)
+    glued = glue_metric(report.certificate.final_metric, report.certificate.best_good[0], 128)
     assert validate_metric(glued.to_table()) == []
 
 

@@ -62,6 +62,12 @@ def test_cap_validation_is_strict():
     Adversary(anchor, 4, 11)
     with pytest.raises(BadConstantError):
         Adversary(anchor, 4, 10)
+    # the constructor refuses exactly the caps below minimal_cap
+    for rounds in range(1, 41):
+        cap = minimal_cap(4, rounds, 3)
+        Adversary(anchor, rounds, cap)
+        with pytest.raises(BadConstantError, match=f"^cap {cap - 1} must exceed 2\\*3 \\+ 4\\*{rounds}/4 = "):
+            Adversary(anchor, rounds, cap - 1)
 
 
 def test_first_answers_and_self_query():

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import io
 import json
@@ -6,10 +7,12 @@ import sys
 
 import pytest
 
-from medianlab.cli import main
+from medianlab.cli import build_parser, main
 from medianlab.fileio import read_edge_list, write_metric_file, write_metric_json
 from medianlab.harness import generate_instance
 from medianlab.metric import MetricTable
+from medianlab.players import PLAYERS
+from medianlab.solvers import INNERS
 
 
 @pytest.fixture()
@@ -254,6 +257,17 @@ def test_cli_stdout_golden(capsys, tmp_path):
         code, out = run_cli(capsys, *argv)
         digest.update(f"{code}\n{out}".encode())
     assert digest.hexdigest() == CLI_STDOUT_GOLDEN
+
+
+def _choices(command, dest):
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return next(a.choices for a in sub.choices[command]._actions if a.dest == dest)
+
+
+def test_routine_choices_are_the_registry_keys():
+    assert list(_choices("solve", "inner")) == list(INNERS) == ["exact", "pivot", "sampling"]
+    assert list(_choices("lowerbound", "algo")) == list(PLAYERS) == ["exact", "pivot", "sampling", "random"]
+    assert list(_choices("adversary", "algo")) == [*PLAYERS, "extern"]
 
 
 def test_global_flags_accepted_on_either_side(capsys, star_file):

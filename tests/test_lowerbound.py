@@ -166,7 +166,7 @@ def test_hard_instance_game_small_full_audit():
     report = hard_instance_game(
         make_player("exact", budget=4, seed=0), n=20, q=4, degree=4, seed=2
     )
-    assert report.m == 9
+    assert report.certificate.n == 9
     assert report.all_ok, report.checks
     assert report.ratio >= 1
     assert report.queries_used <= 4
@@ -189,6 +189,18 @@ def test_audit_sees_a_wrong_cost(monkeypatch):
     assert not report.all_ok
 
 
+def test_glue_checks_see_a_wrong_base_row_sum(monkeypatch):
+    # the glue adds one to every base row sum; the certificate's audited
+    # base costs do not, so both cost splits fail
+    true_sum = GluedMetric._base_row_sum
+    monkeypatch.setattr(GluedMetric, "_base_row_sum", lambda self, p: true_sum(self, p) + 1)
+    for algo in ("exact", "random"):
+        report = hard_instance_game(make_player(algo, 20, seed=0), n=256, q=20, degree=4, seed=0)
+        assert report.checks["cost_split_z"] is False, algo
+        assert report.checks["cost_split_y"] is False, algo
+        assert not report.all_ok, algo
+
+
 def test_hard_instance_game_validates_budget_vs_space():
     with pytest.raises(ValueError):
         hard_instance_game(make_player("exact", budget=4, seed=0), n=9, q=4)
@@ -206,13 +218,14 @@ def test_ratio_grows_with_space_at_fixed_budget():
     ]
     for rep in reports:
         assert rep.all_ok, rep.checks
-    assert reports[0].dist_z_y >= 1  # the output went bad and drifted away
+    cert = reports[0].certificate
+    assert cert.final_metric.distance(cert.z_star, cert.best_good[0]).units >= 1  # the output went bad and drifted away
     ratios = [rep.ratio for rep in reports]
     assert ratios[0] < ratios[1] < ratios[2]
     # the underlying small game is identical every time
-    assert len({rep.m for rep in reports}) == 1
-    assert len({rep.z_star for rep in reports}) == 1
-    assert len({rep.y for rep in reports}) == 1
+    assert len({rep.certificate.n for rep in reports}) == 1
+    assert len({rep.certificate.z_star for rep in reports}) == 1
+    assert len({rep.certificate.best_good[0] for rep in reports}) == 1
 
 
 def test_hard_instance_game_pivot_and_fuzzer():

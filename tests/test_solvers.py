@@ -11,6 +11,7 @@ from medianlab.metric import (
     brute_force_median,
     graph_metric,
 )
+from medianlab.players import PLAYERS, make_player
 from medianlab.solvers import (
     ExactInner,
     PivotInner,
@@ -232,3 +233,14 @@ def test_make_inner_names():
     assert make_inner("sampling", rng_seed=3).name == "sampling"
     with pytest.raises(ValueError):
         make_inner("nope")
+
+
+def test_make_player_names():
+    for name in PLAYERS:
+        player = make_player(name, budget=5, seed=2)
+        assert player.budget == 5
+    assert make_player("sampling", budget=5, seed=2).seed == 2
+    assert make_player("random", budget=5, seed=2).seed == 2
+    for name in ("fuzzer", "extern", "nope"):
+        with pytest.raises(ValueError, match="unknown player"):
+            make_player(name, budget=5)
