@@ -30,7 +30,7 @@ its two ends are held against the cap.
 
 ``answer`` serves one round; ``distances`` serves a batch of pairs in
 order as consecutive rounds, so a :class:`CountingOracle` hands it a
-player's whole ``query_many`` row, and ``finalize`` serves its padding
+player's whole ``query_many`` batch, and ``finalize`` serves its padding
 as one such batch.  Each call checks that no anchor edge was lost after
 its last round, and a batch also checks before its first; the rounds
 in between are not checked one by one.

@@ -114,8 +114,15 @@ def run_renamed(algorithm, oracle, n: int, budget: int) -> RenamedRun:
 
     The algorithm believes it plays on n points; the oracle only ever
     sees names below 2*budget+1.  The output gets a name too (fresh if
-    the algorithm returns a point it never queried).
+    the algorithm returns a point it never queried).  An oracle with
+    fewer than 2*budget+1 points, which could not hold every name, is
+    refused with ``ValueError`` before any query is served.
     """
+    names = 2 * budget + 1
+    if oracle.n < names:
+        raise ValueError(
+            f"an oracle of {oracle.n} points cannot hold the {names} names a budget of {budget} may give"
+        )
     run = RenamedRun(-1, -1, Renaming(), 0, [])
     proxy = _RenamingProxy(oracle, n, budget, run)
     output = algorithm.run(proxy, n)

@@ -83,6 +83,11 @@ PointId = int
 # time: no n x n temporary, and the mirror's strided reads stay in cache
 _TILE = 256
 
+# exact_median asks whole rows of its pair triangle in blocks of about this
+# many pairs: one oracle round trip serves many short rows, and a block's
+# index arrays stay small
+_BLOCK = 4096
+
 
 class DisconnectedGraphError(ValueError):
     """Raised when a graph that must be connected is not."""
@@ -161,16 +166,20 @@ class MetricTable:
         if units.ndim != 2 or units.shape[0] != units.shape[1]:
             raise ValueError("distance table must be square")
         self.units = units
+        checked = [("units", units)]
         if eps is None:
-            eps = np.zeros_like(units)
+            # np.zeros leaves the pages to the OS to zero on first touch,
+            # and an all-zero table needs no bound check
+            eps = np.zeros(units.shape, dtype=np.int64)
         else:
             eps = np.asarray(eps, dtype=np.int64)
             if eps.shape != units.shape:
                 raise ValueError("eps table must match the units table")
+            checked.append(("eps", eps))
         self.eps = eps
         self.n = units.shape[0]
         bound = sum_bound(self.n)
-        for what, table in (("units", units), ("eps", eps)):
+        for what, table in checked:
             if table.size and (int(table.max()) > bound or int(table.min()) < -bound):
                 raise ValueError(
                     f"{what} entries must lie within +-{bound} = (2**63 - 1) // {self.n} "
@@ -597,21 +606,37 @@ def exact_median(oracle, S: Iterable[PointId]) -> tuple[PointId, ExactDistance]:
     """Brute-force 1-median of S through the oracle.
 
     Queries each unordered pair of distinct points once (symmetry is
-    cached within this call only), for |S|*(|S|-1)/2 queries, as one
-    batch per row: the i-th smallest point against every larger one.
-    Costs are exact int64 sums.  Ties go to the lowest point index.
+    cached within this call only), for |S|*(|S|-1)/2 queries, row by
+    row: the i-th smallest point against every larger one.  Consecutive
+    rows are asked together in blocks of whole rows, about ``_BLOCK``
+    pairs each and never less than one row, so the pairs keep their
+    order.  Costs are exact int64 sums.  Ties go to the lowest point
+    index.
     """
     pts = np.array(sorted(set(S)), dtype=np.int64)
-    if not len(pts):
+    s = len(pts)
+    if not s:
         raise ValueError("cannot take a median of the empty set")
-    cost_units = np.zeros(len(pts), dtype=np.int64)
-    cost_eps = np.zeros(len(pts), dtype=np.int64)
-    for i in range(len(pts) - 1):
-        units, eps = oracle.query_many(np.full(len(pts) - i - 1, pts[i]), pts[i + 1 :])
-        cost_units[i] += units.sum()
-        cost_eps[i] += eps.sum()
-        cost_units[i + 1 :] += units
-        cost_eps[i + 1 :] += eps
+    cost_units = np.zeros(s, dtype=np.int64)
+    cost_eps = np.zeros(s, dtype=np.int64)
+    lengths = np.arange(s - 1, 0, -1)  # row i pairs pts[i] with its s - 1 - i larger points
+    ends = np.cumsum(lengths)  # where each row's pairs end in the whole triangle
+    i = 0
+    while i < s - 1:
+        start = ends[i] - lengths[i]
+        # the rows that end within _BLOCK pairs of row i's start, and row i at least
+        j = max(i + 1, int(ends.searchsorted(start + _BLOCK, side="right")))
+        lens = lengths[i:j]
+        heads = ends[i:j] - lens - start  # each row's first pair within the block
+        # pair heads[r] + t of the block's row i + r asks column i + r + 1 + t
+        cols = np.arange(ends[j - 1] - start) + np.repeat(np.arange(i + 1, j + 1) - heads, lens)
+        units, eps = oracle.query_many(np.repeat(pts[i:j], lens), pts[cols])
+        cost_units[i:j] += np.add.reduceat(units, heads)
+        cost_eps[i:j] += np.add.reduceat(eps, heads)
+        # int64 scatter-adds: exact where a float bincount would round past 2**53
+        np.add.at(cost_units, cols, units)
+        np.add.at(cost_eps, cols, eps)
+        i = j
     k = _lex_argmin(cost_units, cost_eps, pts)
     return int(pts[k]), ExactDistance(int(cost_units[k]), int(cost_eps[k]))
 
@@ -638,11 +663,14 @@ def brute_force_median(table: MetricTable, S: Sequence[PointId] | None = None) -
     """
     if S is None:
         idx = np.arange(table.n, dtype=np.int64)
+        block = np.s_[:, :]  # the whole table, summed where it lies
     else:
         idx = np.asarray(sorted(set(S)), dtype=np.int64)
         if idx.size == 0:
             raise ValueError("cannot take a median of the empty set")
-    cu = table.units[np.ix_(idx, idx)].sum(axis=1)
-    ce = table.eps[np.ix_(idx, idx)].sum(axis=1)
+        block = np.ix_(idx, idx)
+    # one gathered copy alive at a time
+    cu = table.units[block].sum(axis=1)
+    ce = table.eps[block].sum(axis=1)
     k = _lex_argmin(cu, ce, idx)
     return int(idx[k]), ExactDistance(int(cu[k]), int(ce[k]))

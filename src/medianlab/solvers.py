@@ -12,8 +12,9 @@ Inner routines implement a small informal interface: ``name``,
 arrives, that is, when the routine is nonadaptive, and None otherwise),
 ``query_bound(s)``, and ``solve(oracle, S) -> SolverResult``.  An inner
 asks its schedule in batches through ``oracle.query_many``: the exact
-routine one row at a time, the pivot routine its two pivot rows and
-then the challenger's row, the sampling routine its whole k x k block.
+routine blocks of whole rows of its pair triangle, about 4096 pairs a
+block, the pivot routine its two pivot rows and then the challenger's
+row, the sampling routine its whole k x k block.
 Batching changes neither the order of the pairs nor their count.
 """
 

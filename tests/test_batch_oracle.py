@@ -20,12 +20,14 @@ from medianlab.expander import build_regular
 from medianlab.harness import ConstantBacking, generate_instance
 from medianlab.lowerbound import glue_metric, run_renamed
 from medianlab.metric import (
+    _BLOCK,
     CountingOracle,
     HopMetric,
     LineMetric,
     MetricTable,
     QueryOutsideSubsetError,
     RestrictedOracle,
+    brute_force_median,
     exact_median,
     graph_metric,
     median_cost,
@@ -244,6 +246,54 @@ def test_exact_median_matches_per_pair_reference(small_corpus):
             assert new.transcript == ref.transcript, name
 
 
+class _BatchCountingOracle(CountingOracle):
+    """A ``CountingOracle`` that also counts its ``query_many`` calls."""
+
+    batches = 0
+
+    def query_many(self, a, b):
+        self.batches += 1
+        return super().query_many(a, b)
+
+
+@pytest.mark.parametrize("make", [lambda: _eps_table(210, 4), lambda: _adversary(n=201, q=19900)],
+                         ids=["table-eps", "adversary"])
+def test_exact_median_across_block_boundaries(make):
+    # 200 points ask 19900 pairs: several blocks, each of whole rows
+    S = range(200)
+    pairs = 200 * 199 // 2
+    assert pairs > 3 * _BLOCK
+    ref, new = CountingOracle(make()), _BatchCountingOracle(make())
+    assert exact_median(new, S) == _reference_exact_median(ref, S)
+    assert new.queries_made == ref.queries_made == pairs
+    assert new.transcript == ref.transcript
+    assert new.batches <= -(-pairs // _BLOCK) + 1
+    if isinstance(ref.backing, Adversary):
+        assert new.backing.paths == ref.backing.paths
+
+
+@pytest.mark.parametrize("missing", [0, 1, 150, 199])
+def test_exact_median_guard_sees_every_pair(missing):
+    # a subset lacking one point of S: the block holding the first pair
+    # that leaves it raises, and charges none of its pairs
+    o = CountingOracle(_eps_table(210, 4))
+    guard = RestrictedOracle(o, [p for p in range(200) if p != missing])
+    first = (0, 1) if missing == 0 else (0, missing)
+    with pytest.raises(QueryOutsideSubsetError, match=rf"^query \({first[0]}, {first[1]}\) leaves"):
+        exact_median(guard, range(200))
+    assert o.queries_made == 0 and o.transcript == []
+
+
+def test_brute_force_median_reads_the_whole_table_in_place(small_corpus):
+    for name, table in _tables(small_corpus):
+        n = table.n
+        whole = brute_force_median(table)
+        assert whole == brute_force_median(table, range(n)), name
+        cu, ce = table.units.sum(axis=1), table.eps.sum(axis=1)
+        k = int(np.lexsort((np.arange(n), ce, cu))[0])
+        assert whole == (k, ExactDistance(int(cu[k]), int(ce[k]))), name
+
+
 def test_median_cost_matches_per_pair_sum(small_corpus):
     for name, table in _tables(small_corpus):
         ref, new = CountingOracle(table), CountingOracle(table)
@@ -337,6 +387,9 @@ def test_metric_table_rejects_entries_past_the_sum_bound():
         MetricTable(np.zeros((2, 2), dtype=np.int64), np.array([[0, -(2**62)], [0, 0]]))
     bound = (2**63 - 1) // 2
     table = MetricTable(np.array([[0, bound], [bound, 0]]))
+    # a table given no eps holds zeros, unchecked and reported as none
+    assert table.has_eps() is False
+    assert table.eps.dtype == np.int64 and table.eps.shape == (2, 2) and not table.eps.any()
     assert exact_median(CountingOracle(table), range(2)) == (0, ExactDistance(bound))
 
 

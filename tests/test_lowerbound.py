@@ -3,7 +3,9 @@ import random
 import pytest
 
 from medianlab import lowerbound
+from medianlab.adversary import Adversary, minimal_cap
 from medianlab.distances import EPS, ExactDistance
+from medianlab.expander import build_regular
 from medianlab.harness import generate_instance
 from medianlab.lowerbound import (
     BudgetExceededError,
@@ -48,13 +50,13 @@ def test_renaming_first_sight_order():
 def test_run_renamed_frozen_cases():
     # a self-query renames to a self-query
     oracle = p3_oracle()
-    run = run_renamed(ScriptedPlayer([(5, 5)], 5), oracle, n=1000, budget=2)
+    run = run_renamed(ScriptedPlayer([(5, 5)], 5), oracle, n=1000, budget=1)
     assert (oracle.transcript[0].a, oracle.transcript[0].b) == (0, 0)
     assert run.output_name == 0
 
     # two fresh points, a before b, and the unqueried output gets the next name
     oracle = p3_oracle()
-    run = run_renamed(ScriptedPlayer([(5, 9)], 823), oracle, n=1000, budget=2)
+    run = run_renamed(ScriptedPlayer([(5, 9)], 823), oracle, n=1000, budget=1)
     assert (oracle.transcript[0].a, oracle.transcript[0].b) == (0, 1)
     assert run.renaming.mapping == {5: 0, 9: 1, 823: 2}
     assert run.output_name == 2
@@ -71,9 +73,20 @@ def test_run_renamed_budget_enforced_before_naming():
 
 def test_run_renamed_validates_points():
     with pytest.raises(IndexError):
-        run_renamed(ScriptedPlayer([(0, 1000)], 0), p3_oracle(), n=1000, budget=5)
+        run_renamed(ScriptedPlayer([(0, 1000)], 0), p3_oracle(), n=1000, budget=1)
     with pytest.raises(IndexError):
-        run_renamed(ScriptedPlayer([], 1000), p3_oracle(), n=1000, budget=5)
+        run_renamed(ScriptedPlayer([], 1000), p3_oracle(), n=1000, budget=1)
+
+
+def test_run_renamed_refuses_a_space_too_small_for_its_names():
+    # 40 queries may name 81 points; a 33-point arena is refused before any round
+    rounds = 40 + 33
+    adv = Adversary(build_regular(33, 4, 0), rounds, minimal_cap(33, rounds, 4))
+    oracle = CountingOracle(adv)
+    with pytest.raises(ValueError, match=r"^an oracle of 33 points cannot hold the 81 names a budget of 40 may give$"):
+        run_renamed(RandomFuzzer(40, 0), oracle, 200, 40)
+    assert adv.rounds_served == oracle.queries_made == 0
+    assert oracle.transcript == []
 
 
 def test_run_renamed_fuzz_against_plain_tables():
