@@ -11,8 +11,8 @@ Subcommands:
 All output goes to stdout as JSON (default) or CSV where tabular.  Runs
 are deterministic for a fixed --seed; timings never enter the payload.
 Exit status is 0 only when every reported check passed.  Bad input
-(a ValueError or OSError) prints {"error": "<Type>: <message>"} and
-exits 1.
+(a ValueError or OSError) and a game its player overspent too far to
+pad (a PadOverflowError) print {"error": "<Type>: <message>"} and exit 1.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ import math
 import sys
 from fractions import Fraction
 
+from .adversary import PadOverflowError
 from .distances import ExactDistance, eps_value
 from .expander import certify_expansion, build_regular
 from .fileio import load_metric_any, write_edge_list
@@ -332,9 +333,10 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except BrokenPipeError:
         return 1
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, PadOverflowError) as exc:
         # bad input (infeasible sizes, invalid constants, missing or
-        # malformed files, protocol lines) is reported, not traced back;
+        # malformed files, protocol lines, a player whose overspend leaves
+        # too few rounds to pad the game) is reported, not traced back;
         # broken invariants raise AssertionError and still propagate
         print(json.dumps({"error": f"{type(exc).__name__}: {exc}"}))
         return 1

@@ -5,8 +5,10 @@ integers give the lower triangle row by row including the diagonal, so
 line i+1 carries d(i, 0) ... d(i, i).  Integer-valued metrics only.
 The reader takes LF, CRLF or CR line ends, skips blank lines and lets
 spaces or tabs separate entries.  A file of nothing but digits, blanks
-and line ends is read in one numpy pass; any other file goes through a
-line-by-line walk, which words every error.
+and line ends, with tokens of at most 18 digits, is read in one numpy
+pass: a scan for digit runs yields the per-line token counts and, by
+Horner's rule over the runs' digit columns, the values.  Any other file
+goes through a line-by-line walk, which words every error.
 
 JSON metric table: {"n": n, "dist": [[{"units": u, "eps_count": e},
 ...], ...]} with the full square matrix, for metrics that carry eps
@@ -43,51 +45,93 @@ __all__ = [
 
 def read_metric_file(path: str) -> MetricTable:
     with open(path, "rb") as fh:
-        data = fh.read()
-    table = _read_plain_metric(data)
-    return table if table is not None else _read_metric_walk(path)
+        plain = _read_plain_metric(fh.read())
+    if plain is None:
+        return _read_metric_walk(path)
+    # the file's bytes and the scan's arrays are freed before the table is sized
+    return MetricTable(_symmetric(*plain))
 
 
 # On a file of these bytes alone, the walk's split() and int() agree with
 # a byte scan, and the file decodes as the walk reads it.
 _PLAIN_BYTES = b"0123456789 \t\r\n"
-# Tokens this short lie below 2**63, where np.fromstring parses exactly.
+# Horner's rule is exact in int64 for tokens this short: 10**18 - 1 < 2**63.
 _PLAIN_DIGITS = 18
+# Horner's rule reads this many tokens at a time, so its temporaries stay in cache
+_CHUNK = 1 << 16
+# the fill mirrors this many rows at a time, so its reads and writes stay in cache
+_ROWS = 64
 
 
-def _read_plain_metric(data: bytes) -> MetricTable | None:
-    """The table of a plain text file in one numpy pass, else None.
+def _read_plain_metric(data: bytes) -> tuple[int, np.ndarray] | None:
+    """n and the lower triangle, row by row, of a plain text file, else None.
 
     A plain file holds only digits, spaces, tabs and line ends; its
     first nonblank line is the one token n, then n nonblank lines follow
     and line i holds i+1 tokens of at most 18 digits, none above
-    sum_bound(n).  The walk reads such a file into this same table; any
-    other file is left to the walk, which words every error.
+    sum_bound(n).  One scan finds the digit runs: their starts give the
+    per-line token counts, and Horner's rule over their digit columns
+    gives their values.  The walk reads such a file into the same
+    table; any other file is left to the walk, which words every error.
     """
     if data.translate(None, _PLAIN_BYTES):
         return None
     chars = np.frombuffer(data, dtype=np.uint8)
-    digit = chars >= ord("0")  # every other byte left is a blank or a line end
-    edges = np.diff(digit.view(np.int8), prepend=0, append=0)
-    starts, ends = np.flatnonzero(edges == 1), np.flatnonzero(edges == -1)
-    if not starts.size or (ends - starts).max() > _PLAIN_DIGITS:
+    # tabs and line ends are the bytes below a space; a CRLF counts as two
+    # breaks around an empty line, and empty lines are skipped
+    breaks = np.flatnonzero(chars < ord(" "))
+    breaks = np.append(breaks[chars[breaks] != ord("\t")], chars.size)
+    # a run starts or ends where a byte and its left neighbour differ in
+    # kind; a blank pad at each end closes the first and the last run
+    digit = np.zeros(chars.size + 2, dtype=bool)
+    np.greater_equal(chars, ord("0"), out=digit[1:-1])  # every other byte left is a blank or a line end
+    bounds = np.flatnonzero(digit[1:] != digit[:-1])
+    del digit
+    starts, ends = bounds[0::2], bounds[1::2]
+    if not starts.size:
         return None
-    # a CRLF counts as two breaks around an empty line, and empty lines are skipped
-    breaks = np.append(np.flatnonzero((chars == ord("\n")) | (chars == ord("\r"))), chars.size)
     per_line = np.diff(np.searchsorted(starts, breaks), prepend=0)
     per_line = per_line[per_line > 0]
-    n = int(data[starts[0] : ends[0]])
-    # the row count bounds n by the file size before anything is sized by n
-    if per_line[0] != 1 or per_line.size != n + 1 or not np.array_equal(per_line[1:], np.arange(1, n + 1)):
+    # n is the row count, bounded by the file size; the header must match it
+    n = per_line.size - 1
+    if per_line[0] != 1 or not np.array_equal(per_line[1:], np.arange(1, n + 1)):
         return None
-    values = np.fromstring(data, dtype=np.int64, sep=" ")[1:]  # " " matches any whitespace run
-    if values.size and values.max() > sum_bound(n):
+    values = np.empty(starts.size, dtype=np.int64)
+    for lo in range(0, starts.size, _CHUNK):
+        first = starts[lo : lo + _CHUNK]
+        width = ends[lo : lo + _CHUNK] - first
+        columns = int(width.max())
+        if columns > _PLAIN_DIGITS:
+            return None
+        chunk = values[lo : lo + _CHUNK]
+        np.subtract(chars[first], ord("0"), out=chunk, dtype=np.int64)
+        # column k reads digit k of the tokens longer than k, at pos
+        live = np.flatnonzero(width > 1)
+        pos = first[live]
+        for k in range(1, columns):
+            if k > 1:
+                keep = width[live] > k
+                live, pos = live[keep], pos[keep]
+            pos += 1
+            chunk[live] = chunk[live] * 10 + chars[pos] - ord("0")
+    lower = values[1:]
+    if values[0] != n or (lower.size and lower.max() > sum_bound(n)):
         return None
-    # a boolean mask fills in row-major order, which is the file's order
-    lower = np.tri(n, dtype=bool)
+    return n, lower
+
+
+def _symmetric(n: int, lower: np.ndarray) -> np.ndarray:
+    """The n x n table whose lower triangle, row by row, holds ``lower``."""
     units = np.zeros((n, n), dtype=np.int64)
-    units[lower] = units.T[lower] = values
-    return MetricTable(units)
+    for i in range(0, n, _ROWS):
+        j = min(i + _ROWS, n)
+        # rows i..j-1 up to the diagonal: a boolean mask fills in row-major order
+        units[i:j, :j][np.tri(j - i, j, i, dtype=bool)] = lower[i * (i + 1) // 2 : j * (j + 1) // 2]
+        # their mirror image is the block column above them
+        units[:i, i:j] = units[i:j, :i].T
+        square = units[i:j, i:j]
+        square += np.triu(square.T, 1)
+    return units
 
 
 def _read_metric_walk(path: str) -> MetricTable:

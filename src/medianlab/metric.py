@@ -457,7 +457,13 @@ class RestrictedOracle:
 
     def __init__(self, oracle, allowed: Iterable[PointId]):
         self._oracle = oracle
-        self._sorted = np.unique(np.fromiter(allowed, dtype=np.int64))
+        S = np.fromiter(allowed, dtype=np.int64)
+        S = S[(S >= 0) & (S < oracle.n)]  # no other point has an answer
+        # membership over S's span [min S, max S] with a refusing pad at
+        # each end, so at most n + 2 bytes
+        self._lo = int(S.min()) - 1 if S.size else 0
+        self._mask = np.zeros(int(S.max()) - self._lo + 2 if S.size else 1, dtype=bool)
+        self._mask[S - self._lo] = True
 
     @property
     def n(self) -> int:
@@ -475,18 +481,17 @@ class RestrictedOracle:
     def query_many(self, a, b) -> tuple[np.ndarray, np.ndarray]:
         """Batch form of :meth:`query`; a batch that leaves the subset charges nothing."""
         a, b = _as_pairs(a, b)
-        outside = ~(self._allows(a) & self._allows(b))
-        if outside.any():
-            k = int(outside.argmax())
+        inside = self._allows(a)
+        inside &= self._allows(b)
+        if not inside.all():
+            k = int(inside.argmin())
             raise QueryOutsideSubsetError(f"query ({a[k]}, {b[k]}) leaves the allowed subset")
         return self._oracle.query_many(a, b)
 
     def _allows(self, x: np.ndarray) -> np.ndarray:
-        # a sorted lookup: O(|S|) memory, never a length-n mask
-        if not len(self._sorted):
-            return np.zeros(x.shape, dtype=bool)
-        at = np.minimum(self._sorted.searchsorted(x), len(self._sorted) - 1)
-        return self._sorted[at] == x
+        # one gather: clipping sends every point outside the span, negative
+        # or past n included, to a pad
+        return self._mask.take(x - self._lo, mode="clip")
 
 
 def _argwhere_if_any(mask: np.ndarray):

@@ -199,6 +199,49 @@ def test_out_of_subset_batch_raises_and_charges_nothing(kind):
     assert units.tolist() == [o.backing.distance(1, 2).units, o.backing.distance(4, 2).units]
 
 
+GUARD_N = 24
+GUARD_SUBSETS = {
+    "empty": [],
+    "one-point": [9],
+    "first-point": [0],
+    "last-point": [GUARD_N - 1],
+    "both-ends": [GUARD_N - 1, 0],
+    "gaps": [2, 3, 7, 12, 13, 14, 20],
+    "gaps-repeats": [5, 1, 5, 19, 1, 11],
+    "everything": list(range(GUARD_N)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GUARD_SUBSETS))
+def test_subset_guard_matches_isin(name):
+    S = GUARD_SUBSETS[name]
+    o = CountingOracle(_eps_table(GUARD_N, 3))
+    guard = RestrictedOracle(o, S)
+    lo, hi = (min(S), max(S)) if S else (0, 0)
+    probes = np.array(
+        [*range(-3, GUARD_N + 3), lo - 1, lo - 2, hi + 1, hi + 2, 10**12, -(10**12), -(2**63), 2**63 - 1],
+        dtype=np.int64,
+    )
+    assert np.array_equal(guard._allows(probes), np.isin(probes, S))
+    rng = np.random.default_rng(len(S))
+    for _ in range(60):
+        size = int(rng.integers(1, 6))
+        # mostly points of S, so that some batches pass
+        pool = probes if not S or rng.random() < 0.5 else np.array(S)
+        a, b = rng.choice(pool, size), rng.choice(pool, size)
+        inside = np.isin(a, S) & np.isin(b, S)
+        before = o.queries_made
+        if inside.all():
+            units, _ = guard.query_many(a, b)
+            assert units.tolist() == o.backing.units[a, b].tolist()
+            assert o.queries_made == before + size
+        else:
+            k = int(np.flatnonzero(~inside)[0])
+            with pytest.raises(QueryOutsideSubsetError, match=rf"^query \({a[k]}, {b[k]}\) leaves the allowed subset$"):
+                guard.query_many(a, b)
+            assert o.queries_made == before
+
+
 def test_guarded_batch_matches_guarded_queries():
     table = _eps_table(12, 5)
     S = [0, 3, 4, 7, 11]

@@ -129,12 +129,16 @@ WIDE_ERROR = (
          "ValueError: --factors needs at least one comma-separated value, got ','"),
         (("sweep", "--inners", ","),
          "ValueError: --inners needs at least one comma-separated value, got ','"),
+        # the sampling player asks one query on a zero budget
+        (("adversary", "--n", "16", "--q", "0", "--d", "4", "--algo", "sampling"),
+         "PadOverflowError: 15 rounds left, padding needs 16; configure rounds >= queries + n"),
     ],
     ids=["expander-odd-stubs", "adversary-odd-stubs", "negative-budget", "missing-file",
          "lowerbound-odd-degree", "lowerbound-one-point", "lowerbound-sweep-one-point",
          "metric-entry-overflow", "metric-json-nested-too-deep", "verify-sum-could-wrap",
          "solve-sum-could-wrap", "solve-zero-optimum-positive-output", "lowerbound-empty-sweep",
-         "sweep-empty-sizes", "sweep-empty-kinds", "sweep-empty-factors", "sweep-empty-inners"],
+         "sweep-empty-sizes", "sweep-empty-kinds", "sweep-empty-factors", "sweep-empty-inners",
+         "adversary-sampling-overspends-zero-budget"],
 )
 def test_bad_input_reports_json_error(capsys, tmp_path, monkeypatch, argv, error):
     monkeypatch.chdir(tmp_path)

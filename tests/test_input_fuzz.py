@@ -152,7 +152,7 @@ def _outcome(reader, path):
 
 @settings(FUZZ, max_examples=300)
 @given(_triangular_files())
-# np.fromstring saturates past int64, and at n = 1 the sum bound is the int64 maximum
+# a 19-digit token is left to the walk, and at n = 1 the sum bound is the int64 maximum
 @example(b"1\n9223372036854775808\n")
 # int() reads any Unicode digit; a byte scan must not take these bytes for digits
 @example("1\n\u0663\n".encode())

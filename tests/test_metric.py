@@ -671,17 +671,36 @@ def test_metric_file_roundtrip(tmp_path, p4):
         assert fh.read() == ("\n".join(lines) + "\n").encode()
 
 
-def test_plain_metric_file_skips_the_walk(tmp_path, monkeypatch):
-    """A generated table is plain, so the one-pass reader alone reads it."""
-    path = str(tmp_path / "m.txt")
-    table = generate_instance("grid", 300, 0)
-    write_metric_file(path, table)
+# the written file's bytes -> a plain file holding the same table
+PLAIN_LAYOUTS = {
+    "as-written": lambda text: text,
+    "crlf": lambda text: text.replace(b"\n", b"\r\n"),
+    "lone-cr": lambda text: text.replace(b"\n", b"\r"),
+    "tabs": lambda text: text.replace(b" ", b"\t"),
+    "blank-lines": lambda text: b"\n \t\r\n" + text.replace(b"\n", b"\n\n\t \n"),
+    "no-final-newline": lambda text: text.rstrip(b"\n"),
+}
+
+
+@pytest.mark.parametrize("layout", sorted(PLAIN_LAYOUTS))
+@pytest.mark.parametrize("kind", ["grid-400", "18-digit-token"])
+def test_plain_metric_file_skips_the_walk(tmp_path, monkeypatch, kind, layout):
+    """A plain file, whatever its line ends and blanks, is read by the one-pass reader alone."""
+    path = tmp_path / "m.txt"
+    if kind == "grid-400":
+        table = generate_instance("grid", 400, 0)
+        assert 400 * 401 // 2 > fileio._CHUNK  # Horner's rule runs over more than one chunk
+    else:
+        big = 10**18 - 1  # within sum_bound(3)
+        table = MetricTable(np.array([[0, big, 7], [big, 0, big], [7, big, 0]]))
+    write_metric_file(str(path), table)
+    path.write_bytes(PLAIN_LAYOUTS[layout](path.read_bytes()))
 
     def walk(path):
         raise AssertionError("the line-by-line walk read a plain file")
 
     monkeypatch.setattr(fileio, "_read_metric_walk", walk)
-    assert read_metric_file(path) == table
+    assert read_metric_file(str(path)) == table
 
 
 def test_metric_file_checks_rows_before_sizing_by_n(tmp_path):
