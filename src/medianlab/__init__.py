@@ -38,7 +38,6 @@ from .metric import (
     exact_median,
     graph_metric,
     is_metric,
-    median_cost,
     replay_verify,
     validate_metric,
 )
@@ -91,7 +90,6 @@ __all__ = [
     "is_metric",
     "make_inner",
     "make_player",
-    "median_cost",
     "minimal_cap",
     "play_adversary_game",
     "replay_verify",

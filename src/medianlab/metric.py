@@ -20,7 +20,7 @@ Points are plain 0-based ints.  The query protocol has two sides:
   n of them is exact: a :class:`MetricTable` holds no larger entry, and
   a pair-by-pair batch raises on one.
 
-The value of eps on either is ``distances.eps_value(n)``.  Three concrete
+The value of eps on either is ``distances.eps_value(n)``.  Two concrete
 backings are provided:
 
 * :class:`MetricTable`, a dense exact table held as two numpy arrays
@@ -29,9 +29,7 @@ backings are provided:
   graph plus a clique given as a vertex mask, computed lazily one BFS
   row at a time; ``distance`` answers 0 and 1 from the two arrays
   without a BFS, and ``distances`` reads one row per source of a
-  longer answer,
-* :class:`LineMetric`, ``d(i, j) = |i - j|``, for budget measurements on
-  spaces far too large to materialize.
+  longer answer.
 
 Every algorithm under test talks to a backing through
 :class:`CountingOracle`, which charges one query per pair asked,
@@ -59,7 +57,6 @@ __all__ = [
     "Violation",
     "MetricTable",
     "HopMetric",
-    "LineMetric",
     "TranscriptEntry",
     "replay_verify",
     "CountingOracle",
@@ -69,7 +66,6 @@ __all__ = [
     "is_metric",
     "edge_graph",
     "graph_metric",
-    "median_cost",
     "exact_median",
     "brute_force_cost",
     "brute_force_median",
@@ -82,6 +78,10 @@ PointId = int
 # HopMetric's symmetry check compares one t x t tile with its mirror at a
 # time: no n x n temporary, and the mirror's strided reads stay in cache
 _TILE = 256
+
+# _path_table casts csgraph's float64 table to int64 in place, this many
+# rows at a time
+_CAST_ROWS = 64
 
 # exact_median asks whole rows of its pair triangle in blocks of about this
 # many pairs: one oracle round trip serves many short rows, and a block's
@@ -329,18 +329,6 @@ class HopMetric:
         return MetricTable(units)
 
 
-class LineMetric:
-    """The path metric d(i, j) = |i - j| on n points, never materialized."""
-
-    def __init__(self, n: int):
-        if n < 1:
-            raise ValueError("need at least one point")
-        self.n = n
-
-    def distance(self, a: PointId, b: PointId) -> ExactDistance:
-        return ExactDistance(abs(a - b))
-
-
 class TranscriptEntry(NamedTuple):
     a: PointId
     b: PointId
@@ -580,12 +568,20 @@ def edge_graph(n: int, edges: Iterable[tuple[int, int]]) -> scipy.sparse.csr_mat
 
 
 def _path_table(graph) -> np.ndarray:
-    """All-pairs shortest paths of a CSR or dense weight matrix (0 is no edge), as int64."""
+    """All-pairs shortest paths of a CSR or dense weight matrix (0 is no edge), as int64.
+
+    The float64 result is cast in its own buffer, ``_CAST_ROWS`` rows at
+    a time, so no second n x n table is made.  Its values are sums of
+    integer weights below 2**53, hence exact.
+    """
     dist = scipy.sparse.csgraph.shortest_path(graph, directed=False)
     cut = np.isinf(dist).any(axis=1)
     if cut.any():
         raise DisconnectedGraphError(f"vertex {cut.argmax()} cannot reach the whole graph")
-    return dist.astype(np.int64)
+    ints = dist.view(np.int64)
+    for i in range(0, len(dist), _CAST_ROWS):
+        ints[i : i + _CAST_ROWS] = dist[i : i + _CAST_ROWS].astype(np.int64)
+    return ints
 
 
 def graph_metric(n: int, edges: Iterable[tuple[int, int]]) -> MetricTable:
@@ -594,17 +590,6 @@ def graph_metric(n: int, edges: Iterable[tuple[int, int]]) -> MetricTable:
     Raises DisconnectedGraphError when some pair has no path.
     """
     return MetricTable(_path_table(edge_graph(n, edges)))
-
-
-def median_cost(oracle, p: PointId, S: Iterable[PointId]) -> ExactDistance:
-    """Total distance from p to every point of S, one query per point.
-
-    The query for d(p, p) is issued and charged like any other when p is
-    a member of S.  The points are asked as one batch, in sorted order.
-    """
-    ys = np.array(sorted(set(S)), dtype=np.int64)
-    units, eps = oracle.query_many(np.full(len(ys), p, dtype=np.int64), ys)
-    return ExactDistance(int(units.sum()), int(eps.sum()))
 
 
 def exact_median(oracle, S: Iterable[PointId]) -> tuple[PointId, ExactDistance]:

@@ -1,8 +1,33 @@
 import math
 
+import numpy as np
 import pytest
 
+from medianlab.distances import ExactDistance
 from medianlab.harness import INSTANCE_KINDS, generate_instance
+
+
+class LineMetric:
+    """The path metric d(i, j) = |i - j| on n points, never materialized."""
+
+    def __init__(self, n: int):
+        if n < 1:
+            raise ValueError("need at least one point")
+        self.n = n
+
+    def distance(self, a, b):
+        return ExactDistance(abs(a - b))
+
+
+def median_cost(oracle, p, S):
+    """Total distance from p to every point of S, one query per point.
+
+    The query for d(p, p) is issued and charged like any other when p is
+    a member of S.  The points are asked as one batch, in sorted order.
+    """
+    ys = np.array(sorted(set(S)), dtype=np.int64)
+    units, eps = oracle.query_many(np.full(len(ys), p, dtype=np.int64), ys)
+    return ExactDistance(int(units.sum()), int(eps.sum()))
 
 
 def corpus(sizes, kinds=INSTANCE_KINDS, seeds=(0,)):

@@ -41,9 +41,7 @@ from medianlab.harness import (
 from medianlab.lowerbound import hard_instance_game, run_renamed
 from medianlab.metric import (
     CountingOracle,
-    LineMetric,
     brute_force_median,
-    median_cost,
     validate_metric,
 )
 from medianlab.players import RandomFuzzer, make_player
@@ -53,6 +51,8 @@ from medianlab.solvers import (
     restrict_and_solve,
     solve_on_subset,
 )
+
+from conftest import LineMetric, median_cost
 
 
 # ---------------------------------------------------------------------------

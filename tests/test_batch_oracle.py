@@ -23,18 +23,18 @@ from medianlab.metric import (
     _BLOCK,
     CountingOracle,
     HopMetric,
-    LineMetric,
     MetricTable,
     QueryOutsideSubsetError,
     RestrictedOracle,
     brute_force_median,
     exact_median,
     graph_metric,
-    median_cost,
     sum_bound,
 )
 from medianlab.players import RandomFuzzer
 from medianlab.solvers import ExactInner, PivotInner, SamplingInner, SolverResult, restrict_and_solve
+
+from conftest import LineMetric, median_cost
 
 
 # -- per-pair references: the routines as they were before batching ----

@@ -1,7 +1,11 @@
+import weakref
+
 import numpy as np
 import pytest
 
 from medianlab import harness
+from medianlab import metric as metric_module
+from medianlab.cli import main
 from medianlab.distances import ExactDistance
 from medianlab.harness import (
     INSTANCE_KINDS,
@@ -30,6 +34,98 @@ def test_generate_instance_rejects_unknown():
         generate_instance("moebius", 8, 0)
     with pytest.raises(ValueError):
         generate_instance("grid", 0, 0)
+
+
+def test_generate_instance_keeps_its_last_table_read_only(monkeypatch):
+    monkeypatch.setattr(harness, "_last_instance", None)
+    last = generate_instance("grid", 9, 0)
+    assert generate_instance("grid", 9, 0) is last
+    for array in (last.units, last.eps):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0, 1] = 5
+    # another kind, size or seed misses, even with equal content, and
+    # returns what a cold build returns
+    for kind, n, seed in (("star-path", 9, 0), ("grid", 10, 0), ("grid", 10, 1), ("table", 10, 1), ("table", 10, 2)):
+        warm = generate_instance(kind, n, seed)
+        assert warm is not last, (kind, n, seed)
+        harness._last_instance = None
+        assert generate_instance(kind, n, seed) == warm, (kind, n, seed)
+        last = warm
+
+
+def test_generate_instance_keeps_nothing_it_should_not(monkeypatch):
+    monkeypatch.setattr(harness, "_last_instance", None)
+    first = generate_instance("table", 6, None)
+    assert generate_instance("table", 6, None) is not first
+    assert harness._last_instance is None
+    for kind, n in (("moebius", 8), ("grid", 0)):
+        with pytest.raises(ValueError):
+            generate_instance(kind, n, 0)
+        assert harness._last_instance is None
+
+    # the old table is let go before the next one is built
+    old = weakref.ref(generate_instance("grid", 9, 0))
+    alive_during_build = []
+
+    def build(n, edges):
+        alive_during_build.append(old() is not None)
+        return graph_metric(n, edges)
+
+    monkeypatch.setattr(harness, "graph_metric", build)
+    generate_instance("grid", 10, 0)
+    assert alive_during_build == [False]
+
+    # a build that fails lets the old table go and keeps nothing
+    def broken(n, edges):
+        raise metric_module.DisconnectedGraphError("cut")
+
+    monkeypatch.setattr(harness, "graph_metric", broken)
+    with pytest.raises(metric_module.DisconnectedGraphError):
+        generate_instance("grid", 11, 0)
+    assert harness._last_instance is None
+
+
+def _cold_builds(monkeypatch):
+    """Make every generate_instance call forget the last table first."""
+    build = harness.generate_instance
+
+    def cold(*args):
+        harness._last_instance = None
+        return build(*args)
+
+    monkeypatch.setattr(harness, "generate_instance", cold)
+
+
+def test_sweep_stdout_is_the_same_with_the_memo_cleared_before_every_cell(monkeypatch, capsys):
+    argv = ["sweep", "--kinds", "grid,table", "--sizes", "9,16", "--factors", "1,4"]
+    argv += ["--inners", "exact,pivot,sampling", "--seed", "3", "--out", "json"]
+    monkeypatch.setattr(harness, "_last_instance", None)
+    assert main(argv) == 0
+    warm = capsys.readouterr().out
+    _cold_builds(monkeypatch)
+    assert main(argv) == 0
+    assert capsys.readouterr().out == warm
+
+
+def test_multi_seed_sweep_builds_each_instance_once(monkeypatch):
+    configs = [
+        SweepConfig(kind=kind, n=16, f_of_n=f, inner=inner, seed=seed)
+        for f in (1, 4)
+        for inner in ("exact", "pivot")
+        for seed in (0, 1)
+        for kind in ("grid", "star-path")
+    ]
+    monkeypatch.setattr(harness, "_last_instance", None)
+    tables = []
+    path_table = metric_module._path_table
+    monkeypatch.setattr(metric_module, "_path_table", lambda graph: tables.append(graph) or path_table(graph))
+    rows = sweep_upper_bound(configs)
+    assert len(tables) == 4  # one per (kind, n, seed), not one per cell
+    columns = ("kind", "n", "f_of_n", "inner", "seed")
+    assert [tuple(row[c] for c in columns) for row in rows] == sorted(cfg.key() for cfg in configs)
+    _cold_builds(monkeypatch)
+    assert rows == [sweep_upper_bound([cfg])[0] for cfg in sorted(configs, key=SweepConfig.key)]
 
 
 def test_star_path_small_is_plain_path():

@@ -1,13 +1,15 @@
 import json
+import random
 import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse.csgraph
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import medianlab.metric as metric_module
-from medianlab import fileio
+from medianlab import fileio, harness
 from medianlab.distances import EPS, ONE, ZERO, ExactDistance
 from medianlab.fileio import (
     load_metric_any,
@@ -22,7 +24,6 @@ from medianlab.metric import (
     CountingOracle,
     DisconnectedGraphError,
     HopMetric,
-    LineMetric,
     MetricTable,
     QueryOutsideSubsetError,
     RestrictedOracle,
@@ -33,7 +34,6 @@ from medianlab.metric import (
     exact_median,
     graph_metric,
     is_metric,
-    median_cost,
     replay_verify,
     sum_bound,
     validate_metric,
@@ -42,7 +42,7 @@ from medianlab.metric import (
 from medianlab.harness import ConstantBacking, generate_instance, play_adversary_game
 from medianlab.players import make_player
 
-from conftest import subset_size_grid
+from conftest import LineMetric, median_cost, subset_size_grid
 
 P4_EDGES = [(0, 1), (1, 2), (2, 3)]
 STAR_EDGES = [(0, 1), (0, 2), (0, 3)]
@@ -64,6 +64,28 @@ def test_graph_metric_p4_frozen(p4):
 def test_graph_metric_rejects_disconnected():
     with pytest.raises(DisconnectedGraphError):
         graph_metric(4, [(0, 1), (2, 3)])
+
+
+def test_path_table_cast_in_place_matches_a_whole_cast():
+    """The blockwise in-place cast equals csgraph's table cast at once, for every instance kind."""
+    for n in (1, 64, 150):  # 150 ends in a partial block
+        weights = np.triu(np.random.default_rng(n).integers(1, 10, size=(n, n)), 1)
+        graphs = {
+            "star-path": metric_module.edge_graph(n, harness._star_path_edges(n)),
+            "random-graph": metric_module.edge_graph(n, harness._random_graph_edges(n, random.Random(n))),
+            "grid": metric_module.edge_graph(n, harness._grid_edges(n)),
+            "table": weights + weights.T,
+        }
+        for kind, graph in graphs.items():
+            got = metric_module._path_table(graph)
+            assert got.dtype == np.int64 and got.flags.c_contiguous, (kind, n)
+            want = scipy.sparse.csgraph.shortest_path(graph, directed=False).astype(np.int64)
+            assert np.array_equal(got, want), (kind, n)
+    cut = np.zeros((3, 3))
+    cut[1, 2] = cut[2, 1] = 1
+    for graph in (metric_module.edge_graph(4, [(0, 1), (2, 3)]), cut):
+        with pytest.raises(DisconnectedGraphError, match=r"^vertex 0 cannot reach the whole graph$"):
+            metric_module._path_table(graph)
 
 
 def test_bfs_hop_row_frozen():
