@@ -174,11 +174,11 @@ class SweepConfig:
 def sweep_upper_bound(configs: Sequence[SweepConfig], brute_force_cap: int = 4096) -> list[dict]:
     """Run the subset pipeline over a grid and score each run against its bound.
 
-    Cells run grouped by (kind, n, seed), so each instance is built
-    once; rows come back sorted by config key.  The bound comparison is
-    exact (integer cross-multiplication through Fraction); the ratio
-    columns are floats for display only.  Every config is checked before any
-    instance is built.
+    Rows come back sorted by config key, which puts the cells of one
+    (kind, n) next to each other, so a one-seed sweep builds each
+    instance once.  The bound comparison is exact (integer
+    cross-multiplication through Fraction); the ratio columns are floats
+    for display only.  Every config is checked before any instance is built.
     """
     configs = sorted(configs, key=SweepConfig.key)
     for cfg in configs:
@@ -186,10 +186,8 @@ def sweep_upper_bound(configs: Sequence[SweepConfig], brute_force_cap: int = 409
             raise ValueError(f"n={cfg.n} exceeds the brute-force cap {brute_force_cap}")
         _require_kind(cfg.kind)
     inners = [make_inner(cfg.inner, rng_seed=cfg.seed) for cfg in configs]
-    rows = [None] * len(configs)
-    # a stable sort: key order within each instance's cells
-    for i in sorted(range(len(configs)), key=lambda i: (configs[i].kind, configs[i].n, configs[i].seed)):
-        cfg, inner = configs[i], inners[i]
+    rows = []
+    for cfg, inner in zip(configs, inners):
         table = generate_instance(cfg.kind, cfg.n, cfg.seed)
         oracle = CountingOracle(table, record_transcript=False)
         result = restrict_and_solve(oracle, cfg.n, cfg.f_of_n, inner)
@@ -208,23 +206,25 @@ def sweep_upper_bound(configs: Sequence[SweepConfig], brute_force_cap: int = 409
             beta = cost_ratio(brute_force_cost(table, result.output, S), sub_opt_cost, eps)
         bound = transfer_bound(beta, cfg.n, s)
 
-        rows[i] = {
-            "kind": cfg.kind,
-            "n": cfg.n,
-            "f_of_n": cfg.f_of_n,
-            "inner": cfg.inner,
-            "seed": cfg.seed,
-            "subset_size": s,
-            "queries": result.queries_used,
-            "output": result.output + 1,
-            "output_cost": out_cost.units,
-            "opt": opt_point + 1,
-            "opt_cost": opt_cost.units,
-            "ratio": float(ratio),
-            "beta": float(beta),
-            "bound": float(bound),
-            "bound_satisfied": bool(ratio <= bound),
-        }
+        rows.append(
+            {
+                "kind": cfg.kind,
+                "n": cfg.n,
+                "f_of_n": cfg.f_of_n,
+                "inner": cfg.inner,
+                "seed": cfg.seed,
+                "subset_size": s,
+                "queries": result.queries_used,
+                "output": result.output + 1,
+                "output_cost": out_cost.units,
+                "opt": opt_point + 1,
+                "opt_cost": opt_cost.units,
+                "ratio": float(ratio),
+                "beta": float(beta),
+                "bound": float(bound),
+                "bound_satisfied": bool(ratio <= bound),
+            }
+        )
     return rows
 
 

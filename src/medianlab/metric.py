@@ -79,10 +79,6 @@ PointId = int
 # time: no n x n temporary, and the mirror's strided reads stay in cache
 _TILE = 256
 
-# _path_table casts csgraph's float64 table to int64 in place, this many
-# rows at a time
-_CAST_ROWS = 64
-
 # exact_median asks whole rows of its pair triangle in blocks of about this
 # many pairs: one oracle round trip serves many short rows, and a block's
 # index arrays stay small
@@ -570,17 +566,17 @@ def edge_graph(n: int, edges: Iterable[tuple[int, int]]) -> scipy.sparse.csr_mat
 def _path_table(graph) -> np.ndarray:
     """All-pairs shortest paths of a CSR or dense weight matrix (0 is no edge), as int64.
 
-    The float64 result is cast in its own buffer, ``_CAST_ROWS`` rows at
-    a time, so no second n x n table is made.  Its values are sums of
-    integer weights below 2**53, hence exact.
+    The float64 result is cast in its own buffer, one row at a time, so
+    no second n x n table is made.  Its values are sums of integer
+    weights below 2**53, hence exact.
     """
     dist = scipy.sparse.csgraph.shortest_path(graph, directed=False)
     cut = np.isinf(dist).any(axis=1)
     if cut.any():
         raise DisconnectedGraphError(f"vertex {cut.argmax()} cannot reach the whole graph")
     ints = dist.view(np.int64)
-    for i in range(0, len(dist), _CAST_ROWS):
-        ints[i : i + _CAST_ROWS] = dist[i : i + _CAST_ROWS].astype(np.int64)
+    for i in range(len(dist)):
+        ints[i] = dist[i]
     return ints
 
 

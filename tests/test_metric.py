@@ -67,8 +67,8 @@ def test_graph_metric_rejects_disconnected():
 
 
 def test_path_table_cast_in_place_matches_a_whole_cast():
-    """The blockwise in-place cast equals csgraph's table cast at once, for every instance kind."""
-    for n in (1, 64, 150):  # 150 ends in a partial block
+    """The row-by-row in-place cast equals csgraph's table cast at once, for every instance kind."""
+    for n in (1, 64, 150):
         weights = np.triu(np.random.default_rng(n).integers(1, 10, size=(n, n)), 1)
         graphs = {
             "star-path": metric_module.edge_graph(n, harness._star_path_edges(n)),
