@@ -15,8 +15,9 @@ it with seeded double-edge swaps, which keep it simple and d-regular,
 swapping on until the graph is connected and its lambda2 clears the
 acceptance threshold.
 
-A graph holds its sorted edges and one CSR adjacency, read by the
-connectivity and lambda2 checks; ``adjacency()`` is a dense copy for small n.
+A graph holds its sorted edges and one CSR adjacency, and every check
+reads that CSR: connectivity, the lambda2 solve, the exhaustive
+neighbour masks and the BFS levels.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ __all__ = [
 
 EXHAUSTIVE_LIMIT = 24
 _ALPHA_GRAIN = 10**9  # spectral bounds are floored to this grid, conservatively
-_WORD_CHUNK = 4096  # Mersenne Twister words replayed per refill in _swap_randomize
+_WORD_CHUNK = 4096  # 32-bit words _swap_randomize reads from its rng per refill
 _ANCHOR_MEMO_SIZE = 8  # successful build_regular results kept per process
 
 # (n, d, seed, threshold, max_attempts) -> (int32 edge array, attempts, report)
@@ -80,10 +81,6 @@ class RegularGraph:
         self.build_attempts: int | None = None
         self.expansion: ExpansionReport | None = None
 
-    def adjacency(self) -> np.ndarray:
-        """A fresh dense n x n bool copy of the adjacency; for small n."""
-        return self.csr.astype(bool).toarray()
-
     def is_connected(self) -> bool:
         return scipy.sparse.csgraph.connected_components(self.csr, directed=False)[0] == 1
 
@@ -95,7 +92,7 @@ class RegularGraph:
 class ExpansionReport:
     method: str  # "exhaustive" | "spectral"
     alpha_lower: Fraction
-    lambda2: float | None
+    lambda2: float
 
 
 def default_lambda2_threshold(d: int) -> float:
@@ -127,28 +124,26 @@ def _swap_randomize(n: int, edges: set[tuple[int, int]], swaps: int, rng: random
 
     A move draws i = rng.randrange(L), j = rng.randrange(L) and, when
     i != j, a flip bit rng.getrandbits(1).  Instead of one call per
-    draw, rng's Mersenne Twister words are replayed in chunks through
-    numpy's MT19937 under CPython's rules: randrange(L) is
-    getrandbits(L.bit_length()) with rejection, and getrandbits(k) is
-    the top k bits of one 32-bit word.  On return rng stands exactly
-    where the per-call draws would have left it.
+    draw, the moves read rng's 32-bit words in chunks and apply
+    CPython's rules: randrange(L) is getrandbits(L.bit_length()) with
+    rejection, and getrandbits(k) is the top k bits of one word.  A
+    chunk is rng.getrandbits(32 * count), whose first word holds the
+    lowest bits.  Once a chunk is spent, or the moves are done, rng is
+    rewound to the chunk's start and steps over just the words used, so
+    on return it stands exactly where the per-call draws would have
+    left it.
     """
     pool = list(edges)
     size = len(pool)
     bits = size.bit_length()
     shift = 32 - bits
     half = 1 << (bits - 1)  # a drawn value >= half has its word's top bit set
-    version, internal, gauss_next = rng.getstate()
-    mt = np.random.MT19937()
-    mt.state = {
-        "bit_generator": "MT19937",
-        "state": {"key": np.array(internal[:-1], dtype=np.uint32), "pos": internal[-1]},
-    }
-    mark = mt.state  # generator state just before words[0]
-    words = (mt.random_raw(_WORD_CHUNK) >> shift).tolist()
-    p = start = 0
     move = 0
     while move < swaps:
+        mark = rng.getstate()  # rng's state just before words[0]
+        chunk = rng.getrandbits(32 * _WORD_CHUNK).to_bytes(4 * _WORD_CHUNK, "little")
+        words = (np.frombuffer(chunk, dtype="<u4") >> shift).tolist()
+        p = start = 0
         try:
             for move in range(move, swaps):
                 start = p
@@ -186,16 +181,9 @@ def _swap_randomize(n: int, edges: set[tuple[int, int]], swaps: int, rng: random
                 pool[j] = new2
             move = swaps
         except IndexError:
-            # the chunk ran dry mid-move: refill from the move's first word
-            mt.state = mark
-            mt.random_raw(start)
-            mark = mt.state
-            words = (mt.random_raw(_WORD_CHUNK) >> shift).tolist()
-            p = 0
-    mt.state = mark
-    mt.random_raw(p)
-    state = mt.state["state"]
-    rng.setstate((version, tuple(state["key"].tolist()) + (state["pos"],), gauss_next))
+            p = start  # the chunk ran dry mid-move: refill from the move's first word
+        rng.setstate(mark)
+        rng.getrandbits(32 * p)
 
 
 def build_regular(
@@ -255,7 +243,7 @@ def _build_certified(
             report = certify_expansion(g, "spectral")
         except DisconnectedGraphError:
             continue
-        if report.lambda2 is not None and report.lambda2 <= threshold:
+        if report.lambda2 <= threshold:
             return g, attempt + 1, report
     raise RuntimeError(f"no acceptable {d}-regular graph on {n} vertices after {max_attempts} attempts")
 
@@ -270,7 +258,7 @@ def _exhaustive_alpha(g: RegularGraph) -> Fraction:
     n, d = g.n, g.d
     if n > EXHAUSTIVE_LIMIT:
         raise ValueError(f"exhaustive certification is capped at n = {EXHAUSTIVE_LIMIT}")
-    nbr = g.adjacency().astype(np.int64) @ (1 << np.arange(n, dtype=np.int64))
+    nbr = g.csr.astype(np.int64) @ (1 << np.arange(n, dtype=np.int64))
     size = 1 << n
     internal = np.zeros(size, dtype=np.int32)
     for v in range(n - 1, -1, -1):
@@ -289,9 +277,11 @@ def _exhaustive_alpha(g: RegularGraph) -> Fraction:
 
 
 def _lambda2(g: RegularGraph) -> float:
-    """Second-largest adjacency eigenvalue, deterministic."""
-    if g.n <= 600:
-        return float(np.linalg.eigvalsh(g.csr.toarray())[-2])
+    """Second-largest adjacency eigenvalue, deterministic.
+
+    One seeded ARPACK solve on the CSR at every size; its digits do not
+    depend on the BLAS thread count.
+    """
     v0 = np.random.default_rng(1234).standard_normal(g.n)
     vals = scipy.sparse.linalg.eigsh(g.csr, k=2, which="LA", v0=v0, return_eigenvectors=False)
     return float(np.sort(vals)[0])
@@ -308,8 +298,7 @@ def certify_expansion(g: RegularGraph, method: str = "spectral") -> ExpansionRep
     if not g.is_connected():
         raise DisconnectedGraphError("graph is disconnected")
     if method == "exhaustive":
-        lam = _lambda2(g) if g.n <= 600 else None
-        return ExpansionReport("exhaustive", _exhaustive_alpha(g), lam)
+        return ExpansionReport("exhaustive", _exhaustive_alpha(g), _lambda2(g))
     if method == "spectral":
         lam = _lambda2(g)
         raw = (g.d - lam) / (2.0 * g.d)
@@ -329,24 +318,15 @@ def _vertex_set(g: RegularGraph, vertices: Iterable[int]) -> list[int]:
 def bfs_levels(g: RegularGraph, root_set: Iterable[int]) -> list[list[int]]:
     """BFS level sets from a multi-source root set; level 0 is the root set.
 
-    One unweighted csgraph walk over ``g.csr`` plus a super-source joined
-    to every root: a vertex's level is its hop distance from the
-    super-source, less one.  Vertices no root reaches are in no level.
+    One unweighted multi-source csgraph walk over ``g.csr``: a vertex's
+    level is its hop distance to the nearest root.  Vertices no root
+    reaches are in no level.
     """
     roots = _vertex_set(g, root_set)
     if not roots:
         raise ValueError("root set is empty")
-    csr = g.csr
-    joined = scipy.sparse.csr_matrix(
-        (
-            np.concatenate([csr.data, np.ones(len(roots))]),
-            np.concatenate([csr.indices, roots]),
-            np.append(csr.indptr, csr.nnz + len(roots)),
-        ),
-        shape=(g.n + 1, g.n + 1),
-    )
-    hops = scipy.sparse.csgraph.shortest_path(joined, directed=False, unweighted=True, indices=g.n)[: g.n]
-    dist = np.where(np.isinf(hops), -1, hops - 1).astype(np.int64)
+    hops = scipy.sparse.csgraph.dijkstra(g.csr, directed=False, indices=roots, unweighted=True, min_only=True)
+    dist = np.where(np.isinf(hops), -1, hops).astype(np.int64)
     return [np.flatnonzero(dist == k).tolist() for k in range(int(dist.max()) + 1)]
 
 

@@ -579,7 +579,7 @@ class _DenseReference:
     def __init__(self, anchor, rounds, cap):
         self.n, self.rounds, self.cap = anchor.n, rounds, cap
         self.adj = ~np.eye(anchor.n, dtype=bool)
-        self.perm = anchor.adjacency().copy()
+        self.perm = anchor.csr.toarray().astype(bool)
         self.perm_deg = np.full(anchor.n, anchor.d, dtype=np.int64)
         self.answers, self.paths, self.pruned_log = [], [], []
 

@@ -2,8 +2,10 @@ import argparse
 import hashlib
 import io
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -289,6 +291,26 @@ def test_console_entry_point(star_file):
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["n"] == 12
+
+
+def test_expander_output_ignores_the_blas_thread_count():
+    # lambda2 must not depend on how many threads OpenBLAS runs.  OpenBLAS
+    # runs no more threads than there are CPUs, so on a 1-CPU machine both
+    # runs use one thread and this passes whatever the solver.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    outs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "medianlab", "expander", "--n", "256", "--d", "8"],
+            capture_output=True,
+            env=env,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1]
 
 
 def test_extern_protocol_over_pipes():
