@@ -89,6 +89,8 @@ def _cmd_solve(args) -> int:
     inner = make_inner(args.inner, rng_seed=args.seed, sample_size=args.sample_size)
     result = restrict_and_solve(oracle, n, args.f_of_n, inner)
     s = subset_size(n, args.f_of_n)
+    query_bound = inner.query_bound(s)
+    output_cost = brute_force_cost(table, result.output)
 
     payload: dict = {
         "n": n,
@@ -97,15 +99,15 @@ def _cmd_solve(args) -> int:
         "subset_size": s,
         "output": result.output + 1,
         "queries": result.queries_used,
-        "query_bound": inner.query_bound(s),
+        "query_bound": query_bound,
     }
-    payload.update(_distance_fields("output_cost", brute_force_cost(table, result.output)))
-    checks = {"budget_respected": result.queries_used <= inner.query_bound(s)}
+    payload.update(_distance_fields("output_cost", output_cost))
+    checks = {"budget_respected": result.queries_used <= query_bound}
 
     if n <= args.brute_force_cap:
         opt_point, opt_cost = brute_force_median(table)
         eps = eps_value(n)
-        ratio = cost_ratio(brute_force_cost(table, result.output), opt_cost, eps)
+        ratio = cost_ratio(output_cost, opt_cost, eps)
         payload["opt"] = opt_point + 1
         payload.update(_distance_fields("opt_cost", opt_cost))
         payload.update(_fraction_fields("ratio", ratio))
@@ -212,7 +214,8 @@ def _cmd_lowerbound(args) -> int:
 
 def _cmd_expander(args) -> int:
     g = build_regular(args.n, args.d, seed=args.seed)
-    report = certify_expansion(g, method=args.certify)
+    # build_regular certified g spectrally already
+    report = g.expansion if args.certify == "spectral" else certify_expansion(g, method=args.certify)
     if args.edges_out:
         write_edge_list(args.edges_out, g.edges, header=f"{g.d}-regular on {g.n} vertices")
     payload = {

@@ -5,10 +5,11 @@ query, one more for its output).  The renaming wrapper below exploits
 that: it intercepts an algorithm aimed at an n-point space and maps
 each point to a fresh small name on first sight, so the whole game fits
 inside a (2q+1)-point adversary no matter how large n is.  Afterwards
-the small adversarial metric is blown back up to n points by gluing a
-cluster of near-copies (mutual distance eps = 1/2**n) onto the best
-good point, which leaves every answer the algorithm received intact
-while making its output point expensive by comparison.
+the small adversarial metric is blown back up to n points by gluing
+the unseen points onto the best good point y as near-copies: each
+stands in for y, at eps = 1/2**n from y and from each other.  That
+leaves every answer the algorithm received intact while making its
+output point expensive by comparison.
 
 The measured quantity is cost(output) / cost(best good point) on the
 glued space, reported exactly as a Fraction.  It grows with n for a
@@ -26,10 +27,12 @@ import numpy as np
 
 # perfbench/tracer.py wraps lowerbound.build_regular and .verify_certificate by name, so the bindings stay
 from .adversary import Certificate, verify_certificate  # noqa: F401
-from .distances import EPS, ExactDistance, eps_float, eps_value
+from .distances import ExactDistance, eps_float, eps_value
 from .expander import InfeasibleError, build_regular  # noqa: F401
 from .harness import play_adversary_game
-from .metric import HopMetric, MetricTable, TranscriptEntry, is_metric, query_each, replay_verify
+from .metric import (
+    HopMetric, MetricTable, TranscriptEntry, _as_pairs_in, is_metric, query_each, replay_verify, sum_bound,
+)
 
 __all__ = [
     "BudgetExceededError",
@@ -136,10 +139,12 @@ def run_renamed(algorithm, oracle, n: int, budget: int) -> RenamedRun:
 class GluedMetric:
     """An m-point base metric with n-m+1 points fused at eps around one of them.
 
-    The cluster holds the chosen base point y together with all the
-    artificial points m, ..., n-1; any two cluster members sit at
-    distance eps = 1/2**n from each other, and every other point sees
-    the whole cluster at its base distance to y.
+    Every artificial point m, ..., n-1 stands in for the base point y.
+    Two points sit at the base distance of their stand-ins, plus
+    eps = 1/2**n when they are distinct and share one, so y and the
+    artificial points form a cluster at mutual distance eps.
+    :meth:`distances` states that rule and every other accessor reads
+    it.  A point outside 0..n-1 raises ``IndexError``.
     """
 
     def __init__(self, base: HopMetric | MetricTable, y: int, n: int):
@@ -152,62 +157,42 @@ class GluedMetric:
         # every sum keeps its eps count below 2**n; costs sum at most n of them
         if 2 * n >= 2**n:
             raise ValueError("space too small for the eps regime")
-        if isinstance(base, MetricTable) and base.has_eps():
-            raise ValueError("the base metric must be integer-valued before gluing")
+        # a HopMetric's hops stay below m; a table's entries must keep n glued answers' sum in int64
+        if isinstance(base, MetricTable):
+            if base.has_eps():
+                raise ValueError("the base metric must be integer-valued before gluing")
+            if int(base.units.max()) > sum_bound(n):
+                raise ValueError(
+                    f"base entries must lie within {sum_bound(n)} = (2**63 - 1) // {n}, so a glued cost sums in int64"
+                )
         self.base = base
         self.y = y
         self.n = n
         self.m = m
 
-    def _in_cluster(self, p: int) -> bool:
-        return p == self.y or p >= self.m
+    def distances(self, a, b) -> tuple[np.ndarray, np.ndarray]:
+        """The pairs (a[k], b[k]) as int64 (units, eps) arrays, one base batch."""
+        a, b = _as_pairs_in(a, b, self.n)
+        stand_a = np.where(a < self.m, a, self.y)
+        stand_b = np.where(b < self.m, b, self.y)
+        units, eps = self.base.distances(stand_a, stand_b)
+        return units, eps + ((stand_a == stand_b) & (a != b))
 
     def distance(self, a: int, b: int) -> ExactDistance:
-        if not (0 <= a < self.n and 0 <= b < self.n):
-            raise IndexError(f"({a}, {b}) outside space of size {self.n}")
-        if a == b:
-            return ExactDistance(0)
-        ca, cb = self._in_cluster(a), self._in_cluster(b)
-        if ca and cb:
-            return EPS
-        if cb:
-            return self.base.distance(a, self.y)
-        if ca:
-            return self.base.distance(b, self.y)
-        return self.base.distance(a, b)
-
-    def _base_row_sum(self, p: int) -> int:
-        if isinstance(self.base, HopMetric):
-            return self.base.cost_of(p)
-        return int(self.base.units[p].sum())
+        units, eps = self.distances([a], [b])
+        return ExactDistance(int(units[0]), int(eps[0]))
 
     def cost_of(self, p: int) -> ExactDistance:
-        """Total glued distance from p to the whole n-point space, closed form."""
-        if self._in_cluster(p):
-            return ExactDistance(self._base_row_sum(self.y), self.n - self.m)
-        dy = self.base.distance(p, self.y).units
-        return ExactDistance(self._base_row_sum(p) + (self.n - self.m) * dy)
+        """Total glued distance from p to the whole n-point space, an exact int64 batch sum."""
+        units, eps = self.distances(np.full(self.n, p), np.arange(self.n))
+        return ExactDistance(int(units.sum()), int(eps.sum()))
 
     def to_table(self, cap: int = 4096) -> MetricTable:
         if self.n > cap:
             raise ValueError(f"refusing to materialize {self.n}x{self.n} table (cap {cap})")
-        m, n, y = self.m, self.n, self.y
-        if isinstance(self.base, HopMetric):
-            bu = self.base.to_table(cap).units
-        else:
-            bu = self.base.units
-        units = np.zeros((n, n), dtype=np.int64)
-        units[:m, :m] = bu
-        col = bu[:, y]
-        units[:m, m:] = col[:, None]
-        units[m:, :m] = col[None, :]
-        eps = np.zeros((n, n), dtype=np.int64)
-        cluster = np.array([y] + list(range(m, n)), dtype=np.int64)
-        units[np.ix_(cluster, cluster)] = 0
-        eps[np.ix_(cluster, cluster)] = 1
-        np.fill_diagonal(units, 0)
-        np.fill_diagonal(eps, 0)
-        return MetricTable(units, eps)
+        a, b = np.divmod(np.arange(self.n * self.n), self.n)
+        units, eps = self.distances(a, b)
+        return MetricTable(units.reshape(self.n, self.n), eps.reshape(self.n, self.n))
 
 
 def glue_metric(base: HopMetric | MetricTable, y: int, n: int) -> GluedMetric:

@@ -6,10 +6,11 @@ Points are plain 0-based ints.  The query protocol has two sides:
   ``distance(a, b) -> ExactDistance`` method.  It may also define
   ``distances(a, b) -> (units, eps)``, which answers the pairs
   ``(a[k], b[k])`` of two equal-length int arrays as two int64 arrays;
-  :class:`MetricTable` and :class:`HopMetric` do, and so does the
-  adaptive adversary, which serves a batch in order as consecutive
-  rounds, checks its anchor before and after a batch instead of after
-  every round, and serves its padding as one batch;
+  :class:`MetricTable`, :class:`HopMetric` and ``lowerbound``'s glued
+  metric do, and so does the adaptive adversary, which serves a batch
+  in order as consecutive rounds, checks its anchor before and after a
+  batch instead of after every round, and serves its padding as one
+  batch;
 * an *oracle* has ``n``, a ``queries_made`` count, a
   ``query(a, b) -> ExactDistance`` method and a batch form
   ``query_many(a, b) -> (units, eps)``, and is all an algorithm under
@@ -17,8 +18,9 @@ Points are plain 0-based ints.  The query protocol has two sides:
   query per pair, exactly as the same ``query`` calls would; over a
   backing without ``distances`` it is those calls, one at a time.
   Every batch answer lies within ``sum_bound(n)``, so an int64 sum of
-  n of them is exact: a :class:`MetricTable` holds no larger entry, and
-  a pair-by-pair batch raises on one.
+  n of them is exact: a :class:`MetricTable` holds no larger entry, the
+  glued metric refuses a base table that would give one, and a
+  pair-by-pair batch raises on one.
 
 The value of eps on either is ``distances.eps_value(n)``.  Two concrete
 backings are provided:

@@ -437,15 +437,19 @@ def test_metric_table_rejects_entries_past_the_sum_bound():
 
 
 def test_pair_by_pair_batch_rejects_answers_past_the_sum_bound():
-    # the 2-point table at its bound, glued to 4 points: point 1's cost 3B would wrap int64
+    # the 2-point table at its bound, glued to 4 points: point 1's cost 3B would wrap int64,
+    # so the glue refuses the base before it answers anything
     b = sum_bound(2)
-    glued = glue_metric(MetricTable(np.array([[0, b], [b, 0]])), 0, 4)
-    assert CountingOracle(glued).query(1, 2) == ExactDistance(b)
+    with pytest.raises(ValueError, match=r"within 2305843009213693951 = \(2\*\*63 - 1\) // 4"):
+        glue_metric(MetricTable(np.array([[0, b], [b, 0]])), 0, 4)
+    # a backing without distances is asked pair by pair, and the loop raises on the oversized answer
+    backing = ConstantBacking(4, b)
+    assert CountingOracle(backing).query(1, 2) == ExactDistance(b)
     with pytest.raises(ValueError, match=r"answer .* to query \(0, 1\) exceeds 2305843009213693951"):
-        exact_median(CountingOracle(glued), range(4))
+        exact_median(CountingOracle(backing), range(4))
     with pytest.raises(ValueError, match="could wrap"):
-        median_cost(CountingOracle(glued), 1, range(4))
-    # at the 4-point bound the same game is exact
+        median_cost(CountingOracle(backing), 1, range(4))
+    # at the 4-point bound the glued game is exact, through the glue's batch
     b = sum_bound(4)
     glued = glue_metric(MetricTable(np.array([[0, b], [b, 0]])), 0, 4)
     assert exact_median(CountingOracle(glued), range(4)) == (0, ExactDistance(b, 2))

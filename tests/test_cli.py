@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from medianlab import expander
 from medianlab.cli import build_parser, main
 from medianlab.fileio import read_edge_list, write_metric_file, write_metric_json
 from medianlab.harness import generate_instance
@@ -222,6 +223,18 @@ def test_expander_json_and_edge_export(capsys, tmp_path):
     n, edges = read_edge_list(edges_out)
     assert n == 16
     assert len(edges) == 32
+
+
+def test_expander_solves_lambda2_once(capsys, monkeypatch):
+    # the payload reads the spectral report build_regular already made; a cold build certifies once
+    monkeypatch.setattr(expander, "_anchor_memo", {})
+    true_lambda2 = expander._lambda2
+    solves = []
+    monkeypatch.setattr(expander, "_lambda2", lambda g: solves.append(g.n) or true_lambda2(g))
+    code, out = run_cli(capsys, "expander", "--n", "64", "--d", "8")
+    assert code == 0
+    assert json.loads(out)["method"] == "spectral"
+    assert solves == [64]
 
 
 def test_sweep_csv(capsys):

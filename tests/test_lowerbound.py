@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from medianlab import lowerbound
@@ -164,6 +165,56 @@ def test_glued_metric_is_a_metric():
     assert validate_metric(g.to_table()) == []
 
 
+def _glued_reference(base, y, n):
+    """The glued distance table from its definition, one base.distance call per pair."""
+    m = base.n
+
+    def in_cluster(p):
+        return p == y or p >= m
+
+    table = {}
+    for a in range(n):
+        for b in range(n):
+            if a == b:
+                table[a, b] = ExactDistance(0)
+            elif in_cluster(a) and in_cluster(b):
+                table[a, b] = EPS
+            else:
+                table[a, b] = base.distance(y if in_cluster(a) else a, y if in_cluster(b) else b)
+    return table
+
+
+def _finished_game_metric():
+    report = hard_instance_game(make_player("exact", budget=4, seed=0), n=20, q=4, degree=4, seed=2)
+    return report.certificate.final_metric, report.certificate.best_good[0]
+
+
+@pytest.mark.parametrize(
+    "make_base, n",
+    [(_finished_game_metric, 20), (lambda: (generate_instance("table", 5, seed=3), 2), 12)],
+    ids=["hop-metric", "table"],
+)
+def test_glued_metric_matches_its_definition(make_base, n):
+    base, y = make_base()
+    g = glue_metric(base, y, n)
+    ref = _glued_reference(base, y, n)
+    pairs = sorted(ref)
+    units, eps = g.distances([a for a, _ in pairs], [b for _, b in pairs])
+    assert [ExactDistance(int(u), int(e)) for u, e in zip(units, eps)] == [ref[p] for p in pairs]
+    table = g.to_table()
+    for a, b in pairs:
+        assert g.distance(a, b) == ref[a, b] == table.distance(a, b), (a, b)
+    for p in range(n):
+        assert g.cost_of(p) == sum((ref[p, x] for x in range(n)), ExactDistance(0)), p
+    for outside in (-1, n, 99):
+        with pytest.raises(IndexError):
+            g.distance(0, outside)
+        with pytest.raises(IndexError):
+            g.distances([outside], [0])
+        with pytest.raises(IndexError):
+            g.cost_of(outside)
+
+
 def test_glue_validation():
     base = graph_metric(3, [(0, 1), (1, 2)])
     with pytest.raises(ValueError):
@@ -202,14 +253,30 @@ def test_audit_sees_a_wrong_cost(monkeypatch):
     assert not report.all_ok
 
 
-def test_glue_checks_see_a_wrong_base_row_sum(monkeypatch):
-    # the glue adds one to every base row sum; the certificate's audited
-    # base costs do not, so both cost splits fail
-    true_sum = GluedMetric._base_row_sum
-    monkeypatch.setattr(GluedMetric, "_base_row_sum", lambda self, p: true_sum(self, p) + 1)
+def test_glue_checks_see_a_wrong_glued_distance(monkeypatch):
+    # the cost splits restate the glued costs from the certificate's audited
+    # base costs, so a glue that puts distinct points one unit too far fails both
+    true_distances = GluedMetric.distances
+
+    def one_unit_too_far(self, a, b):
+        units, eps = true_distances(self, a, b)
+        return units + (np.asarray(a) != np.asarray(b)), eps
+
+    monkeypatch.setattr(GluedMetric, "distances", one_unit_too_far)
     for algo in ("exact", "random"):
         report = hard_instance_game(make_player(algo, 20, seed=0), n=256, q=20, degree=4, seed=0)
         assert report.checks["cost_split_z"] is False, algo
+        assert report.checks["cost_split_y"] is False, algo
+        assert not report.all_ok, algo
+
+    # a glue without its eps term loses y's eps to the rest of the cluster
+    def no_eps(self, a, b):
+        units, _ = true_distances(self, a, b)
+        return units, np.zeros_like(units)
+
+    monkeypatch.setattr(GluedMetric, "distances", no_eps)
+    for algo in ("exact", "random"):
+        report = hard_instance_game(make_player(algo, 20, seed=0), n=256, q=20, degree=4, seed=0)
         assert report.checks["cost_split_y"] is False, algo
         assert not report.all_ok, algo
 
