@@ -28,12 +28,12 @@ longer answer the walk-back's one clique hop, or its last step into the
 source if that is not permanent.  Only that edge is hardened and only
 its two ends are held against the cap.
 
-``answer`` serves one round; ``distances`` serves a batch of pairs in
-order as consecutive rounds, so a :class:`CountingOracle` hands it a
-player's whole ``query_many`` batch, and ``finalize`` serves its padding
-as one such batch.  Each call checks that no anchor edge was lost after
-its last round, and a batch also checks before its first; the rounds
-in between are not checked one by one.
+``distances`` serves a batch of pairs in order as consecutive rounds,
+so a :class:`CountingOracle` hands it a player's whole ``query_many``
+batch, and ``finalize`` serves its padding as one such batch; ``answer``
+is one round, a batch of one pair.  Each batch checks that no anchor
+edge was lost before its first round and after its last; the rounds in
+between are not checked one by one.
 
 The cost of the construction is that heavily queried vertices end up
 isolated behind their few permanent edges, far from everything, while
@@ -143,9 +143,6 @@ class Adversary:
 
     # -- backing interface, so a CountingOracle can front the game -----
 
-    def distance(self, a: int, b: int) -> ExactDistance:
-        return _exact(self.answer(a, b))
-
     def distances(self, a, b) -> tuple[np.ndarray, np.ndarray]:
         """Serve the pairs (a[k], b[k]) in order as consecutive rounds.
 
@@ -167,15 +164,10 @@ class Adversary:
 
     # -- play ----------------------------------------------------------
 
+    # perfbench/tracer.py wraps answer by name, so the one-pair form stays
     def answer(self, a: int, b: int) -> int:
-        """Serve one round: answer, mark the reply path, prune."""
-        if self.rounds_served >= self.rounds:
-            raise BudgetExhaustedError(f"all {self.rounds} rounds already served")
-        if not (0 <= a < self.n and 0 <= b < self.n):
-            raise IndexError(f"query ({a}, {b}) outside space of size {self.n}")
-        dist = self._serve(a, b)
-        self._check_anchor()
-        return dist
+        """Serve one round, a one-pair :meth:`distances`: answer, mark the reply path, prune."""
+        return int(self.distances([a], [b])[0][0])
 
     def _check_anchor(self) -> None:
         # no round clears a perm cell, so an anchor cell is lost only by code

@@ -17,16 +17,18 @@ from typing import Sequence
 import numpy as np
 
 from .adversary import Adversary, Certificate, minimal_cap, verify_certificate
-from .distances import ExactDistance, eps_value
+from .distances import eps_value
 from .expander import build_regular
 from .metric import (
     CountingOracle,
     MetricTable,
+    _as_pairs,
     _path_table,
     brute_force_cost,
     brute_force_median,
     graph_metric,
     replay_verify,
+    sum_bound,
 )
 from .solvers import cost_ratio, make_inner, restrict_and_solve, subset_schedule, subset_size, transfer_bound
 
@@ -129,13 +131,26 @@ def generate_instance(kind: str, n: int, seed: int = 0) -> MetricTable:
 
 @dataclass(frozen=True)
 class ConstantBacking:
-    """A backing that answers every pair, the diagonal too, with one constant."""
+    """A backing that answers every pair, the diagonal too, with one constant.
+
+    A constant outside 0..sum_bound(n), whose sums over n answers could
+    wrap int64, is refused with ``ValueError``.
+    """
 
     n: int
     answer: int = 1
 
-    def distance(self, a: int, b: int) -> ExactDistance:
-        return ExactDistance(self.answer)
+    def __post_init__(self):
+        bound = sum_bound(self.n)
+        if not 0 <= self.answer <= bound:
+            raise ValueError(
+                f"answer {self.answer} must lie within 0..{bound} = (2**63 - 1) // {self.n}, "
+                f"so that a sum of {self.n} answers cannot wrap 64 bits"
+            )
+
+    def distances(self, a, b) -> tuple[np.ndarray, np.ndarray]:
+        units = np.full(len(_as_pairs(a, b)[0]), self.answer, dtype=np.int64)
+        return units, np.zeros_like(units)
 
 
 def verify_nonadaptive(inner, s: int) -> bool:

@@ -31,7 +31,7 @@ from .distances import ExactDistance, eps_float, eps_value
 from .expander import InfeasibleError, build_regular  # noqa: F401
 from .harness import play_adversary_game
 from .metric import (
-    HopMetric, MetricTable, TranscriptEntry, _as_pairs_in, is_metric, query_each, replay_verify, sum_bound,
+    _BLOCK, HopMetric, MetricTable, TranscriptEntry, _as_pairs_in, _single, is_metric, replay_verify, sum_bound,
 )
 
 __all__ = [
@@ -95,21 +95,28 @@ class _RenamingProxy:
         return self._run.queries_used
 
     def query(self, a: int, b: int) -> ExactDistance:
-        if self._run.queries_used >= self._budget:
-            raise BudgetExceededError(f"budget of {self._budget} queries exhausted")
-        if not (0 <= a < self.n and 0 <= b < self.n):
-            raise IndexError(f"query ({a}, {b}) outside space of size {self.n}")
-        ren = self._run.renaming
-        na = ren.assign(a)
-        nb = ren.assign(b)
-        answer = self._oracle.query(na, nb)
-        self._run.queries_used += 1
-        self._run.inner_transcript.append(TranscriptEntry(a, b, answer))
-        return answer
+        return _single(self.query_many([a], [b]))
 
     def query_many(self, a, b) -> tuple[np.ndarray, np.ndarray]:
-        # names are given at first sight, so a batch is its queries in order
-        return query_each(self, a, b)
+        """Rename the pairs (a[k], b[k]) and ask the arena oracle them as one batch.
+
+        A batch past the budget or with a point outside 0..n-1 raises
+        before any name is given.  Names are given at first sight, a
+        before b, pair by pair, as the same queries one at a time would.
+        """
+        run = self._run
+        if run.queries_used + len(a) > self._budget:
+            raise BudgetExceededError(f"budget of {self._budget} queries exhausted")
+        a, b = _as_pairs_in(a, b, self.n)
+        points = np.column_stack((a, b)).ravel().tolist()
+        names = np.fromiter(map(run.renaming.assign, points), dtype=np.int64, count=len(points)).reshape(-1, 2)
+        units, eps = self._oracle.query_many(names[:, 0], names[:, 1])
+        run.queries_used += len(a)
+        run.inner_transcript.extend(
+            TranscriptEntry(x, y, ExactDistance(u, e))
+            for x, y, u, e in zip(a.tolist(), b.tolist(), units.tolist(), eps.tolist())
+        )
+        return units, eps
 
 
 def run_renamed(algorithm, oracle, n: int, budget: int) -> RenamedRun:
@@ -178,9 +185,9 @@ class GluedMetric:
         units, eps = self.base.distances(stand_a, stand_b)
         return units, eps + ((stand_a == stand_b) & (a != b))
 
+    # perfbench/tracer.py wraps distance by name, so the one-pair form stays
     def distance(self, a: int, b: int) -> ExactDistance:
-        units, eps = self.distances([a], [b])
-        return ExactDistance(int(units[0]), int(eps[0]))
+        return _single(self.distances([a], [b]))
 
     def cost_of(self, p: int) -> ExactDistance:
         """Total glued distance from p to the whole n-point space, an exact int64 batch sum."""
@@ -190,11 +197,18 @@ class GluedMetric:
     def to_table(self, cap: int = 4096) -> MetricTable:
         if self.n > cap:
             raise ValueError(f"refusing to materialize {self.n}x{self.n} table (cap {cap})")
-        a, b = np.divmod(np.arange(self.n * self.n), self.n)
-        units, eps = self.distances(a, b)
-        return MetricTable(units.reshape(self.n, self.n), eps.reshape(self.n, self.n))
+        # batches of whole rows, about _BLOCK pairs and at least one row each,
+        # so no temporary outgrows a block
+        n = self.n
+        units, eps = np.empty(n * n, dtype=np.int64), np.empty(n * n, dtype=np.int64)
+        step = max(1, _BLOCK // n) * n
+        for start in range(0, n * n, step):
+            a, b = np.divmod(np.arange(start, min(start + step, n * n)), n)
+            units[start : start + step], eps[start : start + step] = self.distances(a, b)
+        return MetricTable(units.reshape(n, n), eps.reshape(n, n))
 
 
+# perfbench/tracer.py wraps glue_metric by name, so the wrapper stays
 def glue_metric(base: HopMetric | MetricTable, y: int, n: int) -> GluedMetric:
     return GluedMetric(base, y, n)
 

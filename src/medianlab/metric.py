@@ -1,26 +1,26 @@
 """Finite metric spaces, distance oracles, and brute-force medians.
 
-Points are plain 0-based ints.  The query protocol has two sides:
+Points are plain 0-based ints.  The query protocol has two sides, and
+both speak in batches:
 
-* a *backing* has an ``n`` attribute and a
-  ``distance(a, b) -> ExactDistance`` method.  It may also define
+* a *backing* has an ``n`` attribute and one method,
   ``distances(a, b) -> (units, eps)``, which answers the pairs
-  ``(a[k], b[k])`` of two equal-length int arrays as two int64 arrays;
-  :class:`MetricTable`, :class:`HopMetric` and ``lowerbound``'s glued
-  metric do, and so does the adaptive adversary, which serves a batch
-  in order as consecutive rounds, checks its anchor before and after a
-  batch instead of after every round, and serves its padding as one
-  batch;
-* an *oracle* has ``n``, a ``queries_made`` count, a
-  ``query(a, b) -> ExactDistance`` method and a batch form
-  ``query_many(a, b) -> (units, eps)``, and is all an algorithm under
-  test ever sees.  A batch answers its pairs in order and charges one
-  query per pair, exactly as the same ``query`` calls would; over a
-  backing without ``distances`` it is those calls, one at a time.
-  Every batch answer lies within ``sum_bound(n)``, so an int64 sum of
-  n of them is exact: a :class:`MetricTable` holds no larger entry, the
-  glued metric refuses a base table that would give one, and a
-  pair-by-pair batch raises on one.
+  ``(a[k], b[k])`` of two equal-length int arrays as two int64 arrays.
+  :class:`MetricTable`, :class:`HopMetric`, ``lowerbound``'s glued
+  metric and ``harness.ConstantBacking`` are backings, and so is the
+  adaptive adversary, which serves a batch in order as consecutive
+  rounds, checks its anchor before and after a batch instead of after
+  every round, and serves its padding as one batch;
+* an *oracle* has ``n``, a ``queries_made`` count, a batch method
+  ``query_many(a, b) -> (units, eps)`` and ``query(a, b) ->
+  ExactDistance``, which is ``query_many`` on one pair.  An oracle is
+  all an algorithm under test ever sees.  A batch answers its pairs in
+  order and charges one query per pair, repeats included.
+
+Every answer lies within ``sum_bound(n)``, so an int64 sum of n of them
+is exact: a :class:`MetricTable` holds no larger entry, a
+:class:`HopMetric` answers hops below n, and the glued metric and the
+constant backing refuse, when built, a value that would give one.
 
 The value of eps on either is ``distances.eps_value(n)``.  Two concrete
 backings are provided:
@@ -29,9 +29,8 @@ backings are provided:
   (integer hop units and eps counts),
 * :class:`HopMetric`, shortest-path distances over a fixed undirected
   graph plus a clique given as a vertex mask, computed lazily one BFS
-  row at a time; ``distance`` answers 0 and 1 from the two arrays
-  without a BFS, and ``distances`` reads one row per source of a
-  longer answer.
+  row at a time; ``distances`` answers 0 and 1 from the two arrays
+  without a BFS and reads one row per source of a longer answer.
 
 Every algorithm under test talks to a backing through
 :class:`CountingOracle`, which charges one query per pair asked,
@@ -63,7 +62,6 @@ __all__ = [
     "replay_verify",
     "CountingOracle",
     "RestrictedOracle",
-    "query_each",
     "validate_metric",
     "is_metric",
     "edge_graph",
@@ -184,11 +182,8 @@ class MetricTable:
                     "so that exact sums fit in 64 bits"
                 )
 
-    def distance(self, a: PointId, b: PointId) -> ExactDistance:
-        return ExactDistance(int(self.units[a, b]), int(self.eps[a, b]))
-
     def distances(self, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Batch form of :meth:`distance`: the entries at (a[k], b[k])."""
+        """The entries at (a[k], b[k]), as int64 (units, eps) arrays."""
         units, eps = self.units[a, b], self.eps[a, b]
         if (units < 0).any() or (eps < 0).any():
             raise ValueError("distance components must be nonnegative")
@@ -219,11 +214,12 @@ class HopMetric:
     :func:`bfs_hop_row` walks it through the mask.  Rows are computed on
     demand and cached, so callers that only need a handful of sources
     (replay checks, cost lookups) never pay for the full all-pairs
-    matrix; a distance of 0 or 1 needs no row beyond the one
-    connectivity check.  Both arrays are held as given, not copied.
-    The adjacency must be symmetric, which is checked tile by tile so
-    that no n x n temporary is made.  A point outside 0..n-1 raises
-    ``IndexError``.
+    matrix.  :meth:`distances` answers a batch of pairs: 0 and 1 from
+    the two arrays, with no row beyond the one connectivity check, and
+    a longer answer from its source's row.  Both arrays are held as
+    given, not copied.  The adjacency must be symmetric, which is
+    checked tile by tile so that no n x n temporary is made.  A point
+    outside 0..n-1 raises ``IndexError``.
     """
 
     def __init__(self, adjacency: np.ndarray, clique: np.ndarray):
@@ -246,35 +242,24 @@ class HopMetric:
         self.n = n
         self._rows: dict[int, np.ndarray] = {}
 
-    def _check_points(self, *points) -> None:
-        for p in points:
-            if not 0 <= p < self.n:
-                raise IndexError(f"point {p} outside space of size {self.n}")
-
     def row(self, a: PointId) -> np.ndarray:
         cached = self._rows.get(a)
         if cached is None:
-            self._check_points(a)
+            if not 0 <= a < self.n:
+                raise IndexError(f"point {a} outside space of size {self.n}")
             cached = bfs_hop_row(self.adjacency, a, clique=self.clique)
             if (cached < 0).any():
                 raise DisconnectedGraphError(f"vertex {a} cannot reach the whole graph")
             self._rows[a] = cached
         return cached
 
-    def distance(self, a: PointId, b: PointId) -> ExactDistance:
-        # the graph is loop-free, so 0 and 1 come from the two arrays; the
-        # cached row(0) keeps a disconnected graph raising on every pair
-        self._check_points(a, b)
-        if a == b or self.adjacency[a, b] or (self.clique[a] and self.clique[b]):
-            self.row(0)
-            return ExactDistance(0 if a == b else 1)
-        return ExactDistance(int(self.row(a)[b]))
-
     def distances(self, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Batch form of :meth:`distance`, computing the same rows.
+        """The hop distances of the pairs (a[k], b[k]), as int64 (units, eps) arrays.
 
-        Answers 0 and 1 come from the two arrays; a longer answer reads
-        the row of its source, one row per distinct source.
+        The graph is loop-free, so answers 0 and 1 come from the two
+        arrays; the cached row(0) keeps a disconnected graph raising on
+        every batch, short answers included.  A longer answer reads the row of its
+        source, one row per distinct source.
         """
         a, b = _as_pairs_in(a, b, self.n)
         units = (a != b).astype(np.int64)
@@ -337,9 +322,8 @@ def replay_verify(transcript, metric) -> bool:
     """True iff every recorded answer matches the metric it claims to describe.
 
     An entry with a point outside 0..n-1 matches nothing, and makes the
-    replay False before any distance is asked.  A metric with
-    ``distances`` answers the whole transcript as one batch; any other
-    is asked entry by entry.
+    replay False before any distance is asked.  The metric answers the
+    whole transcript as one ``distances`` batch.
     """
     try:
         a, b, units, eps = np.array(
@@ -349,10 +333,7 @@ def replay_verify(transcript, metric) -> bool:
         return False  # no point or answer in a metric of n points lies outside int64
     if ((a < 0) | (a >= metric.n) | (b < 0) | (b >= metric.n)).any():
         return False
-    distances = getattr(metric, "distances", None)
-    if distances is None:
-        return all(metric.distance(e.a, e.b) == e.answer for e in transcript)
-    got_units, got_eps = distances(a, b)
+    got_units, got_eps = metric.distances(a, b)
     return bool(np.array_equal(got_units, units) and np.array_equal(got_eps, eps))
 
 
@@ -373,27 +354,10 @@ def _as_pairs_in(a, b, n: int) -> tuple[np.ndarray, np.ndarray]:
     return a, b
 
 
-def query_each(oracle, a, b) -> tuple[np.ndarray, np.ndarray]:
-    """``query_many`` as one ``oracle.query`` call per pair, in order.
-
-    For oracles whose answers must come one at a time: a backing
-    without ``distances``, or a renaming that assigns names at first
-    sight.  Raises
-    ``ValueError`` on an answer beyond ``sum_bound(oracle.n)``, whose
-    int64 sums could wrap.
-    """
-    a, b = _as_pairs(a, b)
-    answers = [oracle.query(x, y) for x, y in zip(a.tolist(), b.tolist())]
-    units = [d.units for d in answers]
-    eps = [d.eps_count for d in answers]
-    bound = sum_bound(oracle.n)
-    if answers and max(max(units), max(eps)) > bound:
-        k = next(k for k, d in enumerate(answers) if max(d.units, d.eps_count) > bound)
-        raise ValueError(
-            f"answer {answers[k]} to query ({a[k]}, {b[k]}) exceeds {bound} = (2**63 - 1) // "
-            f"{oracle.n}, so a sum of {oracle.n} answers could wrap 64 bits"
-        )
-    return np.array(units, dtype=np.int64), np.array(eps, dtype=np.int64)
+def _single(batch: tuple[np.ndarray, np.ndarray]) -> ExactDistance:
+    """The answer of a one-pair batch."""
+    units, eps = batch
+    return ExactDistance(int(units[0]), int(eps[0]))
 
 
 class CountingOracle:
@@ -409,26 +373,17 @@ class CountingOracle:
         return self.backing.n
 
     def query(self, a: PointId, b: PointId) -> ExactDistance:
-        if not (0 <= a < self.n and 0 <= b < self.n):
-            raise IndexError(f"query ({a}, {b}) outside space of size {self.n}")
-        answer = self.backing.distance(a, b)
-        self.queries_made += 1
-        if self.transcript is not None:
-            self.transcript.append(TranscriptEntry(a, b, answer))
-        return answer
+        return _single(self.query_many([a], [b]))
 
     def query_many(self, a, b) -> tuple[np.ndarray, np.ndarray]:
         """Answer the pairs (a[k], b[k]) in order as int64 (units, eps) arrays.
 
-        Charges ``len(a)`` queries and records the same transcript as
-        that many ``query`` calls.  A backing with ``distances`` answers
-        the whole batch in one call; any other is asked pair by pair.
+        The backing answers the whole batch in one ``distances`` call.
+        Charges ``len(a)`` queries and records one transcript entry per
+        pair, in order.
         """
         a, b = _as_pairs_in(a, b, self.n)
-        distances = getattr(self.backing, "distances", None)
-        if distances is None:
-            return query_each(self, a, b)
-        units, eps = distances(a, b)
+        units, eps = self.backing.distances(a, b)
         self.queries_made += len(a)
         if self.transcript is not None:
             self.transcript.extend(
@@ -460,12 +415,10 @@ class RestrictedOracle:
         return self._oracle.queries_made
 
     def query(self, a: PointId, b: PointId) -> ExactDistance:
-        if not self._allows(np.array([a, b], dtype=np.int64)).all():
-            raise QueryOutsideSubsetError(f"query ({a}, {b}) leaves the allowed subset")
-        return self._oracle.query(a, b)
+        return _single(self.query_many([a], [b]))
 
     def query_many(self, a, b) -> tuple[np.ndarray, np.ndarray]:
-        """Batch form of :meth:`query`; a batch that leaves the subset charges nothing."""
+        """The inner oracle's ``query_many``; a batch that leaves the subset charges nothing."""
         a, b = _as_pairs(a, b)
         inside = self._allows(a)
         inside &= self._allows(b)

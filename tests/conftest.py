@@ -15,8 +15,15 @@ class LineMetric:
             raise ValueError("need at least one point")
         self.n = n
 
-    def distance(self, a, b):
-        return ExactDistance(abs(a - b))
+    def distances(self, a, b):
+        units = np.abs(np.asarray(a, dtype=np.int64) - np.asarray(b, dtype=np.int64))
+        return units, np.zeros_like(units)
+
+
+def pair_distance(backing, a, b):
+    """The backing's answer for one pair, as a one-pair ``distances`` batch."""
+    units, eps = backing.distances([a], [b])
+    return ExactDistance(int(units[0]), int(eps[0]))
 
 
 def median_cost(oracle, p, S):

@@ -1,10 +1,9 @@
 """The batch query path against the per-pair one.
 
 ``query_many`` must answer, charge and record exactly as the same
-``query`` calls would, on the vector path (a backing with
-``distances``) and on the loop path (any other backing).  The solvers
-that ask in batches are compared with per-pair reference copies of the
-routines they replaced.
+``query`` calls would, each a one-pair batch, on every backing.  The
+solvers that ask in batches are compared with per-pair reference copies
+of the routines they replaced.
 """
 
 import math
@@ -34,7 +33,7 @@ from medianlab.metric import (
 from medianlab.players import RandomFuzzer
 from medianlab.solvers import ExactInner, PivotInner, SamplingInner, SolverResult, restrict_and_solve
 
-from conftest import LineMetric, median_cost
+from conftest import LineMetric, median_cost, pair_distance
 
 
 # -- per-pair references: the routines as they were before batching ----
@@ -196,7 +195,7 @@ def test_out_of_subset_batch_raises_and_charges_nothing(kind):
     assert o.queries_made == 0 and o.transcript == []
     units, _ = guard.query_many([1, 4], [2, 2])
     assert o.queries_made == 2
-    assert units.tolist() == [o.backing.distance(1, 2).units, o.backing.distance(4, 2).units]
+    assert units.tolist() == [pair_distance(o.backing, 1, 2).units, pair_distance(o.backing, 4, 2).units]
 
 
 GUARD_N = 24
@@ -403,21 +402,26 @@ def test_fuzzer_batch_matches_per_pair_queries(budget):
 
 
 def test_table_path_reads_no_single_entry(monkeypatch):
-    """Every inner reads a table in batches only: with the per-pair read
-    broken, the whole pipeline still runs."""
-
-    def broken(self, a, b):
-        raise AssertionError("per-pair read on the table path")
-
+    """Every read a CountingOracle makes of a table, ``query`` included,
+    is one ``MetricTable.distances`` call over the whole batch."""
     table = generate_instance("grid", 36, 0)
     expected = {}
     for inner in (ExactInner(), PivotInner(), SamplingInner(0)):
         expected[inner.name] = restrict_and_solve(CountingOracle(table), 36, 1, inner)
-    monkeypatch.setattr(MetricTable, "distance", broken)
-    with pytest.raises(AssertionError):
-        CountingOracle(table).query(0, 1)
+    reads, batches = [], []
+    real_distances, real_query_many = MetricTable.distances, CountingOracle.query_many
+    monkeypatch.setattr(MetricTable, "distances", lambda self, a, b: reads.append(len(a)) or real_distances(self, a, b))
+    monkeypatch.setattr(
+        CountingOracle, "query_many", lambda self, a, b: batches.append(len(a)) or real_query_many(self, a, b)
+    )
+    assert CountingOracle(table).query(0, 7) == ExactDistance(int(table.units[0, 7]))
+    assert reads == batches == [1]
     for inner in (ExactInner(), PivotInner(), SamplingInner(0)):
-        assert restrict_and_solve(CountingOracle(table), 36, 1, inner) == expected[inner.name]
+        reads.clear()
+        batches.clear()
+        oracle = CountingOracle(table)
+        assert restrict_and_solve(oracle, 36, 1, inner) == expected[inner.name]
+        assert reads == batches and sum(reads) == oracle.queries_made > 0, inner.name
 
 
 # -- the table's sum bound and HopMetric's adjacency ---------------------
@@ -436,19 +440,21 @@ def test_metric_table_rejects_entries_past_the_sum_bound():
     assert exact_median(CountingOracle(table), range(2)) == (0, ExactDistance(bound))
 
 
-def test_pair_by_pair_batch_rejects_answers_past_the_sum_bound():
+def test_backings_refuse_answers_past_the_sum_bound():
     # the 2-point table at its bound, glued to 4 points: point 1's cost 3B would wrap int64,
     # so the glue refuses the base before it answers anything
     b = sum_bound(2)
     with pytest.raises(ValueError, match=r"within 2305843009213693951 = \(2\*\*63 - 1\) // 4"):
         glue_metric(MetricTable(np.array([[0, b], [b, 0]])), 0, 4)
-    # a backing without distances is asked pair by pair, and the loop raises on the oversized answer
-    backing = ConstantBacking(4, b)
-    assert CountingOracle(backing).query(1, 2) == ExactDistance(b)
-    with pytest.raises(ValueError, match=r"answer .* to query \(0, 1\) exceeds 2305843009213693951"):
-        exact_median(CountingOracle(backing), range(4))
-    with pytest.raises(ValueError, match="could wrap"):
-        median_cost(CountingOracle(backing), 1, range(4))
+    # the constant backing refuses the same answer on 4 points when built, and a negative one
+    for bad in (b, sum_bound(4) + 1, -1):
+        with pytest.raises(ValueError, match=r"within 0\.\.2305843009213693951 = \(2\*\*63 - 1\) // 4, so that a sum of 4 answers cannot wrap"):
+            ConstantBacking(4, bad)
+    # at its 4-point bound every sum of 4 answers is exact
+    backing = ConstantBacking(4, sum_bound(4))
+    assert CountingOracle(backing).query(1, 2) == ExactDistance(sum_bound(4))
+    assert exact_median(CountingOracle(backing), range(4)) == (0, ExactDistance(3 * sum_bound(4)))
+    assert median_cost(CountingOracle(backing), 1, range(4)) == ExactDistance(4 * sum_bound(4))
     # at the 4-point bound the glued game is exact, through the glue's batch
     b = sum_bound(4)
     glued = glue_metric(MetricTable(np.array([[0, b], [b, 0]])), 0, 4)

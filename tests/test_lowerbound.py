@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,12 +13,15 @@ from medianlab.lowerbound import (
     BudgetExceededError,
     GluedMetric,
     Renaming,
+    RenamedRun,
     glue_metric,
     hard_instance_game,
     run_renamed,
 )
 from medianlab.metric import CountingOracle, HopMetric, MetricTable, graph_metric, validate_metric
 from medianlab.players import RandomFuzzer, make_player
+
+from conftest import pair_distance
 
 
 class ScriptedPlayer:
@@ -90,6 +94,68 @@ def test_run_renamed_refuses_a_space_too_small_for_its_names():
     assert oracle.transcript == []
 
 
+class BatchPlayer:
+    """Asks fixed pairs as one ``query_many`` batch, then answers a fixed output."""
+
+    name = "batch"
+
+    def __init__(self, pairs, output):
+        self.pairs = pairs
+        self.output = output
+
+    def run(self, oracle, n):
+        oracle.query_many([a for a, _ in self.pairs], [b for _, b in self.pairs])
+        return self.output
+
+
+class CallCountingOracle(CountingOracle):
+    """A CountingOracle that logs the length of every ``query_many`` call it gets."""
+
+    def __init__(self, backing):
+        super().__init__(backing)
+        self.calls = []
+
+    def query_many(self, a, b):
+        self.calls.append(len(a))
+        return super().query_many(a, b)
+
+
+def test_renamed_batch_reaches_the_arena_as_one_batch():
+    for seed in range(4):
+        rng = random.Random(seed)
+        pairs = [(rng.randrange(50), rng.randrange(50)) for _ in range(12)]
+        oracle = CallCountingOracle(generate_instance("table", 25, seed=seed))
+        run = run_renamed(BatchPlayer(pairs, 49), oracle, n=50, budget=12)
+        assert oracle.calls == [12]
+        # first-sight names, a before b, pair by pair, as one query at a time would give
+        names = {}
+        for point in [p for pair in pairs for p in pair] + [49]:
+            names.setdefault(point, len(names))
+        assert run.renaming.mapping == names
+        assert [(e.a, e.b) for e in oracle.transcript] == [(names[a], names[b]) for a, b in pairs]
+        assert [(a, b) for a, b, _ in run.inner_transcript] == pairs
+        assert [ans for _, _, ans in run.inner_transcript] == [e.answer for e in oracle.transcript]
+        assert run.queries_used == oracle.queries_made == 12
+
+
+@pytest.mark.parametrize(
+    "pairs, error",
+    [
+        ([(5, 9), (700, 800), (1, 2)], BudgetExceededError),  # one pair past a budget of 2
+        ([(5, 9), (7, 1000)], IndexError),  # the second pair leaves the space
+        ([(5, 9), (-1, 3)], IndexError),
+    ],
+)
+def test_bad_renamed_batch_raises_before_naming_or_asking(pairs, error):
+    oracle = CallCountingOracle(graph_metric(5, [(0, 1), (1, 2), (2, 3), (3, 4)]))
+    run = RenamedRun(-1, -1, Renaming(), 0, [])
+    proxy = lowerbound._RenamingProxy(oracle, 1000, 2, run)
+    with pytest.raises(error):
+        BatchPlayer(pairs, 0).run(proxy, 1000)
+    assert oracle.calls == [] and oracle.queries_made == 0
+    assert run.renaming.count == 0 and run.queries_used == 0 and run.inner_transcript == []
+
+
 def test_run_renamed_fuzz_against_plain_tables():
     # renaming must be invisible: the algorithm's transcript, renamed, is
     # the oracle's, and every answer equals the backing table's distance
@@ -110,7 +176,7 @@ def test_run_renamed_fuzz_against_plain_tables():
         assert len(run.inner_transcript) == len(oracle.transcript) == q
         for (a, b, ans), e in zip(run.inner_transcript, oracle.transcript):
             assert (fwd[a], fwd[b]) == (e.a, e.b)
-            assert ans == e.answer == table.distance(e.a, e.b)
+            assert ans == e.answer == pair_distance(table, e.a, e.b)
         assert 0 <= run.output < n
         assert run.output_name == fwd[run.output]
 
@@ -120,13 +186,18 @@ def test_transcripts_aligned_catches_a_proxy_that_forwards_the_wrong_point(monke
     # adversary a neighbouring name, so the player gets wrong answers
     def misforward(self, a, b):
         ren = self._run.renaming
-        na, nb = ren.assign(a), ren.assign(b)
-        answer = self._oracle.query(na, (nb + 1) % self._oracle.n)
-        self._run.queries_used += 1
-        self._run.inner_transcript.append((a, b, answer))
-        return answer
+        a, b = np.asarray(a).tolist(), np.asarray(b).tolist()
+        names = [(ren.assign(x), ren.assign(y)) for x, y in zip(a, b)]
+        units, eps = self._oracle.query_many(
+            [na for na, _ in names], [(nb + 1) % self._oracle.n for _, nb in names]
+        )
+        self._run.queries_used += len(names)
+        self._run.inner_transcript.extend(
+            (x, y, ExactDistance(u, e)) for x, y, u, e in zip(a, b, units.tolist(), eps.tolist())
+        )
+        return units, eps
 
-    monkeypatch.setattr(lowerbound._RenamingProxy, "query", misforward)
+    monkeypatch.setattr(lowerbound._RenamingProxy, "query_many", misforward)
     for algo in ("exact", "random"):
         report = hard_instance_game(make_player(algo, 20, seed=0), n=256, q=20, degree=4, seed=0)
         assert not report.checks["transcripts_aligned"], algo
@@ -138,8 +209,8 @@ def test_glued_metric_distance_cases():
     g = glue_metric(base, y=1, n=6)
     assert g.distance(3, 4) == EPS  # two artificial points
     assert g.distance(1, 4) == EPS  # gluing point to artificial
-    assert g.distance(0, 3) == base.distance(0, 1)  # outsider sees y
-    assert g.distance(0, 2) == base.distance(0, 2)  # outsiders unchanged
+    assert g.distance(0, 3) == pair_distance(base, 0, 1)  # outsider sees y
+    assert g.distance(0, 2) == pair_distance(base, 0, 2)  # outsiders unchanged
     assert g.distance(4, 4) == ExactDistance(0)
     with pytest.raises(IndexError):
         g.distance(0, 6)
@@ -165,8 +236,27 @@ def test_glued_metric_is_a_metric():
     assert validate_metric(g.to_table()) == []
 
 
+def test_glued_to_table_peak_stays_near_its_two_tables():
+    # the glued table is filled block by block of whole rows, so its peak is
+    # the two n x n int64 tables it returns plus one block's temporaries
+    base, y = _finished_game_metric()
+    n = 1024
+    g = glue_metric(base, y, n)
+    base.row(y)  # the base rows are the game's, not the table's
+    tracemalloc.start()
+    try:
+        table = g.to_table()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    tables = 2 * n * n * 8
+    assert peak < 1.25 * tables, peak / tables
+    rows = [g.distances(np.full(n, p), np.arange(n)) for p in range(n)]
+    assert table == MetricTable(np.stack([u for u, _ in rows]), np.stack([e for _, e in rows]))
+
+
 def _glued_reference(base, y, n):
-    """The glued distance table from its definition, one base.distance call per pair."""
+    """The glued distance table from its definition, one one-pair base batch per pair."""
     m = base.n
 
     def in_cluster(p):
@@ -180,7 +270,7 @@ def _glued_reference(base, y, n):
             elif in_cluster(a) and in_cluster(b):
                 table[a, b] = EPS
             else:
-                table[a, b] = base.distance(y if in_cluster(a) else a, y if in_cluster(b) else b)
+                table[a, b] = pair_distance(base, y if in_cluster(a) else a, y if in_cluster(b) else b)
     return table
 
 
@@ -203,7 +293,7 @@ def test_glued_metric_matches_its_definition(make_base, n):
     assert [ExactDistance(int(u), int(e)) for u, e in zip(units, eps)] == [ref[p] for p in pairs]
     table = g.to_table()
     for a, b in pairs:
-        assert g.distance(a, b) == ref[a, b] == table.distance(a, b), (a, b)
+        assert g.distance(a, b) == ref[a, b] == ExactDistance(int(table.units[a, b]), int(table.eps[a, b])), (a, b)
     for p in range(n):
         assert g.cost_of(p) == sum((ref[p, x] for x in range(n)), ExactDistance(0)), p
     for outside in (-1, n, 99):
@@ -299,7 +389,7 @@ def test_ratio_grows_with_space_at_fixed_budget():
     for rep in reports:
         assert rep.all_ok, rep.checks
     cert = reports[0].certificate
-    assert cert.final_metric.distance(cert.z_star, cert.best_good[0]).units >= 1  # the output went bad and drifted away
+    assert cert.final_metric.row(cert.z_star)[cert.best_good[0]] >= 1  # the output went bad and drifted away
     ratios = [rep.ratio for rep in reports]
     assert ratios[0] < ratios[1] < ratios[2]
     # the underlying small game is identical every time

@@ -42,7 +42,7 @@ from medianlab.metric import (
 from medianlab.harness import ConstantBacking, generate_instance, play_adversary_game
 from medianlab.players import make_player
 
-from conftest import LineMetric, median_cost, subset_size_grid
+from conftest import LineMetric, median_cost, pair_distance, subset_size_grid
 
 P4_EDGES = [(0, 1), (1, 2), (2, 3)]
 STAR_EDGES = [(0, 1), (0, 2), (0, 3)]
@@ -451,7 +451,7 @@ def test_hop_metric_agrees_with_table():
     for i in range(8):
         adj[i, i + 1] = adj[i + 1, i] = True
     h = HopMetric(adj, np.zeros(9, dtype=bool))
-    assert h.distance(0, 8) == ExactDistance(8)
+    assert pair_distance(h, 0, 8) == ExactDistance(8)
     assert h.cost_of(4) == sum(abs(4 - j) for j in range(9))
     assert (h.to_table().units == table.units).all()
 
@@ -469,7 +469,7 @@ def _random_connected_adjacency(rng, n, chords):
 
 
 def test_hop_distance_equals_row_entry():
-    # 0 and 1 come from the adjacency, the rest from a BFS row
+    # one pair at a time: 0 and 1 come from the adjacency, the rest from a BFS row
     rng = np.random.default_rng(5)
     for trial in range(30):
         n = int(rng.integers(1, 20))
@@ -478,7 +478,7 @@ def test_hop_distance_equals_row_entry():
         h, rows = HopMetric(adj, none), HopMetric(adj, none)
         for a in range(n):
             for b in range(n):
-                assert h.distance(a, b) == ExactDistance(int(rows.row(a)[b])), (trial, a, b)
+                assert pair_distance(h, a, b) == ExactDistance(int(rows.row(a)[b])), (trial, a, b)
 
 
 def test_hop_distances_equal_per_pair_distance():
@@ -490,7 +490,7 @@ def test_hop_distances_equal_per_pair_distance():
         a, b = (ix.ravel() for ix in np.indices((n, n)))
         units, eps = HopMetric(adj, clique).distances(a, b)
         pairs = HopMetric(adj, clique)
-        want = [pairs.distance(x, y) for x, y in zip(a.tolist(), b.tolist())]
+        want = [pair_distance(pairs, x, y) for x, y in zip(a.tolist(), b.tolist())]
         assert units.dtype == eps.dtype == np.int64
         assert units.tolist() == [d.units for d in want], trial
         assert not eps.any()
@@ -510,7 +510,7 @@ def test_hop_distances_read_the_same_rows_as_per_pair_distance(monkeypatch):
         if name == "batch":
             h.distances(a, b)
         else:
-            [h.distance(x, y) for x, y in zip(a.tolist(), b.tolist())]
+            [pair_distance(h, x, y) for x, y in zip(a.tolist(), b.tolist())]
         rows[name] = sorted(calls)
     assert rows["batch"] == rows["pairs"]
     assert len(rows["batch"]) > 1
@@ -536,10 +536,10 @@ def test_hop_metric_rejects_points_outside_the_space():
             h.cost_of(p)
         for a, b in ((p, 0), (0, p), (p, p)):
             with pytest.raises(IndexError):
-                h.distance(a, b)
+                h.distances(np.array([a]), np.array([b]))
             with pytest.raises(IndexError):
                 h.distances(np.array([1, a]), np.array([2, b]))
-    assert h.distance(3, 0) == ExactDistance(3)
+    assert pair_distance(h, 3, 0) == ExactDistance(3)
 
 
 def test_replay_rejects_out_of_range_and_wrong_eps_entries():
@@ -565,7 +565,7 @@ def test_replay_rejects_out_of_range_and_wrong_eps_entries():
         assert Spy.asked == 0, forged
     assert not replay_verify(honest + [TranscriptEntry(0, 3, ExactDistance(3, 1))], Spy(adj, np.zeros(4, dtype=bool)))
     assert not replay_verify([TranscriptEntry(0, 3, ExactDistance(2**70))], Spy(adj, np.zeros(4, dtype=bool)))
-    # a metric with no batch form is asked entry by entry, after the same range check
+    # any other metric is asked the same one batch, after the same range check
     table = graph_metric(4, P4_EDGES)
     assert replay_verify(honest, LineMetric(4))  # the path 0-1-2-3 is the line
     assert not replay_verify([TranscriptEntry(-1, 0, ONE)], LineMetric(4))
@@ -606,7 +606,7 @@ def test_hop_distance_raises_on_disconnected_graph():
         h = HopMetric(adj, np.zeros(3, dtype=bool))
         for _ in range(2):  # the failed check is not cached as a pass
             with pytest.raises(DisconnectedGraphError):
-                h.distance(a, b)
+                h.distances([a], [b])
 
 
 def test_hop_metric_cheapest_matches_argmin():
@@ -638,11 +638,11 @@ def _assert_same_hop_metric(adj, clique, tag):
     for a in range(n):
         assert got.row(a).tolist() == want.row(a).tolist(), (tag, a)
         assert got.cost_of(a) == want.cost_of(a), (tag, a)
-    # distance and cheapest on fresh metrics, so no cached row helps them
+    # one-pair batches and cheapest on fresh metrics, so no cached row helps them
     got, want = HopMetric(adj, clique), _materialised(adj, clique)
     for a in range(n):
         for b in range(n):
-            assert got.distance(a, b) == want.distance(a, b), (tag, a, b)
+            assert pair_distance(got, a, b) == pair_distance(want, a, b), (tag, a, b)
     rng = np.random.default_rng(n)
     candidate_lists = [range(n), [v for v in range(n) if clique[v]], [v for v in range(n) if not clique[v]]]
     candidate_lists += [sorted(rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False)) for _ in range(4)]
@@ -678,8 +678,8 @@ def test_hop_metric_clique_matches_materialised_graph_in_finished_games():
 
 def test_line_metric():
     line = LineMetric(100)
-    assert line.distance(3, 77) == ExactDistance(74)
-    assert line.distance(5, 5) == ZERO
+    assert pair_distance(line, 3, 77) == ExactDistance(74)
+    assert pair_distance(line, 5, 5) == ZERO
 
 
 def test_metric_file_roundtrip(tmp_path, p4):
