@@ -30,10 +30,10 @@ its two ends are held against the cap.
 
 ``distances`` serves a batch of pairs in order as consecutive rounds,
 so a :class:`CountingOracle` hands it a player's whole ``query_many``
-batch, and ``finalize`` serves its padding as one such batch; ``answer``
-is one round, a batch of one pair.  Each batch checks that no anchor
-edge was lost before its first round and after its last; the rounds in
-between are not checked one by one.
+batch, and ``finalize`` serves its padding as one such batch.  A batch
+checks that no anchor edge was lost before its first round and after
+its last; the rounds in between are not checked one by one.  A batch of
+one pair is one ``answer``, which checks the anchor after its round.
 
 The cost of the construction is that heavily queried vertices end up
 isolated behind their few permanent edges, far from everything, while
@@ -59,7 +59,7 @@ import numpy as np
 import scipy.sparse.csgraph
 
 from .distances import ExactDistance
-from .metric import HopMetric, TranscriptEntry, _as_pairs_in, bfs_hop_row, is_metric, replay_verify
+from .metric import HopMetric, TranscriptEntry, _as_pairs, _as_pairs_in, bfs_hop_row, is_metric, replay_verify
 from .expander import RegularGraph
 
 __all__ = [
@@ -149,8 +149,12 @@ class Adversary:
         Returns the answers as int64 (units, eps) arrays, eps all zero.
         A batch with a point outside 0..n-1, or with more pairs than
         rounds left, raises before any pair is served.  The anchor is
-        checked before the first round and after the last, not per round.
+        checked before the first round and after the last, not per round;
+        a one-pair batch is :meth:`answer`, one check after its round.
         """
+        a, b = _as_pairs(a, b)
+        if len(a) == 1:  # perfbench/tracer.py times single rounds through answer by name
+            return np.array([self.answer(int(a[0]), int(b[0]))], dtype=np.int64), np.zeros(1, dtype=np.int64)
         a, b = _as_pairs_in(a, b, self.n)
         left = self.rounds - self.rounds_served
         if len(a) > left:
@@ -164,10 +168,15 @@ class Adversary:
 
     # -- play ----------------------------------------------------------
 
-    # perfbench/tracer.py wraps answer by name, so the one-pair form stays
     def answer(self, a: int, b: int) -> int:
-        """Serve one round, a one-pair :meth:`distances`: answer, mark the reply path, prune."""
-        return int(self.distances([a], [b])[0][0])
+        """Serve one round: answer, mark the reply path, prune."""
+        if self.rounds_served >= self.rounds:
+            raise BudgetExhaustedError(f"all {self.rounds} rounds already served")
+        if not (0 <= a < self.n and 0 <= b < self.n):
+            raise IndexError(f"query ({a}, {b}) outside space of size {self.n}")
+        dist = self._serve(a, b)
+        self._check_anchor()
+        return dist
 
     def _check_anchor(self) -> None:
         # no round clears a perm cell, so an anchor cell is lost only by code

@@ -95,28 +95,35 @@ class _RenamingProxy:
         return self._run.queries_used
 
     def query(self, a: int, b: int) -> ExactDistance:
-        return _single(self.query_many([a], [b]))
+        if self._run.queries_used >= self._budget:
+            raise BudgetExceededError(f"budget of {self._budget} queries exhausted")
+        if not (0 <= a < self.n and 0 <= b < self.n):
+            raise IndexError(f"query ({a}, {b}) outside space of size {self.n}")
+        ren = self._run.renaming
+        na = ren.assign(a)
+        nb = ren.assign(b)
+        answer = self._oracle.query(na, nb)
+        self._run.queries_used += 1
+        self._run.inner_transcript.append(TranscriptEntry(a, b, answer))
+        return answer
 
     def query_many(self, a, b) -> tuple[np.ndarray, np.ndarray]:
-        """Rename the pairs (a[k], b[k]) and ask the arena oracle them as one batch.
+        """Ask the pairs (a[k], b[k]) in order, one :meth:`query` each.
 
         A batch past the budget or with a point outside 0..n-1 raises
-        before any name is given.  Names are given at first sight, a
-        before b, pair by pair, as the same queries one at a time would.
+        before any name is given or any pair is asked.  Names are given
+        at first sight, a before b, pair by pair.  perfbench/tracer.py
+        times the renamed game through ``query``, ``CountingOracle.query``
+        and ``Adversary.answer`` by name, so the pairs go one at a time.
         """
-        run = self._run
-        if run.queries_used + len(a) > self._budget:
+        if self._run.queries_used + len(a) > self._budget:
             raise BudgetExceededError(f"budget of {self._budget} queries exhausted")
         a, b = _as_pairs_in(a, b, self.n)
-        points = np.column_stack((a, b)).ravel().tolist()
-        names = np.fromiter(map(run.renaming.assign, points), dtype=np.int64, count=len(points)).reshape(-1, 2)
-        units, eps = self._oracle.query_many(names[:, 0], names[:, 1])
-        run.queries_used += len(a)
-        run.inner_transcript.extend(
-            TranscriptEntry(x, y, ExactDistance(u, e))
-            for x, y, u, e in zip(a.tolist(), b.tolist(), units.tolist(), eps.tolist())
+        answers = [self.query(x, y) for x, y in zip(a.tolist(), b.tolist())]
+        return (
+            np.array([d.units for d in answers], dtype=np.int64),
+            np.array([d.eps_count for d in answers], dtype=np.int64),
         )
-        return units, eps
 
 
 def run_renamed(algorithm, oracle, n: int, budget: int) -> RenamedRun:

@@ -13,9 +13,9 @@ both speak in batches:
   every round, and serves its padding as one batch;
 * an *oracle* has ``n``, a ``queries_made`` count, a batch method
   ``query_many(a, b) -> (units, eps)`` and ``query(a, b) ->
-  ExactDistance``, which is ``query_many`` on one pair.  An oracle is
-  all an algorithm under test ever sees.  A batch answers its pairs in
-  order and charges one query per pair, repeats included.
+  ExactDistance``, which answers as ``query_many`` on one pair.  An
+  oracle is all an algorithm under test ever sees.  A batch answers its
+  pairs in order and charges one query per pair, repeats included.
 
 Every answer lies within ``sum_bound(n)``, so an int64 sum of n of them
 is exact: a :class:`MetricTable` holds no larger entry, a
@@ -373,7 +373,10 @@ class CountingOracle:
         return self.backing.n
 
     def query(self, a: PointId, b: PointId) -> ExactDistance:
-        return _single(self.query_many([a], [b]))
+        # a numpy range check of one pair costs more than a game round
+        if not (0 <= a < self.n and 0 <= b < self.n):
+            raise IndexError(f"query ({a}, {b}) outside space of size {self.n}")
+        return _single(self._ask(np.array([a], dtype=np.int64), np.array([b], dtype=np.int64)))
 
     def query_many(self, a, b) -> tuple[np.ndarray, np.ndarray]:
         """Answer the pairs (a[k], b[k]) in order as int64 (units, eps) arrays.
@@ -382,7 +385,9 @@ class CountingOracle:
         Charges ``len(a)`` queries and records one transcript entry per
         pair, in order.
         """
-        a, b = _as_pairs_in(a, b, self.n)
+        return self._ask(*_as_pairs_in(a, b, self.n))
+
+    def _ask(self, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         units, eps = self.backing.distances(a, b)
         self.queries_made += len(a)
         if self.transcript is not None:

@@ -20,12 +20,6 @@ class LineMetric:
         return units, np.zeros_like(units)
 
 
-def pair_distance(backing, a, b):
-    """The backing's answer for one pair, as a one-pair ``distances`` batch."""
-    units, eps = backing.distances([a], [b])
-    return ExactDistance(int(units[0]), int(eps[0]))
-
-
 def median_cost(oracle, p, S):
     """Total distance from p to every point of S, one query per point.
 

@@ -41,6 +41,7 @@ from medianlab.harness import (
 from medianlab.lowerbound import hard_instance_game, run_renamed
 from medianlab.metric import (
     CountingOracle,
+    _single,
     brute_force_median,
     validate_metric,
 )
@@ -52,7 +53,7 @@ from medianlab.solvers import (
     solve_on_subset,
 )
 
-from conftest import LineMetric, median_cost, pair_distance
+from conftest import LineMetric, median_cost
 
 
 # ---------------------------------------------------------------------------
@@ -362,7 +363,7 @@ def test_criterion_8_renaming_wrapper_fuzz():
         assert len(run.inner_transcript) == len(oracle.transcript) == q
         for (a, b, ans), e in zip(run.inner_transcript, oracle.transcript):
             assert fwd[a] == e.a and fwd[b] == e.b
-            assert ans == e.answer == pair_distance(table, e.a, e.b)
+            assert ans == e.answer == _single(table.distances([e.a], [e.b]))
         assert run.output_name == fwd[run.output]
         runs += 1
     # a slice of structured players on top of the fuzzers

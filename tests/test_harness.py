@@ -17,11 +17,10 @@ from medianlab.harness import (
     sweep_upper_bound,
     verify_nonadaptive,
 )
-from medianlab.metric import CountingOracle, graph_metric, validate_metric
+from medianlab.metric import CountingOracle, _single, graph_metric, validate_metric
 from medianlab.players import make_player
 from medianlab.solvers import ExactInner, PivotInner, SamplingInner
 
-from conftest import pair_distance
 
 
 def test_generate_instance_deterministic(monkeypatch):
@@ -136,23 +135,23 @@ def test_sweep_builds_each_instance_once(monkeypatch):
 
 def test_star_path_small_is_plain_path():
     t = generate_instance("star-path", 4, 0)
-    assert pair_distance(t, 0, 3) == ExactDistance(3)
+    assert _single(t.distances([0], [3])) == ExactDistance(3)
 
 
 def test_star_path_frozen_shape():
     # 7 points: path 0-1-2-3 plus leaves 4, 5, 6 hanging off point 0
     t = generate_instance("star-path", 7, 0)
-    assert pair_distance(t, 0, 4) == ExactDistance(1)
-    assert pair_distance(t, 4, 5) == ExactDistance(2)
-    assert pair_distance(t, 3, 4) == ExactDistance(4)
-    assert pair_distance(t, 0, 3) == ExactDistance(3)
+    assert _single(t.distances([0], [4])) == ExactDistance(1)
+    assert _single(t.distances([4], [5])) == ExactDistance(2)
+    assert _single(t.distances([3], [4])) == ExactDistance(4)
+    assert _single(t.distances([0], [3])) == ExactDistance(3)
 
 
 def test_grid_frozen_shape():
     t = generate_instance("grid", 9, 0)
-    assert pair_distance(t, 0, 8) == ExactDistance(4)
-    assert pair_distance(t, 2, 6) == ExactDistance(4)
-    assert pair_distance(t, 0, 4) == ExactDistance(2)
+    assert _single(t.distances([0], [8])) == ExactDistance(4)
+    assert _single(t.distances([2], [6])) == ExactDistance(4)
+    assert _single(t.distances([0], [4])) == ExactDistance(2)
 
 
 def test_every_kind_yields_a_metric():

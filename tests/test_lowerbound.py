@@ -18,10 +18,9 @@ from medianlab.lowerbound import (
     hard_instance_game,
     run_renamed,
 )
-from medianlab.metric import CountingOracle, HopMetric, MetricTable, graph_metric, validate_metric
+from medianlab.metric import CountingOracle, HopMetric, MetricTable, _single, graph_metric, validate_metric
 from medianlab.players import RandomFuzzer, make_player
 
-from conftest import pair_distance
 
 
 class ScriptedPlayer:
@@ -109,25 +108,31 @@ class BatchPlayer:
 
 
 class CallCountingOracle(CountingOracle):
-    """A CountingOracle that logs the length of every ``query_many`` call it gets."""
+    """A CountingOracle that logs every call it gets, with the pairs asked."""
 
     def __init__(self, backing):
         super().__init__(backing)
         self.calls = []
 
+    def query(self, a, b):
+        self.calls.append(("query", 1))
+        return super().query(a, b)
+
     def query_many(self, a, b):
-        self.calls.append(len(a))
+        self.calls.append(("query_many", len(a)))
         return super().query_many(a, b)
 
 
-def test_renamed_batch_reaches_the_arena_as_one_batch():
+def test_renamed_batch_reaches_the_arena_pair_by_pair():
+    # each pair is one arena query, so the benchmark's tracer times the
+    # renamed game's rounds through the one-pair forms
     for seed in range(4):
         rng = random.Random(seed)
         pairs = [(rng.randrange(50), rng.randrange(50)) for _ in range(12)]
         oracle = CallCountingOracle(generate_instance("table", 25, seed=seed))
         run = run_renamed(BatchPlayer(pairs, 49), oracle, n=50, budget=12)
-        assert oracle.calls == [12]
-        # first-sight names, a before b, pair by pair, as one query at a time would give
+        assert oracle.calls == [("query", 1)] * 12
+        # first-sight names, a before b, pair by pair
         names = {}
         for point in [p for pair in pairs for p in pair] + [49]:
             names.setdefault(point, len(names))
@@ -176,7 +181,7 @@ def test_run_renamed_fuzz_against_plain_tables():
         assert len(run.inner_transcript) == len(oracle.transcript) == q
         for (a, b, ans), e in zip(run.inner_transcript, oracle.transcript):
             assert (fwd[a], fwd[b]) == (e.a, e.b)
-            assert ans == e.answer == pair_distance(table, e.a, e.b)
+            assert ans == e.answer == _single(table.distances([e.a], [e.b]))
         assert 0 <= run.output < n
         assert run.output_name == fwd[run.output]
 
@@ -209,8 +214,8 @@ def test_glued_metric_distance_cases():
     g = glue_metric(base, y=1, n=6)
     assert g.distance(3, 4) == EPS  # two artificial points
     assert g.distance(1, 4) == EPS  # gluing point to artificial
-    assert g.distance(0, 3) == pair_distance(base, 0, 1)  # outsider sees y
-    assert g.distance(0, 2) == pair_distance(base, 0, 2)  # outsiders unchanged
+    assert g.distance(0, 3) == _single(base.distances([0], [1]))  # outsider sees y
+    assert g.distance(0, 2) == _single(base.distances([0], [2]))  # outsiders unchanged
     assert g.distance(4, 4) == ExactDistance(0)
     with pytest.raises(IndexError):
         g.distance(0, 6)
@@ -270,7 +275,7 @@ def _glued_reference(base, y, n):
             elif in_cluster(a) and in_cluster(b):
                 table[a, b] = EPS
             else:
-                table[a, b] = pair_distance(base, y if in_cluster(a) else a, y if in_cluster(b) else b)
+                table[a, b] = _single(base.distances([y if in_cluster(a) else a], [y if in_cluster(b) else b]))
     return table
 
 

@@ -28,6 +28,7 @@ from medianlab.metric import (
     QueryOutsideSubsetError,
     RestrictedOracle,
     TranscriptEntry,
+    _single,
     bfs_hop_row,
     brute_force_cost,
     brute_force_median,
@@ -42,7 +43,7 @@ from medianlab.metric import (
 from medianlab.harness import ConstantBacking, generate_instance, play_adversary_game
 from medianlab.players import make_player
 
-from conftest import LineMetric, median_cost, pair_distance, subset_size_grid
+from conftest import LineMetric, median_cost, subset_size_grid
 
 P4_EDGES = [(0, 1), (1, 2), (2, 3)]
 STAR_EDGES = [(0, 1), (0, 2), (0, 3)]
@@ -451,7 +452,7 @@ def test_hop_metric_agrees_with_table():
     for i in range(8):
         adj[i, i + 1] = adj[i + 1, i] = True
     h = HopMetric(adj, np.zeros(9, dtype=bool))
-    assert pair_distance(h, 0, 8) == ExactDistance(8)
+    assert _single(h.distances([0], [8])) == ExactDistance(8)
     assert h.cost_of(4) == sum(abs(4 - j) for j in range(9))
     assert (h.to_table().units == table.units).all()
 
@@ -478,7 +479,7 @@ def test_hop_distance_equals_row_entry():
         h, rows = HopMetric(adj, none), HopMetric(adj, none)
         for a in range(n):
             for b in range(n):
-                assert pair_distance(h, a, b) == ExactDistance(int(rows.row(a)[b])), (trial, a, b)
+                assert _single(h.distances([a], [b])) == ExactDistance(int(rows.row(a)[b])), (trial, a, b)
 
 
 def test_hop_distances_equal_per_pair_distance():
@@ -490,7 +491,7 @@ def test_hop_distances_equal_per_pair_distance():
         a, b = (ix.ravel() for ix in np.indices((n, n)))
         units, eps = HopMetric(adj, clique).distances(a, b)
         pairs = HopMetric(adj, clique)
-        want = [pair_distance(pairs, x, y) for x, y in zip(a.tolist(), b.tolist())]
+        want = [_single(pairs.distances([x], [y])) for x, y in zip(a.tolist(), b.tolist())]
         assert units.dtype == eps.dtype == np.int64
         assert units.tolist() == [d.units for d in want], trial
         assert not eps.any()
@@ -510,7 +511,7 @@ def test_hop_distances_read_the_same_rows_as_per_pair_distance(monkeypatch):
         if name == "batch":
             h.distances(a, b)
         else:
-            [pair_distance(h, x, y) for x, y in zip(a.tolist(), b.tolist())]
+            [_single(h.distances([x], [y])) for x, y in zip(a.tolist(), b.tolist())]
         rows[name] = sorted(calls)
     assert rows["batch"] == rows["pairs"]
     assert len(rows["batch"]) > 1
@@ -539,7 +540,7 @@ def test_hop_metric_rejects_points_outside_the_space():
                 h.distances(np.array([a]), np.array([b]))
             with pytest.raises(IndexError):
                 h.distances(np.array([1, a]), np.array([2, b]))
-    assert pair_distance(h, 3, 0) == ExactDistance(3)
+    assert _single(h.distances([3], [0])) == ExactDistance(3)
 
 
 def test_replay_rejects_out_of_range_and_wrong_eps_entries():
@@ -642,7 +643,7 @@ def _assert_same_hop_metric(adj, clique, tag):
     got, want = HopMetric(adj, clique), _materialised(adj, clique)
     for a in range(n):
         for b in range(n):
-            assert pair_distance(got, a, b) == pair_distance(want, a, b), (tag, a, b)
+            assert _single(got.distances([a], [b])) == _single(want.distances([a], [b])), (tag, a, b)
     rng = np.random.default_rng(n)
     candidate_lists = [range(n), [v for v in range(n) if clique[v]], [v for v in range(n) if not clique[v]]]
     candidate_lists += [sorted(rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False)) for _ in range(4)]
@@ -678,8 +679,8 @@ def test_hop_metric_clique_matches_materialised_graph_in_finished_games():
 
 def test_line_metric():
     line = LineMetric(100)
-    assert pair_distance(line, 3, 77) == ExactDistance(74)
-    assert pair_distance(line, 5, 5) == ZERO
+    assert _single(line.distances([3], [77])) == ExactDistance(74)
+    assert _single(line.distances([5], [5])) == ZERO
 
 
 def test_metric_file_roundtrip(tmp_path, p4):

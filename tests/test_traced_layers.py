@@ -8,7 +8,10 @@ tracer, checks that every binding was wrapped, and checks that
 """
 
 import importlib.util
+from collections import Counter
 from pathlib import Path
+
+from medianlab.cli import main
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -38,3 +41,19 @@ def test_tracer_wraps_and_restores_every_layer_binding():
         t.uninstall()
     for binding, original in originals.items():
         assert _binding(tracer, *binding) is original, binding
+
+
+def test_renamed_game_calls_the_one_pair_layers(capsys):
+    # the benchmark's warm-up game, lowerbound --n 64, is the only caller of
+    # these layers, and the benchmark's self-test needs each of them called
+    tracer = _load_tracer()
+    t = tracer.Tracer()
+    t.install()
+    try:
+        assert main(["lowerbound", "--n", "64", "--seed", "0"]) == 0
+    finally:
+        t.uninstall()
+    capsys.readouterr()
+    calls = Counter(t.names[i] for i in t.name)
+    for layer in ("lowerbound.renaming_proxy", "metric.query", "adversary.answer"):
+        assert calls[layer] > 0, layer
