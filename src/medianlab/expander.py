@@ -23,6 +23,7 @@ neighbour masks and the BFS levels.
 from __future__ import annotations
 
 import math
+import os
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -51,10 +52,11 @@ __all__ = [
 EXHAUSTIVE_LIMIT = 24
 _ALPHA_GRAIN = 10**9  # spectral bounds are floored to this grid, conservatively
 _WORD_CHUNK = 4096  # 32-bit words _swap_randomize reads from its rng per refill
-_ANCHOR_MEMO_SIZE = 8  # successful build_regular results kept per process
+_MAX_ATTEMPTS = 40  # swap rounds build_regular tries before it gives up
+_EDGE_BYTES = 515  # build_regular(262144, 3, 0)'s peak RSS over the interpreter's, per edge
 
-# (n, d, seed, threshold, max_attempts) -> (int32 edge array, attempts, report)
-_anchor_memo: dict[tuple, tuple[np.ndarray, int, "ExpansionReport"]] = {}
+# the last (n, d, seed) built and its graph, or None
+_last_anchor: tuple[tuple, RegularGraph] | None = None
 
 
 class InfeasibleError(ValueError):
@@ -186,57 +188,38 @@ def _swap_randomize(n: int, edges: set[tuple[int, int]], swaps: int, rng: random
         rng.getrandbits(32 * p)
 
 
-def build_regular(
-    n: int,
-    d: int,
-    seed: int,
-    lambda2_threshold: float | None = None,
-    max_attempts: int = 40,
-) -> RegularGraph:
+def build_regular(n: int, d: int, seed: int) -> RegularGraph:
     """Build a random d-regular graph that certifies as an expander.
 
     Starts from a fixed circulant and randomizes it with double-edge
     swaps (so the graph stays simple and d-regular by construction),
-    then keeps swapping until the sample is connected with lambda2 at
-    or below the threshold.  Deterministic for a fixed (n, d, seed).
+    then keeps swapping until the sample is connected with lambda2 at or
+    below default_lambda2_threshold(d), for at most _MAX_ATTEMPTS rounds.
+    Deterministic for a fixed (n, d, seed).  An (n, d) whose n*d/2 edges
+    at _EDGE_BYTES each exceed physical memory is refused up front.
 
-    Successful builds are memoised per process (the last
-    _ANCHOR_MEMO_SIZE of them, as compact edge arrays); a repeat call
-    returns a fresh RegularGraph equal to a cold build without
-    swapping or certifying again.
+    The graph's ``csr`` arrays are read-only.  The process keeps the last
+    graph built: a repeat call with the same (n, d, seed) returns that
+    same object.  ``seed=None`` is never kept, the old graph is let go
+    before a new one is built, and a failed build keeps nothing.
     """
+    global _last_anchor
     if d < 3:
         raise InfeasibleError("need degree at least 3")
     if d >= n:
         raise InfeasibleError(f"degree {d} needs more than {n} vertices")
     if (n * d) % 2 != 0:
         raise InfeasibleError(f"no {d}-regular graph exists on {n} vertices (odd stub count)")
-    threshold = default_lambda2_threshold(d) if lambda2_threshold is None else lambda2_threshold
-    # seed=None draws fresh OS entropy on every call, so it is never memoised
-    key = None if seed is None else (n, d, seed, threshold, max_attempts)
-    hit = _anchor_memo.pop(key, None)
-    if hit is not None:
-        _anchor_memo[key] = hit  # reinsert as most recently used
-        edge_array, attempts, report = hit
-        g = RegularGraph(n, d, map(tuple, edge_array.tolist()))
-    else:
-        g, attempts, report = _build_certified(n, d, seed, threshold, max_attempts)
-        if key is not None:
-            if len(_anchor_memo) >= _ANCHOR_MEMO_SIZE:
-                del _anchor_memo[next(iter(_anchor_memo))]
-            _anchor_memo[key] = (np.array(g.edges, dtype=np.int32), attempts, report)
-    g.build_attempts = attempts
-    g.expansion = report
-    return g
-
-
-def _build_certified(
-    n: int, d: int, seed: int | None, threshold: float, max_attempts: int
-) -> tuple[RegularGraph, int, ExpansionReport]:
+    _refuse_oversize(f"a {d}-regular graph on {n} vertices", n * d // 2 * _EDGE_BYTES)
+    key, last = (n, d, seed), _last_anchor
+    if seed is not None and last is not None and last[0] == key:
+        return last[1]
+    _last_anchor = last = None
     rng = random.Random(seed)
     edges = _circulant_base(n, d)
     swaps = max(2000, 10 * n * d)
-    for attempt in range(max_attempts):
+    threshold = default_lambda2_threshold(d)
+    for attempt in range(1, _MAX_ATTEMPTS + 1):
         _swap_randomize(n, edges, swaps, rng)
         g = RegularGraph(n, d, sorted(edges))
         try:
@@ -244,8 +227,20 @@ def _build_certified(
         except DisconnectedGraphError:
             continue
         if report.lambda2 <= threshold:
-            return g, attempt + 1, report
-    raise RuntimeError(f"no acceptable {d}-regular graph on {n} vertices after {max_attempts} attempts")
+            break
+    else:
+        raise RuntimeError(f"no acceptable {d}-regular graph on {n} vertices after {_MAX_ATTEMPTS} attempts")
+    g.build_attempts, g.expansion = attempt, report
+    g.csr.data.flags.writeable = g.csr.indices.flags.writeable = g.csr.indptr.flags.writeable = False
+    if seed is not None:
+        _last_anchor = (key, g)
+    return g
+
+
+def _refuse_oversize(what: str, nbytes: int) -> None:
+    """Raise ValueError, before anything is allocated, when nbytes exceed physical memory."""
+    if nbytes > os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"):
+        raise ValueError(f"{what} needs about {nbytes} bytes, more than this machine's physical memory")
 
 
 def _exhaustive_alpha(g: RegularGraph) -> Fraction:

@@ -18,7 +18,7 @@ import numpy as np
 
 from .adversary import Adversary, Certificate, minimal_cap, verify_certificate
 from .distances import eps_value
-from .expander import build_regular
+from .expander import _refuse_oversize, build_regular
 from .metric import (
     CountingOracle,
     MetricTable,
@@ -255,10 +255,12 @@ def play_adversary_game(
     """Pit one query algorithm against the pruning adversary, then audit.
 
     The adversary is budgeted q + n rounds so its finalization padding
-    always fits after the player's q queries.
+    always fits after the player's q queries.  An arena whose dense
+    n x n bool ``perm`` exceeds physical memory is refused up front.
     """
     if q < 0:
         raise ValueError(f"query budget must be nonnegative, got {q}")
+    _refuse_oversize(f"the dense {n} x {n} perm matrix of the arena", n * n)
     anchor = build_regular(n, degree, seed)
     rounds = q + n
     if cap is None:

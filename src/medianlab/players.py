@@ -69,8 +69,9 @@ class SamplingPlayer:
         self.name = "sampling"
 
     def run(self, oracle, n: int) -> int:
-        k = max(1, min(math.isqrt(max(self.budget, 1)), n))
-        return SamplingInner(self.seed, k).solve(oracle, range(n)).output
+        k = min(math.isqrt(max(self.budget, 0)), n)
+        # a zero budget asks nothing and returns point 0, as the exact and pivot players do
+        return SamplingInner(self.seed, k).solve(oracle, range(n)).output if k else 0
 
 
 class RandomFuzzer:

@@ -132,16 +132,20 @@ WIDE_ERROR = (
          "ValueError: --factors needs at least one comma-separated value, got ','"),
         (("sweep", "--inners", ","),
          "ValueError: --inners needs at least one comma-separated value, got ','"),
-        # the sampling player asks one query on a zero budget
-        (("adversary", "--n", "16", "--q", "0", "--d", "4", "--algo", "sampling"),
-         "PadOverflowError: 15 rounds left, padding needs 16; configure rounds >= queries + n"),
+        # sizes past any machine's memory are refused before anything is allocated
+        (("expander", "--n", "10000000000", "--d", "4"),
+         "ValueError: a 4-regular graph on 10000000000 vertices needs about 10300000000000 bytes, "
+         "more than this machine's physical memory"),
+        (("adversary", "--n", "10000000", "--q", "0", "--d", "4"),
+         "ValueError: the dense 10000000 x 10000000 perm matrix of the arena needs about "
+         "100000000000000 bytes, more than this machine's physical memory"),
     ],
     ids=["expander-odd-stubs", "adversary-odd-stubs", "negative-budget", "missing-file",
          "lowerbound-odd-degree", "lowerbound-one-point", "lowerbound-sweep-one-point",
          "metric-entry-overflow", "metric-json-nested-too-deep", "verify-sum-could-wrap",
          "solve-sum-could-wrap", "solve-zero-optimum-positive-output", "lowerbound-empty-sweep",
          "sweep-empty-sizes", "sweep-empty-kinds", "sweep-empty-factors", "sweep-empty-inners",
-         "adversary-sampling-overspends-zero-budget"],
+         "expander-oversize", "adversary-oversize"],
 )
 def test_bad_input_reports_json_error(capsys, tmp_path, monkeypatch, argv, error):
     monkeypatch.chdir(tmp_path)
@@ -154,6 +158,30 @@ def test_bad_input_reports_json_error(capsys, tmp_path, monkeypatch, argv, error
     code, out = run_cli(capsys, *argv)
     assert code == 1
     assert json.loads(out) == {"error": error}
+
+
+def test_zero_budget_adversary_game(capsys, monkeypatch):
+    # q = 0 leaves exactly the n rounds the padding needs: the sampling player asks nothing
+    argv = ("adversary", "--n", "16", "--q", "0", "--d", "4", "--algo", "sampling")
+    code, out = run_cli(capsys, *argv)
+    payload = json.loads(out)
+    assert code == 0
+    assert all(payload["checks"].values())
+    assert payload["output"] == 1
+
+    class Overspender:
+        name = "overspender"
+
+        def run(self, oracle, n):
+            oracle.query(0, 1)
+            return 0
+
+    monkeypatch.setattr("medianlab.cli.make_player", lambda *args, **kwargs: Overspender())
+    code, out = run_cli(capsys, *argv)
+    assert code == 1
+    assert json.loads(out) == {
+        "error": "PadOverflowError: 15 rounds left, padding needs 16; configure rounds >= queries + n"
+    }
 
 
 @pytest.mark.parametrize("rows", [["0"], ["0", "0 0"]], ids=["one-point", "two-points-all-zero"])
@@ -227,7 +255,7 @@ def test_expander_json_and_edge_export(capsys, tmp_path):
 
 def test_expander_solves_lambda2_once(capsys, monkeypatch):
     # the payload reads the spectral report build_regular already made; a cold build certifies once
-    monkeypatch.setattr(expander, "_anchor_memo", {})
+    monkeypatch.setattr(expander, "_last_anchor", None)
     true_lambda2 = expander._lambda2
     solves = []
     monkeypatch.setattr(expander, "_lambda2", lambda g: solves.append(g.n) or true_lambda2(g))

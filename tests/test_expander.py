@@ -1,7 +1,9 @@
 import hashlib
+import inspect
 import math
 import random
 import tracemalloc
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -297,16 +299,23 @@ def test_swap_kernel_replays_the_per_call_stream(n, d, swaps):
 
 @pytest.fixture()
 def fresh_memo(monkeypatch):
-    memo: dict = {}
-    # raising=False keeps the golden test runnable on a build without a memo
-    monkeypatch.setattr(expander, "_anchor_memo", memo, raising=False)
-    return memo
+    monkeypatch.setattr(expander, "_last_anchor", None)
 
 
-def _anchor_digest(cases) -> str:
+def _build(monkeypatch, n, d, seed, threshold, attempts):
+    """A cold build_regular with its acceptance threshold (None: the default) and attempt cap set."""
+    with monkeypatch.context() as m:
+        if threshold is not None:
+            m.setattr(expander, "default_lambda2_threshold", lambda d: threshold)
+        m.setattr(expander, "_MAX_ATTEMPTS", attempts)
+        m.setattr(expander, "_last_anchor", None)
+        return build_regular(n, d, seed)
+
+
+def _anchor_digest(monkeypatch, cases) -> str:
     h = hashlib.sha256()
     for n, d, seed, threshold, attempts in cases:
-        g = build_regular(n, d, seed, lambda2_threshold=threshold, max_attempts=attempts)
+        g = _build(monkeypatch, n, d, seed, threshold, attempts)
         rep = g.expansion
         alpha = f"{rep.alpha_lower.numerator}/{rep.alpha_lower.denominator}"
         fields = (n, d, seed, threshold, attempts, g.edges, g.build_attempts, rep.method, alpha)
@@ -322,12 +331,14 @@ GOLDEN_ANCHOR_CASES += [(16, 5, 0, None, 40), (30, 3, 1, None, 40)]
 GOLDEN_RETRY_CASES = [(24, 8, 0, 3.9, 6), (64, 8, 0, 4.91, 6), (256, 8, 2, 5.17, 4)]
 
 
-def test_build_regular_golden_digest(fresh_memo):
-    retries = [build_regular(n, d, s, lambda2_threshold=t, max_attempts=m).build_attempts
-               for n, d, s, t, m in GOLDEN_RETRY_CASES]
-    assert retries == [2, 3, 2]
-    fresh_memo.clear()
-    assert _anchor_digest(GOLDEN_ANCHOR_CASES + GOLDEN_RETRY_CASES) == GOLDEN_ANCHOR_DIGEST
+def test_build_regular_golden_digest(monkeypatch):
+    assert expander._MAX_ATTEMPTS == 40  # the cap GOLDEN_ANCHOR_CASES record
+    assert [_build(monkeypatch, *case).build_attempts for case in GOLDEN_RETRY_CASES] == [2, 3, 2]
+    assert _anchor_digest(monkeypatch, GOLDEN_ANCHOR_CASES + GOLDEN_RETRY_CASES) == GOLDEN_ANCHOR_DIGEST
+
+
+def test_build_regular_takes_only_its_key():
+    assert list(inspect.signature(build_regular).parameters) == ["n", "d", "seed"]
 
 
 # seed 0, every d in 3..8 and every feasible n <= 32: 120 anchors, among them
@@ -349,17 +360,17 @@ def test_small_anchors_golden_digest(fresh_memo):
     assert h.hexdigest() == GOLDEN_SMALL_ANCHOR_DIGEST
 
 
-def test_memo_hit_is_a_fresh_graph_equal_to_a_cold_build(fresh_memo):
+def test_memo_hit_is_the_kept_graph_equal_to_a_cold_build(fresh_memo):
     a = build_regular(40, 4, seed=3)
     b = build_regular(40, 4, seed=3)
-    fresh_memo.clear()
+    expander._last_anchor = None
     cold = build_regular(40, 4, seed=3)
-    assert b is not a and b is not cold
-    for g in (a, b):
-        assert g.edges == cold.edges
-        assert g.build_attempts == cold.build_attempts
-        assert g.expansion == cold.expansion
-    assert all(type(u) is int and type(v) is int for u, v in b.edges)
+    assert b is a and cold is not a
+    assert a.edges == cold.edges
+    assert a.build_attempts == cold.build_attempts
+    assert a.expansion == cold.expansion
+    assert (a.csr != cold.csr).nnz == 0
+    assert all(type(u) is int and type(v) is int for u, v in a.edges)
 
 
 def test_memo_hit_skips_certification(fresh_memo, monkeypatch):
@@ -372,48 +383,66 @@ def test_memo_hit_skips_certification(fresh_memo, monkeypatch):
 
     monkeypatch.setattr(expander, "certify_expansion", counting)
     build_regular(40, 4, seed=3)
+    assert len(calls) >= 1
     cold_calls = len(calls)
-    assert cold_calls >= 1
     build_regular(40, 4, seed=3)
     assert len(calls) == cold_calls
-    # a different threshold or attempt cap is a different build
-    build_regular(40, 4, seed=3, lambda2_threshold=default_lambda2_threshold(4) + 0.5)
-    assert len(calls) > cold_calls
-    cold_calls = len(calls)
-    build_regular(40, 4, seed=3, max_attempts=39)
-    assert len(calls) > cold_calls
-    assert len(fresh_memo) == 3
+    # another n, d or seed is a different build
+    for key in ((42, 4, 3), (40, 6, 3), (40, 4, 4)):
+        build_regular(*key)
+        assert len(calls) > cold_calls, key
+        cold_calls = len(calls)
+        assert expander._last_anchor[0] == key
 
 
-def test_failed_builds_are_not_memoised(fresh_memo):
+def test_failed_builds_are_not_memoised(fresh_memo, monkeypatch):
+    kept = build_regular(40, 4, 3)
+    # a refusal before any build leaves the kept graph alone
     with pytest.raises(InfeasibleError):
         build_regular(9, 3, 0)
+    assert build_regular(40, 4, 3) is kept
+    monkeypatch.setattr(expander, "default_lambda2_threshold", lambda d: -10.0)
+    monkeypatch.setattr(expander, "_MAX_ATTEMPTS", 2)
     with pytest.raises(RuntimeError):
-        build_regular(40, 4, 3, lambda2_threshold=-10.0, max_attempts=2)
-    assert fresh_memo == {}
+        build_regular(40, 4, 4)
+    assert expander._last_anchor is None
 
 
 def test_memo_hit_owns_its_adjacency(fresh_memo):
-    cold = build_regular(40, 4, seed=3)
-    clean = cold.csr.toarray()
-    hit = build_regular(40, 4, seed=3)
-    for g in (cold, hit):
-        g.csr.data[:] = 0.0
-    fresh = build_regular(40, 4, seed=3)
-    assert np.array_equal(fresh.csr.toarray(), clean)
+    kept = build_regular(40, 4, seed=3)
+    clean = kept.csr.toarray()
+    assert build_regular(40, 4, seed=3) is kept
+    for array in (kept.csr.data, kept.csr.indices, kept.csr.indptr):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[:] = 0
+    expander._last_anchor = None
+    assert np.array_equal(build_regular(40, 4, seed=3).csr.toarray(), clean)
 
 
 def test_unseeded_builds_are_not_memoised(fresh_memo):
+    build_regular(40, 4, seed=3)
     g = build_regular(40, 4, seed=None)
     assert g.expansion is not None
-    assert fresh_memo == {}
+    assert expander._last_anchor is None
 
 
-def test_memo_keeps_the_most_recent_builds(fresh_memo):
-    size = expander._ANCHOR_MEMO_SIZE
-    for seed in range(size + 1):
-        build_regular(12, 4, seed)
-    assert len(fresh_memo) == size
-    assert (12, 4, 0, default_lambda2_threshold(4), 40) not in fresh_memo
-    build_regular(12, 4, 1)  # a hit becomes the most recent entry
-    assert next(reversed(fresh_memo))[2] == 1
+def test_memo_keeps_only_the_last_build(fresh_memo, monkeypatch):
+    first = build_regular(12, 4, 0)
+    second = build_regular(12, 4, 1)
+    assert expander._last_anchor == ((12, 4, 1), second)
+    again = build_regular(12, 4, 0)
+    assert again is not first and again.edges == first.edges
+
+    # the old graph is let go before the next one is built
+    old = weakref.ref(build_regular(12, 4, 2))
+    alive_during_build = []
+    real = expander._circulant_base
+
+    def base(n, d):
+        alive_during_build.append(old() is not None)
+        return real(n, d)
+
+    monkeypatch.setattr(expander, "_circulant_base", base)
+    build_regular(12, 4, 3)
+    assert alive_during_build == [False]

@@ -205,7 +205,7 @@ def test_sampling_baseline_smoke():
 # SamplingPlayer and SamplingInner on a fixed set of cases, including
 # the degenerate exact fallback; any change to the sampled points, their
 # order or the scoring moves it
-GOLDEN_SAMPLING = "b2e6c48f27c9aa60459498239fc2d217b0ecacc135faaf945d8f77922977c9fd"
+GOLDEN_SAMPLING = "744704d26a45c0a2418b954204cec0da42f4b563f4a4e7a86dacc0cb0d7203e0"
 
 
 def test_sampling_routines_golden():
