@@ -59,7 +59,9 @@ import numpy as np
 import scipy.sparse.csgraph
 
 from .distances import ExactDistance
-from .metric import HopMetric, TranscriptEntry, _as_pairs, _as_pairs_in, bfs_hop_row, is_metric, replay_verify
+from .metric import (
+    HopMetric, TranscriptEntry, _as_pairs, _as_pairs_in, _transcript_arrays, bfs_hop_row, is_metric, replay_verify,
+)
 from .expander import RegularGraph
 
 __all__ = [
@@ -139,7 +141,10 @@ class Adversary:
         self.transcript: list[TranscriptEntry] = []
         self.paths: list[tuple[int, ...]] = []
         self.pruned_log: list[tuple[int, ...]] = []
-        self.rounds_served = 0
+
+    @property
+    def rounds_served(self) -> int:
+        return len(self.paths)
 
     # -- backing interface, so a CountingOracle can front the game -----
 
@@ -199,7 +204,6 @@ class Adversary:
         self.paths.append(path)
         self.pruned_log.append(() if fresh is None else self._harden(*fresh))
         self.transcript.append(TranscriptEntry(a, b, _exact(dist)))
-        self.rounds_served += 1
         return dist
 
     def _walk_back(self, a: int, b: int) -> tuple[int, tuple[int, ...], Edge | None]:
@@ -387,9 +391,10 @@ def verify_consistency(cert: Certificate) -> bool:
 def verify_path_discipline(cert: Certificate) -> bool:
     """Re-derive the permanence timeline and the pruning from the reply paths.
 
-    Checks, per round: the reply path repeats no edge, at most two of
-    its edges touch any one vertex, it contained at most one edge that
-    was not yet permanent when it was picked, that edge did not touch a
+    Checks, per round: the reply path runs from its transcript entry's a
+    to its b in answer + 1 vertices, repeats no edge, at most two of its
+    edges touch any one vertex, it contained at most one edge that was
+    not yet permanent when it was picked, that edge did not touch a
     pruned vertex, and the round pruned exactly the vertices whose
     permanent degree first exceeded the cap in it.  The final metric
     must walk exactly the recomputed permanent edges plus a clique on
@@ -401,7 +406,8 @@ def verify_path_discipline(cert: Certificate) -> bool:
     round-by-round walk that stops at the first failing round gives.
     """
     n, rounds = cert.n, len(cert.paths)
-    if len(cert.pruned_log) != rounds:
+    entries = _transcript_arrays(cert.transcript)
+    if len(cert.pruned_log) != rounds or entries is None or entries.shape[1] != rounds:
         return False
     anchor = np.fromiter(chain.from_iterable(cert.anchor_edges), dtype=np.int64).reshape(-1, 2)
     if ((anchor < 0) | (anchor >= n)).any():
@@ -412,6 +418,13 @@ def verify_path_discipline(cert: Certificate) -> bool:
     lengths = np.fromiter(map(len, cert.paths), dtype=np.int64, count=rounds)
     walk = np.fromiter(chain.from_iterable(cert.paths), dtype=np.int64, count=int(lengths.sum()))
     if ((walk < 0) | (walk >= n)).any():
+        return False
+    # a round's path runs from its pair's a to its b, one vertex per hop of an answer without eps
+    a, b, units, eps = entries
+    if eps.any() or not np.array_equal(lengths, units + 1):
+        return False
+    ends = np.cumsum(lengths)
+    if not (np.array_equal(walk[ends - lengths], a) and np.array_equal(walk[ends - 1], b)):
         return False
     step_round = np.repeat(np.arange(rounds), lengths)
     inside = step_round[:-1] == step_round[1:]

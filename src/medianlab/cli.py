@@ -225,6 +225,7 @@ def _cmd_expander(args) -> int:
         "build_attempts": g.build_attempts,
         "connected": g.is_connected(),
         "method": report.method,
+        "alpha_proven": report.method == "exhaustive",
         "lambda2": report.lambda2,
     }
     payload.update(_fraction_fields("alpha_lower", report.alpha_lower))

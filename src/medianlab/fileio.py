@@ -19,8 +19,9 @@ absolute value exceeds (2**63 - 1) // n.  Then any sum of n entries
 fits in int64, every row sum and pair sum included, so the exact sums
 of the axiom check and the brute-force medians never wrap.
 
-Edge list: one "u v" pair per line, vertices 1-based, blank lines and
-'#' comments ignored.
+Edge list: an optional '#' header line, then one "u v" pair per line,
+vertices 1-based.  Edge lists are written (``expander --edges-out``)
+and never read.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ __all__ = [
     "write_metric_file",
     "read_metric_json",
     "write_metric_json",
-    "read_edge_list",
     "write_edge_list",
     "load_metric_any",
 ]
@@ -256,26 +256,6 @@ def load_metric_any(path: str) -> MetricTable:
     if path.endswith(".json"):
         return read_metric_json(path)
     return read_metric_file(path)
-
-
-def read_edge_list(path: str) -> tuple[int, list[tuple[int, int]]]:
-    """Read 1-based edges; returns (max vertex count, 0-based edge list)."""
-    edges: list[tuple[int, int]] = []
-    hi = 0
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise ValueError(f"{path}: malformed edge line {raw!r}")
-            u, v = _token_ints(path, parts, (f"vertex {k} of line {lineno}" for k in (1, 2)))
-            if u < 1 or v < 1:
-                raise ValueError(f"{path}: vertices are 1-based, got {raw!r}")
-            hi = max(hi, u, v)
-            edges.append((u - 1, v - 1))
-    return hi, edges
 
 
 def write_edge_list(path: str, edges: Iterable[tuple[int, int]], header: str | None = None) -> None:

@@ -27,7 +27,6 @@ from .metric import (
     brute_force_cost,
     brute_force_median,
     graph_metric,
-    replay_verify,
     sum_bound,
 )
 from .solvers import cost_ratio, make_inner, restrict_and_solve, subset_schedule, subset_size, transfer_bound
@@ -35,7 +34,6 @@ from .solvers import cost_ratio, make_inner, restrict_and_solve, subset_schedule
 __all__ = [
     "INSTANCE_KINDS",
     "generate_instance",
-    "replay_verify",
     "ConstantBacking",
     "verify_nonadaptive",
     "SweepConfig",

@@ -5,7 +5,7 @@ query, one more for its output).  The renaming wrapper below exploits
 that: it intercepts an algorithm aimed at an n-point space and maps
 each point to a fresh small name on first sight, so the whole game fits
 inside a (2q+1)-point adversary no matter how large n is.  Afterwards
-the small adversarial metric is blown back up to n points by gluing
+the adversary's final hop metric is blown back up to n points by gluing
 the unseen points onto the best good point y as near-copies: each
 stands in for y, at eps = 1/2**n from y and from each other.  That
 leaves every answer the algorithm received intact while making its
@@ -28,10 +28,10 @@ import numpy as np
 # perfbench/tracer.py wraps lowerbound.build_regular and .verify_certificate by name, so the bindings stay
 from .adversary import Certificate, verify_certificate  # noqa: F401
 from .distances import ExactDistance, eps_float, eps_value
-from .expander import InfeasibleError, build_regular  # noqa: F401
+from .expander import InfeasibleError, _refuse_oversize, build_regular  # noqa: F401
 from .harness import play_adversary_game
 from .metric import (
-    _BLOCK, HopMetric, MetricTable, TranscriptEntry, _as_pairs_in, _single, is_metric, replay_verify, sum_bound,
+    _BLOCK, HopMetric, MetricTable, TranscriptEntry, _as_pairs_in, _single, is_metric, replay_verify,
 )
 
 __all__ = [
@@ -44,6 +44,8 @@ __all__ = [
     "GameReport",
     "hard_instance_game",
 ]
+
+_GAME_POINT_BYTES = 76  # a game's largest ru_maxrss rise per point: four players, n = 10**6 and 10**7, q = 10
 
 
 class BudgetExceededError(RuntimeError):
@@ -77,8 +79,11 @@ class RenamedRun:
     output: int  # the algorithm's answer, in its own coordinates
     output_name: int  # the same answer after renaming
     renaming: Renaming
-    queries_used: int
     inner_transcript: list[TranscriptEntry]  # in the algorithm's coordinates
+
+    @property
+    def queries_used(self) -> int:
+        return len(self.inner_transcript)
 
 
 class _RenamingProxy:
@@ -103,7 +108,6 @@ class _RenamingProxy:
         na = ren.assign(a)
         nb = ren.assign(b)
         answer = self._oracle.query(na, nb)
-        self._run.queries_used += 1
         self._run.inner_transcript.append(TranscriptEntry(a, b, answer))
         return answer
 
@@ -140,7 +144,7 @@ def run_renamed(algorithm, oracle, n: int, budget: int) -> RenamedRun:
         raise ValueError(
             f"an oracle of {oracle.n} points cannot hold the {names} names a budget of {budget} may give"
         )
-    run = RenamedRun(-1, -1, Renaming(), 0, [])
+    run = RenamedRun(-1, -1, Renaming(), [])
     proxy = _RenamingProxy(oracle, n, budget, run)
     output = algorithm.run(proxy, n)
     if not (0 <= output < n):
@@ -151,34 +155,32 @@ def run_renamed(algorithm, oracle, n: int, budget: int) -> RenamedRun:
 
 
 class GluedMetric:
-    """An m-point base metric with n-m+1 points fused at eps around one of them.
+    """The arena's m-point metric with n-m+1 points fused at eps around one of them.
 
     Every artificial point m, ..., n-1 stands in for the base point y.
     Two points sit at the base distance of their stand-ins, plus
     eps = 1/2**n when they are distinct and share one, so y and the
     artificial points form a cluster at mutual distance eps.
     :meth:`distances` states that rule and every other accessor reads
-    it.  A point outside 0..n-1 raises ``IndexError``.
+    it.  A point outside 0..n-1 raises ``IndexError``, a base other than a
+    :class:`HopMetric` ``TypeError``.  An answer is a hop count below m plus
+    at most one eps, so a cost, n answers, sums exactly in int64: refusing m**2
+    and n*_GAME_POINT_BYTES bytes past physical memory keeps n*m < 2**63 below 64 TiB.
     """
 
-    def __init__(self, base: HopMetric | MetricTable, y: int, n: int):
+    def __init__(self, base: HopMetric, y: int, n: int):
+        if not isinstance(base, HopMetric):
+            raise TypeError(f"the glue takes the arena's HopMetric, got {type(base).__name__}")
         m = base.n
         if not (0 <= y < m):
             raise ValueError(f"gluing point {y} outside the base space")
         if n <= m:
             raise ValueError("the glued space must be strictly larger than the base")
         # lexicographic (units, eps_count) comparisons stay faithful while
-        # every sum keeps its eps count below 2**n; costs sum at most n of them
-        if 2 * n >= 2**n:
+        # every sum keeps its eps count below 2**n; costs sum at most n of them,
+        # and 2*n < 2**n holds from n = 3 on, so 2**n itself is never built
+        if n < 3:
             raise ValueError("space too small for the eps regime")
-        # a HopMetric's hops stay below m; a table's entries must keep n glued answers' sum in int64
-        if isinstance(base, MetricTable):
-            if base.has_eps():
-                raise ValueError("the base metric must be integer-valued before gluing")
-            if int(base.units.max()) > sum_bound(n):
-                raise ValueError(
-                    f"base entries must lie within {sum_bound(n)} = (2**63 - 1) // {n}, so a glued cost sums in int64"
-                )
         self.base = base
         self.y = y
         self.n = n
@@ -216,27 +218,45 @@ class GluedMetric:
 
 
 # perfbench/tracer.py wraps glue_metric by name, so the wrapper stays
-def glue_metric(base: HopMetric | MetricTable, y: int, n: int) -> GluedMetric:
+def glue_metric(base: HopMetric, y: int, n: int) -> GluedMetric:
     return GluedMetric(base, y, n)
 
 
 @dataclass
 class GameReport:
-    """Outcome and audit trail of one hard-instance game; the arena's facts are the certificate's."""
+    """Outcome and audit trail of one hard-instance game; its counts and ratios are views of its records."""
 
     n: int
     q: int
     seed: int
     algorithm: str
-    queries_used: int
-    names_used: int
+    run: RenamedRun = field(repr=False)
     glued_cost_z: ExactDistance
     glued_cost_y: ExactDistance
-    ratio: Fraction
-    ratio_float: float
-    f_hat: float
     certificate: Certificate = field(repr=False)
     checks: dict[str, bool] = field(default_factory=dict)
+
+    @property
+    def queries_used(self) -> int:
+        return self.run.queries_used
+
+    @property
+    def names_used(self) -> int:
+        return self.run.renaming.count
+
+    @property
+    def ratio(self) -> Fraction:
+        eps = eps_value(self.n)
+        return self.glued_cost_z.to_fraction(eps) / self.glued_cost_y.to_fraction(eps)
+
+    @property
+    def ratio_float(self) -> float:
+        eps = eps_float(self.n)
+        return self.glued_cost_z.approx_float(eps) / self.glued_cost_y.approx_float(eps)
+
+    @property
+    def f_hat(self) -> float:
+        return self.ratio_float / math.log2(self.n)
 
     @property
     def all_ok(self) -> bool:
@@ -314,7 +334,8 @@ def hard_instance_game(
     points, budgeted q + m rounds so the padding fits after the q
     queries, with ``algorithm`` playing through the renamer.  The
     arena's final metric is then glued up to n points.  Needs 2q+1 < n
-    and an even degree (m is odd).
+    and an even degree (m is odd); n * _GAME_POINT_BYTES past physical
+    memory is refused before the game starts.
     """
     if q < 1:
         raise ValueError("the game needs a positive query budget")
@@ -326,49 +347,42 @@ def hard_instance_game(
         )
     if m >= n:
         raise ValueError(f"need n > 2q+1 = {m} so the glued cluster is nonempty")
+    _refuse_oversize(f"a glued space of {n} points", n * _GAME_POINT_BYTES)
     player = _RenamedPlayer(algorithm, n, q)
     cert, checks = play_adversary_game(m, q, degree, player, seed=seed, metric_axioms_cap=0)
 
     z, y = cert.z_star, cert.best_good[0]
     glued = glue_metric(cert.final_metric, y, n)
-    cost_z = glued.cost_of(z)
-    cost_y = glued.cost_of(y)
-    eps_val = eps_value(n)
-    ratio = cost_z.to_fraction(eps_val) / cost_y.to_fraction(eps_val)
-    eps_f = eps_float(n)
-    ratio_float = cost_z.approx_float(eps_f) / cost_y.approx_float(eps_f)
-
-    run = player.renamed
     report = GameReport(
         n=n,
         q=q,
         seed=seed,
         algorithm=player.name,
-        queries_used=run.queries_used,
-        names_used=run.renaming.count,
-        glued_cost_z=cost_z,
-        glued_cost_y=cost_y,
-        ratio=ratio,
-        ratio_float=ratio_float,
-        f_hat=ratio_float / math.log2(n),
+        run=player.renamed,
+        glued_cost_z=glued.cost_of(z),
+        glued_cost_y=glued.cost_of(y),
         certificate=cert,
         checks=checks,
     )
-    report.checks.update(_game_checks(run, report, glued))
+    report.checks.update(_game_checks(report, glued))
     if n <= metric_axioms_cap:
         report.checks["glued_metric_axioms"] = is_metric(glued.to_table(metric_axioms_cap))
     return report
 
 
-def _game_checks(run: RenamedRun, report: GameReport, glued: GluedMetric) -> dict[str, bool]:
+def _game_checks(report: GameReport, glued: GluedMetric) -> dict[str, bool]:
     """Audit the renaming and the glued costs the report states."""
-    cert = report.certificate
-    names = list(run.renaming.mapping.values())
+    cert, run = report.certificate, report.run
+    fwd = run.renaming.mapping
+    names = list(fwd.values())
     out: dict[str, bool] = {}
     out["renaming_injective"] = len(set(names)) == len(names)
     out["names_in_window"] = run.renaming.count <= 2 * report.q + 1 and all(0 <= v < cert.n for v in names)
     out["budget_respected"] = run.queries_used <= report.q
-    out["transcripts_aligned"] = _transcripts_aligned(run, cert)
+    # the algorithm's queries, renamed, are the adversary's first rounds: read from the adversary's
+    # own transcript, not a list the proxy keeps, so a proxy that forwards the wrong pair fails
+    renamed = [TranscriptEntry(fwd.get(a), fwd.get(b), answer) for a, b, answer in run.inner_transcript]
+    out["transcripts_aligned"] = renamed == cert.transcript[: len(renamed)]
     out["replay_glued"] = replay_verify(cert.transcript, glued)
     z, (y, base_y) = cert.z_star, cert.best_good
     dzy = _dist_z_y(cert)
@@ -383,19 +397,3 @@ def _game_checks(run: RenamedRun, report: GameReport, glued: GluedMetric) -> dic
     floor = Fraction(spread * dzy) / (Fraction(base_y) + max(spread - 1, 0) * eps_value(glued.n))
     out["ratio_floor"] = report.ratio >= floor
     return out
-
-
-def _transcripts_aligned(run: RenamedRun, cert: Certificate) -> bool:
-    """The algorithm's queries, renamed, are the adversary's first rounds.
-
-    Compares against the adversary's own transcript, not a second list
-    kept by the proxy, so a proxy that forwards the wrong pair fails.
-    """
-    served = cert.transcript[: run.queries_used]
-    if not len(run.inner_transcript) == len(served) == run.queries_used:
-        return False
-    fwd = run.renaming.mapping
-    return all(
-        TranscriptEntry(fwd.get(a), fwd.get(b), answer) == e
-        for (a, b, answer), e in zip(run.inner_transcript, served)
-    )

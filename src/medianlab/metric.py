@@ -19,8 +19,8 @@ both speak in batches:
 
 Every answer lies within ``sum_bound(n)``, so an int64 sum of n of them
 is exact: a :class:`MetricTable` holds no larger entry, a
-:class:`HopMetric` answers hops below n, and the glued metric and the
-constant backing refuse, when built, a value that would give one.
+:class:`HopMetric` answers hops below n, the glued metric hops below its
+arena's size plus one eps, and the constant backing refuses a constant past it.
 
 The value of eps on either is ``distances.eps_value(n)``.  Two concrete
 backings are provided:
@@ -45,6 +45,7 @@ dense bool matrices (the adversary's) are walked by :func:`bfs_hop_row`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -325,16 +326,23 @@ def replay_verify(transcript, metric) -> bool:
     replay False before any distance is asked.  The metric answers the
     whole transcript as one ``distances`` batch.
     """
-    try:
-        a, b, units, eps = np.array(
-            [(e.a, e.b, e.answer.units, e.answer.eps_count) for e in transcript], dtype=np.int64
-        ).reshape(-1, 4).T
-    except OverflowError:
+    entries = _transcript_arrays(transcript)
+    if entries is None:
         return False  # no point or answer in a metric of n points lies outside int64
+    a, b, units, eps = entries
     if ((a < 0) | (a >= metric.n) | (b < 0) | (b >= metric.n)).any():
         return False
     got_units, got_eps = metric.distances(a, b)
     return bool(np.array_equal(got_units, units) and np.array_equal(got_eps, eps))
+
+
+def _transcript_arrays(transcript) -> np.ndarray | None:
+    """The entries' a, b, units and eps counts as the rows of one int64 array; None past int64."""
+    fields = map(attrgetter, ("a", "b", "answer.units", "answer.eps_count"))
+    try:
+        return np.array([np.fromiter(map(get, transcript), np.int64, len(transcript)) for get in fields])
+    except OverflowError:
+        return None
 
 
 def _as_pairs(a, b) -> tuple[np.ndarray, np.ndarray]:

@@ -36,13 +36,13 @@ from medianlab.harness import (
     INSTANCE_KINDS,
     generate_instance,
     play_adversary_game,
-    replay_verify,
 )
 from medianlab.lowerbound import hard_instance_game, run_renamed
 from medianlab.metric import (
     CountingOracle,
     _single,
     brute_force_median,
+    replay_verify,
     validate_metric,
 )
 from medianlab.players import RandomFuzzer, make_player

@@ -25,7 +25,9 @@ from medianlab.adversary import (
     verify_consistency,
     verify_path_discipline,
 )
+from medianlab.distances import ExactDistance
 from medianlab.expander import RegularGraph, build_regular
+from medianlab.harness import play_adversary_game
 from medianlab.metric import CountingOracle, HopMetric, TranscriptEntry, bfs_hop_row, replay_verify
 from medianlab.players import make_player
 
@@ -238,7 +240,7 @@ def _norm_edge(u, v):
 
 def _per_round_path_discipline(cert):
     """``verify_path_discipline`` as a per-round walk, as it stood; kept as the reference."""
-    if len(cert.pruned_log) != len(cert.paths):
+    if not len(cert.pruned_log) == len(cert.paths) == len(cert.transcript):
         return False
     perm = set(cert.anchor_edges)
     degree = [0] * cert.n
@@ -246,7 +248,9 @@ def _per_round_path_discipline(cert):
         degree[u] += 1
         degree[v] += 1
     pruned_so_far = set()
-    for path, pruned in zip(cert.paths, cert.pruned_log):
+    for path, pruned, (a, b, answer) in zip(cert.paths, cert.pruned_log, cert.transcript):
+        if answer.eps_count or len(path) != answer.units + 1 or path[0] != a or path[-1] != b:
+            return False  # the path answers its round: a to b, one vertex per hop
         edges = [_norm_edge(u, v) for u, v in zip(path, path[1:])]
         if len(edges) != len(set(edges)):
             return False  # reply paths are simple
@@ -281,6 +285,11 @@ def _per_round_path_discipline(cert):
     )
 
 
+def _round_of(path):
+    """The transcript entry a reply path answers: from its first vertex to its last, one hop per edge."""
+    return TranscriptEntry(path[0], path[-1], ExactDistance(len(path) - 1))
+
+
 def _discipline(cert):
     """The library's verdict, required to equal the per-round reference's."""
     got = verify_path_discipline(cert)
@@ -291,9 +300,9 @@ def _discipline(cert):
 def test_path_discipline_detects_tampering():
     cert, _ = finished_game(n=16, degree=4, q=4)
     assert _discipline(cert)
-    # a non-simple walk can never be an answer path
+    # a non-simple walk can never be an answer path, even one its round's entry claims
     bad_paths = cert.paths[:-1] + ((0, 1, 0),)
-    tampered = dataclasses.replace(cert, paths=bad_paths)
+    tampered = dataclasses.replace(cert, paths=bad_paths, transcript=cert.transcript[:-1] + [_round_of((0, 1, 0))])
     assert not _discipline(tampered)
     # and the final metric's edges must match the replayed timeline
     wiped = dataclasses.replace(cert, final_metric=HopMetric(np.zeros_like(cert.perm), cert.final_metric.clique))
@@ -373,6 +382,7 @@ def test_path_discipline_detects_tampering():
         cert,
         paths=cert.paths + ((v, w),),
         pruned_log=cert.pruned_log + ((v,),),
+        transcript=cert.transcript + [_round_of((v, w))],
         final_metric=HopMetric(perm, cert.final_metric.clique),
     )
     assert not _discipline(reopened)
@@ -395,7 +405,13 @@ def test_path_discipline_detects_tampering():
     detour = [b]
     while detour[-1] != c:
         detour.append(int(np.flatnonzero(around[detour[-1]] & (hops == hops[detour[-1]] - 1))[0]))
-    three = dataclasses.replace(cert, paths=cert.paths + ((a, x, *detour, x),), pruned_log=cert.pruned_log + ((),))
+    path = (a, x, *detour, x)
+    three = dataclasses.replace(
+        cert,
+        paths=cert.paths + (path,),
+        pruned_log=cert.pruned_log + ((),),
+        transcript=cert.transcript + [_round_of(path)],
+    )
     assert not _discipline(three)
 
     # an extra round with two fresh edges, forged into every other record
@@ -410,6 +426,7 @@ def test_path_discipline_detects_tampering():
         cert,
         paths=cert.paths + ((p, s, t),),
         pruned_log=cert.pruned_log + ((),),
+        transcript=cert.transcript + [_round_of((p, s, t))],
         final_metric=HopMetric(perm, cert.final_metric.clique),
     )
     assert not _discipline(two_fresh)
@@ -418,6 +435,34 @@ def test_path_discipline_detects_tampering():
     for forged_path in ((0, cert.n), (-1, 0)):
         assert not verify_path_discipline(dataclasses.replace(cert, paths=cert.paths[:-1] + (forged_path,)))
     assert not verify_path_discipline(dataclasses.replace(cert, anchor_edges=cert.anchor_edges + ((-1, 5),)))
+
+
+def test_path_discipline_ties_each_path_to_its_round():
+    # two forgeries that keep every edge, degree and prune of the timeline:
+    # two one-hop rounds that pruned nothing trade paths, and a two-hop path
+    # is walked backwards; each path then answers some other pair
+    cert, checks = play_adversary_game(64, 64, 4, make_player("exact", 64, 0), seed=0)
+    assert all(checks.values())
+    i, j = (
+        next(r for r, e in enumerate(cert.transcript) if (e.a, e.b) == pair and e.answer.units == 1)
+        for pair in ((0, 1), (0, 6))
+    )
+    assert not (cert.pruned_log[i] or cert.pruned_log[j])
+    paths = list(cert.paths)
+    paths[i], paths[j] = paths[j], paths[i]
+    swapped = dataclasses.replace(cert, paths=tuple(paths))
+    k = cert.paths.index((0, 1, 15))
+    walked_back = dataclasses.replace(cert, paths=cert.paths[:k] + ((15, 1, 0),) + cert.paths[k + 1 :])
+    for forged in (swapped, walked_back):
+        audit = verify_certificate(forged)
+        assert audit.pop("path_discipline") is False
+        assert all(audit.values())  # no other audit reads the paths against the transcript
+        assert not _discipline(forged)
+    # the two-hop path under an answer of another length or with eps, and a path for a round never asked
+    for answer in (ExactDistance(1), ExactDistance(3), ExactDistance(2, 1)):
+        transcript = cert.transcript[:k] + [cert.transcript[k]._replace(answer=answer)] + cert.transcript[k + 1 :]
+        assert not _discipline(dataclasses.replace(cert, transcript=transcript))
+    assert not _discipline(dataclasses.replace(cert, paths=cert.paths + ((0,),), pruned_log=cert.pruned_log + ((),)))
 
 
 def test_path_discipline_matches_per_round_reference_on_finished_games():
@@ -437,24 +482,33 @@ def _edit_base(index):
 def _one_edit(draw):
     """A finished certificate with one random edit to its paths or its pruning log.
 
-    A path loses, repeats or swaps one vertex; a round's log gains a
-    vertex, or one logged vertex is dropped, moved to another round or
-    swapped for another vertex.
+    A path loses, repeats or swaps one vertex, or is walked backwards,
+    and its round's transcript entry may be rewritten to match it; a
+    round's log gains a vertex, or one logged vertex is dropped, moved
+    to another round or swapped for another vertex.
     """
     cert = _edit_base(draw(st.integers(0, 1)))
     r = draw(st.integers(0, len(cert.paths) - 1))
     vertex = st.integers(0, cert.n - 1)
-    kind = draw(st.sampled_from(["drop", "duplicate", "swap", "add pruned", "drop pruned", "move pruned", "swap pruned"]))
-    if kind in ("drop", "duplicate", "swap"):
+    kind = draw(st.sampled_from(
+        ["drop", "duplicate", "swap", "reverse", "add pruned", "drop pruned", "move pruned", "swap pruned"]
+    ))
+    if kind in ("drop", "duplicate", "swap", "reverse"):
         path = list(cert.paths[r])
         i = draw(st.integers(0, len(path) - 1))
         if kind == "drop":
             del path[i]
         elif kind == "duplicate":
             path.insert(i, path[i])
-        else:
+        elif kind == "swap":
             path[i] = draw(vertex)
-        return dataclasses.replace(cert, paths=cert.paths[:r] + (tuple(path),) + cert.paths[r + 1 :])
+        else:
+            path.reverse()
+        transcript = cert.transcript
+        if path and draw(st.booleans()):
+            transcript = transcript[:r] + [_round_of(path)] + transcript[r + 1 :]
+        paths = cert.paths[:r] + (tuple(path),) + cert.paths[r + 1 :]
+        return dataclasses.replace(cert, paths=paths, transcript=transcript)
     log = [list(pruned) for pruned in cert.pruned_log]
     pruned_rounds = [i for i, pruned in enumerate(log) if pruned]
     if kind == "add pruned" or not pruned_rounds:

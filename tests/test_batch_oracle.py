@@ -17,7 +17,7 @@ from medianlab.adversary import Adversary, minimal_cap
 from medianlab.distances import ZERO, ExactDistance
 from medianlab.expander import build_regular
 from medianlab.harness import ConstantBacking, generate_instance
-from medianlab.lowerbound import glue_metric, run_renamed
+from medianlab.lowerbound import run_renamed
 from medianlab.metric import (
     _BLOCK,
     CountingOracle,
@@ -443,12 +443,8 @@ def test_metric_table_rejects_entries_past_the_sum_bound():
 
 
 def test_backings_refuse_answers_past_the_sum_bound():
-    # the 2-point table at its bound, glued to 4 points: point 1's cost 3B would wrap int64,
-    # so the glue refuses the base before it answers anything
+    # the constant backing refuses, when built, the 2-point bound on 4 points, and a negative answer
     b = sum_bound(2)
-    with pytest.raises(ValueError, match=r"within 2305843009213693951 = \(2\*\*63 - 1\) // 4"):
-        glue_metric(MetricTable(np.array([[0, b], [b, 0]])), 0, 4)
-    # the constant backing refuses the same answer on 4 points when built, and a negative one
     for bad in (b, sum_bound(4) + 1, -1):
         with pytest.raises(ValueError, match=r"within 0\.\.2305843009213693951 = \(2\*\*63 - 1\) // 4, so that a sum of 4 answers cannot wrap"):
             ConstantBacking(4, bad)
@@ -457,10 +453,6 @@ def test_backings_refuse_answers_past_the_sum_bound():
     assert CountingOracle(backing).query(1, 2) == ExactDistance(sum_bound(4))
     assert exact_median(CountingOracle(backing), range(4)) == (0, ExactDistance(3 * sum_bound(4)))
     assert median_cost(CountingOracle(backing), 1, range(4)) == ExactDistance(4 * sum_bound(4))
-    # at the 4-point bound the glued game is exact, through the glue's batch
-    b = sum_bound(4)
-    glued = glue_metric(MetricTable(np.array([[0, b], [b, 0]])), 0, 4)
-    assert exact_median(CountingOracle(glued), range(4)) == (0, ExactDistance(b, 2))
 
 
 def test_hop_metric_keeps_its_adjacency_and_rejects_loops():

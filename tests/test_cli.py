@@ -7,11 +7,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from medianlab import expander
 from medianlab.cli import build_parser, main
-from medianlab.fileio import read_edge_list, write_metric_file, write_metric_json
+from medianlab.fileio import write_metric_file, write_metric_json
 from medianlab.harness import generate_instance
 from medianlab.metric import MetricTable
 from medianlab.players import PLAYERS
@@ -139,13 +140,16 @@ WIDE_ERROR = (
         (("adversary", "--n", "10000000", "--q", "0", "--d", "4"),
          "ValueError: the dense 10000000 x 10000000 perm matrix of the arena needs about "
          "100000000000000 bytes, more than this machine's physical memory"),
+        (("lowerbound", "--n", "1000000000000", "--q", "10", "--d", "4"),
+         "ValueError: a glued space of 1000000000000 points needs about 76000000000000 bytes, "
+         "more than this machine's physical memory"),
     ],
     ids=["expander-odd-stubs", "adversary-odd-stubs", "negative-budget", "missing-file",
          "lowerbound-odd-degree", "lowerbound-one-point", "lowerbound-sweep-one-point",
          "metric-entry-overflow", "metric-json-nested-too-deep", "verify-sum-could-wrap",
          "solve-sum-could-wrap", "solve-zero-optimum-positive-output", "lowerbound-empty-sweep",
          "sweep-empty-sizes", "sweep-empty-kinds", "sweep-empty-factors", "sweep-empty-inners",
-         "expander-oversize", "adversary-oversize"],
+         "expander-oversize", "adversary-oversize", "lowerbound-oversize"],
 )
 def test_bad_input_reports_json_error(capsys, tmp_path, monkeypatch, argv, error):
     monkeypatch.chdir(tmp_path)
@@ -247,10 +251,11 @@ def test_expander_json_and_edge_export(capsys, tmp_path):
     assert code == 0
     assert payload["edges"] == 32
     assert payload["method"] == "exhaustive"
+    assert payload["alpha_proven"] is True
     assert payload["alpha_lower"] > 0
-    n, edges = read_edge_list(edges_out)
-    assert n == 16
-    assert len(edges) == 32
+    edges = np.loadtxt(edges_out, dtype=np.int64, ndmin=2)  # 1-based "u v" pairs after a '#' header
+    assert edges.shape == (32, 2)
+    assert edges.min() == 1 and edges.max() == 16
 
 
 def test_expander_solves_lambda2_once(capsys, monkeypatch):
@@ -261,7 +266,9 @@ def test_expander_solves_lambda2_once(capsys, monkeypatch):
     monkeypatch.setattr(expander, "_lambda2", lambda g: solves.append(g.n) or true_lambda2(g))
     code, out = run_cli(capsys, "expander", "--n", "64", "--d", "8")
     assert code == 0
-    assert json.loads(out)["method"] == "spectral"
+    payload = json.loads(out)
+    assert payload["method"] == "spectral"
+    assert payload["alpha_proven"] is False  # an ARPACK estimate, not a proof
     assert solves == [64]
 
 

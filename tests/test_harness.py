@@ -12,12 +12,11 @@ from medianlab.harness import (
     SweepConfig,
     generate_instance,
     play_adversary_game,
-    replay_verify,
     rows_to_csv_text,
     sweep_upper_bound,
     verify_nonadaptive,
 )
-from medianlab.metric import CountingOracle, _single, graph_metric, validate_metric
+from medianlab.metric import CountingOracle, _single, graph_metric, replay_verify, validate_metric
 from medianlab.players import make_player
 from medianlab.solvers import ExactInner, PivotInner, SamplingInner
 

@@ -15,7 +15,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from medianlab.cli import main
-from medianlab.fileio import _read_metric_walk, read_edge_list, read_metric_file
+from medianlab.fileio import _read_metric_walk, read_metric_file
 from medianlab.metric import sum_bound
 
 FUZZ = settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -196,15 +196,3 @@ METRIC_BLOBS = st.fixed_dictionaries({
 ))
 def test_json_metric_input_ends_in_result_or_json_error(fuzz_dir, content):
     _verify_file(fuzz_dir / "metric.json", content)
-
-
-@FUZZ
-@given(st.one_of(_lines(st.sampled_from(["# note", "1 2 # tail", "  "])).map(str.encode), st.binary(max_size=40)))
-def test_edge_list_reader_raises_only_value_error(fuzz_dir, content):
-    path = fuzz_dir / "graph.edges"
-    path.write_bytes(content)
-    try:
-        n, edges = read_edge_list(str(path))
-    except ValueError:
-        return
-    assert all(0 <= u < n and 0 <= v < n for u, v in edges)

@@ -153,7 +153,7 @@ def test_renamed_batch_reaches_the_arena_pair_by_pair():
 )
 def test_bad_renamed_batch_raises_before_naming_or_asking(pairs, error):
     oracle = CallCountingOracle(graph_metric(5, [(0, 1), (1, 2), (2, 3), (3, 4)]))
-    run = RenamedRun(-1, -1, Renaming(), 0, [])
+    run = RenamedRun(-1, -1, Renaming(), [])
     proxy = lowerbound._RenamingProxy(oracle, 1000, 2, run)
     with pytest.raises(error):
         BatchPlayer(pairs, 0).run(proxy, 1000)
@@ -196,7 +196,6 @@ def test_transcripts_aligned_catches_a_proxy_that_forwards_the_wrong_point(monke
         units, eps = self._oracle.query_many(
             [na for na, _ in names], [(nb + 1) % self._oracle.n for _, nb in names]
         )
-        self._run.queries_used += len(names)
         self._run.inner_transcript.extend(
             (x, y, ExactDistance(u, e)) for x, y, u, e in zip(a, b, units.tolist(), eps.tolist())
         )
@@ -209,8 +208,18 @@ def test_transcripts_aligned_catches_a_proxy_that_forwards_the_wrong_point(monke
         assert not report.all_ok, algo
 
 
+def _path_hops(m, clique=()):
+    """The path 0-1-...-(m-1) as a HopMetric, with a clique on the given vertices."""
+    adj = np.zeros((m, m), dtype=bool)
+    idx = np.arange(m - 1)
+    adj[idx, idx + 1] = adj[idx + 1, idx] = True
+    mask = np.zeros(m, dtype=bool)
+    mask[list(clique)] = True
+    return HopMetric(adj, mask)
+
+
 def test_glued_metric_distance_cases():
-    base = graph_metric(3, [(0, 1), (1, 2)])  # the path 0-1-2
+    base = _path_hops(3)  # the path 0-1-2
     g = glue_metric(base, y=1, n=6)
     assert g.distance(3, 4) == EPS  # two artificial points
     assert g.distance(1, 4) == EPS  # gluing point to artificial
@@ -222,7 +231,7 @@ def test_glued_metric_distance_cases():
 
 
 def test_glued_metric_costs_closed_form():
-    base = graph_metric(3, [(0, 1), (1, 2)])
+    base = _path_hops(3)
     g = glue_metric(base, y=1, n=6)
     # cluster point: base row of y plus eps to the other three members
     assert g.cost_of(1) == ExactDistance(2, 3)
@@ -236,7 +245,7 @@ def test_glued_metric_costs_closed_form():
 
 
 def test_glued_metric_is_a_metric():
-    base = generate_instance("table", 5, seed=3)
+    base = _path_hops(5, clique=(0, 4))  # a 5-cycle: the path closed by a clique hop
     g = glue_metric(base, y=2, n=12)
     assert validate_metric(g.to_table()) == []
 
@@ -284,11 +293,7 @@ def _finished_game_metric():
     return report.certificate.final_metric, report.certificate.best_good[0]
 
 
-@pytest.mark.parametrize(
-    "make_base, n",
-    [(_finished_game_metric, 20), (lambda: (generate_instance("table", 5, seed=3), 2), 12)],
-    ids=["hop-metric", "table"],
-)
+@pytest.mark.parametrize("make_base, n", [(_finished_game_metric, 20)], ids=["hop-metric"])
 def test_glued_metric_matches_its_definition(make_base, n):
     base, y = make_base()
     g = glue_metric(base, y, n)
@@ -311,14 +316,18 @@ def test_glued_metric_matches_its_definition(make_base, n):
 
 
 def test_glue_validation():
-    base = graph_metric(3, [(0, 1), (1, 2)])
+    base = _path_hops(3)
     with pytest.raises(ValueError):
         glue_metric(base, y=3, n=6)
     with pytest.raises(ValueError):
         glue_metric(base, y=0, n=3)  # no room for artificial points
-    lopsided = MetricTable(base.units, base.units)  # eps-bearing base
-    with pytest.raises(ValueError):
-        glue_metric(lopsided, y=0, n=6)
+    with pytest.raises(ValueError, match="space too small for the eps regime"):
+        glue_metric(_path_hops(1), y=0, n=2)
+    # a huge glued space is built without forming 2**n
+    assert glue_metric(base, y=1, n=10**12).distance(5, 10**12 - 1) == EPS
+    # the glue takes the arena's hop metric only: a table of the same distances is refused
+    with pytest.raises(TypeError, match="the glue takes the arena's HopMetric, got MetricTable"):
+        glue_metric(graph_metric(3, [(0, 1), (1, 2)]), y=0, n=6)
 
 
 def test_hard_instance_game_small_full_audit():

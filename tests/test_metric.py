@@ -13,7 +13,6 @@ from medianlab import fileio, harness
 from medianlab.distances import EPS, ONE, ZERO, ExactDistance
 from medianlab.fileio import (
     load_metric_any,
-    read_edge_list,
     read_metric_file,
     read_metric_json,
     write_edge_list,
@@ -804,11 +803,9 @@ def test_metric_json_rejects_malformed(tmp_path, blob, message):
          f"entry (1, 0) must lie within +-{(2**63 - 1) // 2} = (2**63 - 1) // 2 "
          f"so that exact sums fit in 64 bits, got {-(2**63)}"),
         (read_metric_file, ["-1"], "n must be nonnegative, got -1"),
-        (read_edge_list, ["# a path", "1 2", "2 x"], "vertex 2 of line 3 must be a 64-bit integer, got 'x'"),
-        (read_edge_list, ["1 2", f"{2**63} 1"], f"vertex 1 of line 2 must be a 64-bit integer, got {2**63}"),
     ],
     ids=["entry-past-int64", "entry-below-int64", "fractional-entry", "non-integer-n", "missing-row",
-         "extra-header-tokens", "entry-sum-could-wrap", "negative-n", "edge-non-integer", "edge-past-int64"],
+         "extra-header-tokens", "entry-sum-could-wrap", "negative-n"],
 )
 def test_metric_text_rejects_malformed(tmp_path, reader, lines, message):
     path = str(tmp_path / "bad.txt")
@@ -831,6 +828,8 @@ def test_load_metric_any_dispatch(tmp_path, p4):
 def test_edge_list_roundtrip(tmp_path):
     path = str(tmp_path / "g.txt")
     write_edge_list(path, P4_EDGES, header="a path")
-    n, edges = read_edge_list(path)
-    assert n == 4
-    assert edges == sorted(P4_EDGES)
+    with open(path, encoding="utf-8") as fh:
+        assert fh.readline() == "# a path\n"
+    # the library writes edge lists and has no reader: numpy parses the 1-based pairs
+    edges = np.loadtxt(path, dtype=np.int64, ndmin=2) - 1
+    assert edges.tolist() == [list(e) for e in P4_EDGES]
