@@ -132,6 +132,7 @@ class Adversary:
         self._perm = np.zeros((n, n), dtype=bool)
         self._perm[u, v] = self._perm[v, u] = True
         self._anchor_flat = u * n + v  # anchor cells of perm, flattened
+        self._degree = np.bincount(exp.ravel(), minlength=n).tolist()  # perm's row counts, kept in step
         self._alive = np.ones(n, dtype=bool)
         # the last answer BFS, exact until a prune: its source, full hop
         # row, and per level walked back through, (sorted vertices, lowest
@@ -268,9 +269,13 @@ class Adversary:
         permanent edges, so it is never touched again and never pruned
         twice.
         """
-        perm = self._perm
+        perm, degree = self._perm, self._degree
+        if perm[u, v]:
+            raise AssertionError("fresh edge already permanent")
         perm[u, v] = perm[v, u] = True
-        pruned = tuple(x for x in ((u, v) if u < v else (v, u)) if np.count_nonzero(perm[x]) > self.cap)
+        degree[u] += 1
+        degree[v] += 1
+        pruned = tuple(x for x in ((u, v) if u < v else (v, u)) if degree[x] > self.cap)
         if pruned:
             self._alive[list(pruned)] = False
             self._hop_row = None  # the live graph just lost edges

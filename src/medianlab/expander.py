@@ -51,7 +51,7 @@ __all__ = [
 
 EXHAUSTIVE_LIMIT = 24
 _ALPHA_GRAIN = 10**9  # spectral bounds are floored to this grid, conservatively
-_WORD_CHUNK = 4096  # 32-bit words _swap_randomize reads from its rng per refill
+_WORD_CHUNK = 8192  # 32-bit words _swap_randomize draws from its rng per chunk
 _MAX_ATTEMPTS = 40  # swap rounds build_regular tries before it gives up
 _EDGE_BYTES = 515  # build_regular(262144, 3, 0)'s peak RSS over the interpreter's, per edge
 
@@ -104,17 +104,60 @@ def default_lambda2_threshold(d: int) -> float:
 
 def _circulant_base(n: int, d: int) -> set[tuple[int, int]]:
     """Deterministic simple d-regular start: chords 1..d//2, plus the
-    antipodal matching when d is odd (which forces n even)."""
-    edges: set[tuple[int, int]] = set()
-    for off in range(1, d // 2 + 1):
-        for v in range(n):
-            u = (v + off) % n
-            edges.add((min(v, u), max(v, u)))
+    antipodal matching when d is odd (which forces n even).
+
+    The edges go into the set chord by chord, vertex by vertex, and the
+    matching last, so ``list(edges)``, the swaps' first pool, has one
+    fixed order.
+    """
+    v = np.arange(n)
+    u = (v + np.arange(1, d // 2 + 1)[:, None]) % n  # one row per chord offset
+    lo, hi = [np.minimum(v, u).ravel()], [np.maximum(v, u).ravel()]
     if d % 2 == 1:
         half = n // 2
-        for v in range(half):
-            edges.add((v, v + half))
-    return edges
+        lo.append(v[:half])
+        hi.append(v[half:])
+    return set(zip(np.concatenate(lo).tolist(), np.concatenate(hi).tolist()))
+
+
+def _decode_moves(words: np.ndarray, size: int, half: int, limit: int) -> tuple[int, int, tuple[list, list, list]]:
+    """The first complete moves in ``words``, at most ``limit`` of them.
+
+    ``words`` are draws already shifted to the pool's bit length, and the
+    first begins a move.  Returns the number of moves, the index just
+    past the last one's final word, and the (i, j, flip) lists of the
+    moves with i != j, in order.
+    """
+    count = len(words)
+    valid = words < size
+    vpos = np.flatnonzero(valid)
+    vals = words[vpos]
+    # a move whose i is valid word t takes j from valid word t + 1, and
+    # its flip from the raw word after j when i != j; the next move's i
+    # is valid word t + 3 if that flip word was valid, else t + 2
+    same = vals[:-1] == vals[1:]
+    after = vpos[1:] + 1
+    complete = same | (after < count)
+    step = 2 + (~same & valid[np.minimum(after, count - 1)])
+    t = np.arange(len(same))
+    ok = np.zeros(len(vpos) + 2, dtype=bool)
+    ok[: len(same)] = complete
+    nxt = np.arange(len(vpos) + 2)  # an incomplete move points to itself
+    nxt[: len(same)] = np.where(complete, t + step, t)
+    # the moves' first valid words by pointer doubling: chain[k] is nxt
+    # applied k times to 0, and nxt**(2**r) fills chain[2**r : 2**(r + 1)]
+    chain, jump = np.zeros(1, dtype=np.intp), nxt
+    while len(chain) < limit and ok[chain[-1]]:
+        chain = np.concatenate((chain, jump[chain]))
+        jump = jump[jump]
+    chain = chain[:limit]
+    chain = chain[: np.count_nonzero(ok[chain])]  # complete moves lead, then one repeats
+    if not len(chain):
+        return 0, 0, ([], [], [])
+    last = chain[-1]
+    end = int(after[last]) + (not same[last])  # past j, or past the flip when i != j
+    swap = chain[~same[chain]]
+    return len(chain), end, (vals[swap].tolist(), vals[swap + 1].tolist(), (words[after[swap]] >= half).tolist())
 
 
 def _swap_randomize(n: int, edges: set[tuple[int, int]], swaps: int, rng: random.Random) -> None:
@@ -130,62 +173,58 @@ def _swap_randomize(n: int, edges: set[tuple[int, int]], swaps: int, rng: random
     CPython's rules: randrange(L) is getrandbits(L.bit_length()) with
     rejection, and getrandbits(k) is the top k bits of one word.  A
     chunk is rng.getrandbits(32 * count), whose first word holds the
-    lowest bits.  Once a chunk is spent, or the moves are done, rng is
-    rewound to the chunk's start and steps over just the words used, so
-    on return it stands exactly where the per-call draws would have
-    left it.
+    lowest bits.
+
+    numpy decodes a chunk's moves without a Python step per draw.  Of
+    the words below L, the valid ones, a move whose i is valid word t
+    takes j from valid word t + 1.  If i != j, its flip is the raw word
+    right after j, valid or not, and the next move's i is valid word
+    t + 3 if that flip word was valid, else t + 2; if i == j the next i
+    is valid word t + 2.  A valid flip word is valid word t + 2, so the
+    step of 3 passes over it and it never becomes an i.  The loop below
+    only applies the decoded moves.  The words of a move the chunk ends
+    inside carry over to the next chunk, so each word is drawn once, and
+    after the last chunk rng is rewound to that chunk's start and steps
+    over just the words used: on return it stands exactly where the
+    per-call draws would have left it.
     """
     pool = list(edges)
     size = len(pool)
     bits = size.bit_length()
     shift = 32 - bits
     half = 1 << (bits - 1)  # a drawn value >= half has its word's top bit set
+    words = np.empty(0, dtype=np.uint32)  # the drawn words no finished move has read
     move = 0
     while move < swaps:
-        mark = rng.getstate()  # rng's state just before words[0]
+        mark = rng.getstate()  # rng's state just before this chunk
         chunk = rng.getrandbits(32 * _WORD_CHUNK).to_bytes(4 * _WORD_CHUNK, "little")
-        words = (np.frombuffer(chunk, dtype="<u4") >> shift).tolist()
-        p = start = 0
-        try:
-            for move in range(move, swaps):
-                start = p
-                i = words[p]
-                p += 1
-                while i >= size:
-                    i = words[p]
-                    p += 1
-                j = words[p]
-                p += 1
-                while j >= size:
-                    j = words[p]
-                    p += 1
-                if i == j:
-                    continue
-                flip = words[p] >= half
-                p += 1
-                a, b = old1 = pool[i]
-                old2 = pool[j]
-                if flip:
-                    e, c = old2
-                else:
-                    c, e = old2
-                if a == c or a == e or b == c or b == e:
-                    continue
-                new1 = (a, c) if a < c else (c, a)
-                new2 = (b, e) if b < e else (e, b)
-                if new1 in edges or new2 in edges:
-                    continue
-                edges.discard(old1)
-                edges.discard(old2)
-                edges.add(new1)
-                edges.add(new2)
-                pool[i] = new1
-                pool[j] = new2
-            move = swaps
-        except IndexError:
-            p = start  # the chunk ran dry mid-move: refill from the move's first word
+        carried = len(words)
+        words = np.concatenate((words, np.frombuffer(chunk, dtype="<u4") >> shift))
+        count, end, (firsts, seconds, flips) = _decode_moves(words, size, half, swaps - move)
+        for i, j, flip in zip(firsts, seconds, flips):
+            a, b = old1 = pool[i]
+            old2 = pool[j]
+            if flip:
+                e, c = old2
+            else:
+                c, e = old2
+            if a == c or a == e or b == c or b == e:
+                continue
+            new1 = (a, c) if a < c else (c, a)
+            new2 = (b, e) if b < e else (e, b)
+            if new1 in edges or new2 in edges:
+                continue
+            edges.discard(old1)
+            edges.discard(old2)
+            edges.add(new1)
+            edges.add(new2)
+            pool[i] = new1
+            pool[j] = new2
+        move += count
+        words = words[end:]
+    if swaps:
         rng.setstate(mark)
-        rng.getrandbits(32 * p)
+        rng.getrandbits(32 * (end - carried))  # the last chunk's words the moves read
 
 
 def build_regular(n: int, d: int, seed: int) -> RegularGraph:

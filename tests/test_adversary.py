@@ -154,6 +154,20 @@ def test_max_perm_degree_within_cap_plus_two():
     assert cert.max_perm_degree <= cert.cap + 2
 
 
+def test_degree_list_stays_in_step_with_perm():
+    for algo in ("exact", "random"):
+        cert, oracle = finished_game(n=32, degree=4, q=24, algo=algo)
+        adv = oracle.backing
+        assert any(cert.pruned_log)
+        assert adv._degree == np.count_nonzero(adv._perm, axis=1).tolist(), algo
+
+
+def test_hardening_a_permanent_edge_raises():
+    adv = small_game()
+    with pytest.raises(AssertionError, match="fresh edge already permanent"):
+        adv._harden(*adv.anchor.edges[0])
+
+
 def test_anchor_survives_every_round():
     # the graph after any round is perm plus a clique, so a permanent
     # anchor edge lies in every one of them

@@ -278,12 +278,22 @@ def _reference_swap_randomize(n, edges, swaps, rng):
 
 # pool sizes n*d/2: 32 and 4096 are powers of two (half of all draws are
 # rejected), 45, 96 and 5044 are not; 0 swaps must read no word and 1 swap
-# ends the stream inside its first chunk
+# ends the stream inside its first chunk; K4 and K5 hold 6 and 10 edges,
+# so i == j is common; (1261, 8, 100880) is the n = 8192 arena's anchor.
+# Chunks of a few words make moves straddle chunk ends, put a flip word
+# last in a chunk and land i == j on a boundary.
 @pytest.mark.parametrize(
-    "n, d, swaps",
-    [(16, 4, 3000), (1024, 8, 9000), (30, 3, 2500), (24, 8, 2000), (1261, 8, 6000), (16, 4, 0), (16, 4, 1)],
+    "n, d, swaps, chunk",
+    [pytest.param(n, d, swaps, None, id=f"{n}-{d}-{swaps}") for n, d, swaps in (
+        (16, 4, 3000), (1024, 8, 9000), (30, 3, 2500), (24, 8, 2000), (1261, 8, 6000), (16, 4, 0), (16, 4, 1),
+        (4, 3, 3000), (5, 4, 3000), (1261, 8, 100880),
+    )]
+    + [pytest.param(n, d, 600, chunk, id=f"{n}-{d}-600-chunk{chunk}")
+       for chunk in (3, 4, 5, 7, 64) for n, d in ((4, 3), (5, 4), (16, 4), (30, 3))],
 )
-def test_swap_kernel_replays_the_per_call_stream(n, d, swaps):
+def test_swap_kernel_replays_the_per_call_stream(n, d, swaps, chunk, monkeypatch):
+    if chunk is not None:
+        monkeypatch.setattr(expander, "_WORD_CHUNK", chunk)
     ref_rng, rng = random.Random(n * 7 + d), random.Random(n * 7 + d)
     ref_rng.gauss(0.0, 1.0)  # leaves a cached gauss value in the state
     rng.gauss(0.0, 1.0)
@@ -295,6 +305,43 @@ def test_swap_kernel_replays_the_per_call_stream(n, d, swaps):
         assert list(edges) == list(ref_edges)
         assert rng.getstate() == ref_rng.getstate()
     assert rng.random() == ref_rng.random()
+
+
+def test_swap_kernel_memory_stays_small():
+    # the decoded chunk's arrays are transient: under tracemalloc,
+    # 65,536-word chunks peak near 6.6 MB and 8,192-word chunks near 1.4 MB
+    edges = expander._circulant_base(1261, 8)
+    tracemalloc.start()
+    try:
+        expander._swap_randomize(1261, edges, 100880, random.Random(0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20, peak
+
+
+def _reference_circulant_base(n, d):
+    """The per-edge loop whose insertion order the numpy base must keep."""
+    edges = set()
+    for off in range(1, d // 2 + 1):
+        for v in range(n):
+            u = (v + off) % n
+            edges.add((min(v, u), max(v, u)))
+    if d % 2 == 1:
+        half = n // 2
+        for v in range(half):
+            edges.add((v, v + half))
+    return edges
+
+
+def test_circulant_base_keeps_the_loop_order():
+    for n in range(4, 65):
+        for d in range(3, min(8, n - 1) + 1):
+            if n * d % 2:
+                continue
+            got = expander._circulant_base(n, d)
+            assert list(got) == list(_reference_circulant_base(n, d)), (n, d)
+            assert len(got) == n * d // 2, (n, d)
 
 
 @pytest.fixture()
