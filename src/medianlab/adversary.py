@@ -60,7 +60,8 @@ import scipy.sparse.csgraph
 
 from .distances import ExactDistance
 from .metric import (
-    HopMetric, TranscriptEntry, _as_pairs, _as_pairs_in, _transcript_arrays, bfs_hop_row, is_metric, replay_verify,
+    HopMetric, TranscriptEntry, _as_pairs, _as_pairs_in, _replay_arrays, _transcript_arrays, bfs_hop_row, is_metric,
+    replay_verify,
 )
 from .expander import RegularGraph
 
@@ -303,7 +304,7 @@ class Adversary:
 
         # no copies: every later answer raises BudgetExhaustedError
         final = HopMetric(self._perm, self._alive)
-        good = np.flatnonzero(~_went_bad(self._perm, self.cap))
+        good = np.flatnonzero(~_went_bad(np.asarray(self._degree), self.cap))
         if not len(good):
             raise AssertionError("fewer than half the points may go bad")
         z_cost = final.cost_of(output)
@@ -322,9 +323,14 @@ class Adversary:
         )
 
 
-def _went_bad(perm: np.ndarray, cap: int) -> np.ndarray:
+def _went_bad(degree: np.ndarray, cap: int) -> np.ndarray:
     """The cap rule: mask of the vertices whose permanent degree reached C."""
-    return np.count_nonzero(perm, axis=1) >= cap
+    return degree >= cap
+
+
+def _perm_degree(perm: np.ndarray) -> np.ndarray:
+    """Each vertex's permanent degree, counted from ``perm``."""
+    return np.count_nonzero(perm, axis=1)
 
 
 @dataclass
@@ -356,7 +362,7 @@ class Certificate:
 
     @property
     def bad(self) -> tuple[int, ...]:
-        return tuple(np.flatnonzero(_went_bad(self.perm, self.cap)).tolist())
+        return tuple(np.flatnonzero(_went_bad(_perm_degree(self.perm), self.cap)).tolist())
 
     @property
     def rounds(self) -> int:
@@ -368,7 +374,7 @@ class Certificate:
 
     @property
     def max_perm_degree(self) -> int:
-        return int(self.perm.sum(axis=1).max())
+        return int(_perm_degree(self.perm).max())
 
     def alive_after(self, i: int) -> np.ndarray:
         """Mask of the vertices not pruned by the end of round i (0 = before any query).
@@ -393,6 +399,11 @@ def verify_consistency(cert: Certificate) -> bool:
     return replay_verify(cert.transcript, cert.final_metric)
 
 
+def _anchor_array(cert: Certificate) -> np.ndarray:
+    """The anchor edges as a (k, 2) int64 array."""
+    return np.fromiter(chain.from_iterable(cert.anchor_edges), dtype=np.int64).reshape(-1, 2)
+
+
 def verify_path_discipline(cert: Certificate) -> bool:
     """Re-derive the permanence timeline and the pruning from the reply paths.
 
@@ -410,14 +421,18 @@ def verify_path_discipline(cert: Certificate) -> bool:
     array passes over all path edges, and the verdict is the one a
     round-by-round walk that stops at the first failing round gives.
     """
+    return _path_discipline(cert, _transcript_arrays(cert.transcript), _anchor_array(cert))
+
+
+def _path_discipline(cert: Certificate, entries: np.ndarray | None, anchor: np.ndarray) -> bool:
+    """:func:`verify_path_discipline` on the transcript and anchor already read as arrays."""
     n, rounds = cert.n, len(cert.paths)
-    entries = _transcript_arrays(cert.transcript)
     if len(cert.pruned_log) != rounds or entries is None or entries.shape[1] != rounds:
         return False
-    anchor = np.fromiter(chain.from_iterable(cert.anchor_edges), dtype=np.int64).reshape(-1, 2)
     if ((anchor < 0) | (anchor >= n)).any():
         return False
-    anchor_keys = np.unique(anchor[:, 0] * n + anchor[:, 1])
+    anchor_keys = np.sort(anchor[:, 0] * n + anchor[:, 1])
+    anchor_keys = anchor_keys[_starts(anchor_keys)]
 
     # every path edge, in round order, as a (u < v) key tagged with its round
     lengths = np.fromiter(map(len, cert.paths), dtype=np.int64, count=rounds)
@@ -436,24 +451,28 @@ def verify_path_discipline(cert: Certificate) -> bool:
     u, v, edge_round = walk[:-1][inside], walk[1:][inside], step_round[:-1][inside]
     lo, hi = np.minimum(u, v), np.maximum(u, v)
     keys = lo * n + hi
-    if _occurs_over(1, edge_round, keys):
+    # one stable sort of the keys: each key's uses sit together, in round order
+    order = np.argsort(keys, kind="stable")
+    starts = _starts(keys[order])
+    if (~starts[1:] & (np.diff(edge_round[order]) == 0)).any():
         return False  # reply paths are simple
-    if _occurs_over(2, np.concatenate([edge_round, edge_round]), np.concatenate([u, v])):
+    # a (round, vertex) pair as round * n + vertex, far inside int64 as lo * n + hi is
+    touches = np.sort(np.concatenate([edge_round * n + u, edge_round * n + v]))
+    if (touches[2:] == touches[:-2]).any():
         return False  # at most two of a path's edges touch any one vertex
 
     # an edge is fresh in the round of its first use, unless the anchor holds it
     first = np.zeros(len(keys), dtype=bool)
-    first[np.unique(keys, return_index=True)[1]] = True
-    fresh = first & ~np.isin(keys, anchor_keys)
+    first[order[starts]] = True
+    fresh = first & ~_held(keys, anchor_keys)
     fresh_round = edge_round[fresh]
     if (fresh_round[1:] == fresh_round[:-1]).any():
         return False  # at most one fresh edge per round
 
-    # permanent degree after each fresh edge at each of its ends, in round order
-    touch_round = np.concatenate([fresh_round, fresh_round])
-    touched = np.concatenate([lo[fresh], hi[fresh]])
-    order = np.lexsort((touch_round, touched))
-    touch_round, touched = touch_round[order], touched[order]
+    # permanent degree after each fresh edge at each of its ends, in round
+    # order: the ends sorted by vertex, then round, as vertex * rounds + round
+    incidences = np.concatenate([lo[fresh], hi[fresh]]) * rounds + np.concatenate([fresh_round, fresh_round])
+    touched, touch_round = np.divmod(np.sort(incidences), rounds)
     rank = np.arange(len(touched)) - np.searchsorted(touched, touched) + 1
     anchor_degree = np.bincount(np.concatenate([anchor_keys // n, anchor_keys % n]), minlength=n)
     over = anchor_degree[touched] + rank > cert.cap
@@ -475,7 +494,8 @@ def verify_path_discipline(cert: Certificate) -> bool:
     final = cert.final_metric
     if final.adjacency.shape != (n, n):
         return False
-    rows, cols = np.divmod(np.union1d(anchor_keys, keys), n)
+    # the anchor and the fresh edges are disjoint and each holds no key twice
+    rows, cols = np.divmod(np.concatenate([anchor_keys, keys[fresh]]), n)
     if not ((rows < cols).all() and final.adjacency[rows, cols].all()):
         return False
     if np.count_nonzero(final.adjacency) != 2 * len(rows):
@@ -483,11 +503,18 @@ def verify_path_discipline(cert: Certificate) -> bool:
     return bool(np.array_equal(final.clique, cert.alive_after(len(cert.pruned_log))))
 
 
-def _occurs_over(k: int, group: np.ndarray, values: np.ndarray) -> bool:
-    """True when some (group[i], values[i]) pair occurs more than k times."""
-    order = np.lexsort((values, group))
-    group, values = group[order], values[order]
-    return bool(((group[k:] == group[:-k]) & (values[k:] == values[:-k])).any())
+def _starts(ordered: np.ndarray) -> np.ndarray:
+    """Mask of the entries of a sorted array that differ from the one before."""
+    starts = np.ones(len(ordered), dtype=bool)
+    starts[1:] = ordered[1:] != ordered[:-1]
+    return starts
+
+
+def _held(values: np.ndarray, ordered: np.ndarray) -> np.ndarray:
+    """Mask of the values found in the sorted array ``ordered``."""
+    if not len(ordered):
+        return np.zeros(len(values), dtype=bool)
+    return ordered.take(np.searchsorted(ordered, values), mode="clip") == values
 
 
 def ball_growth_ok(cert: Certificate) -> bool:
@@ -508,10 +535,12 @@ def ball_growth_ok(cert: Certificate) -> bool:
     return True
 
 
-def _anchor_preserved(cert: Certificate) -> bool:
-    """Every anchor edge is a permanent edge of the final metric."""
-    edges = np.asarray(cert.anchor_edges, dtype=np.int64).reshape(-1, 2)
-    return bool(cert.final_metric.adjacency[edges[:, 0], edges[:, 1]].all())
+def _anchor_preserved(cert: Certificate, anchor: np.ndarray) -> bool:
+    """Every anchor edge joins two points of the space by a permanent edge of the final metric."""
+    adjacency = cert.final_metric.adjacency
+    if ((anchor < 0) | (anchor >= len(adjacency))).any():
+        return False
+    return bool(adjacency[anchor[:, 0], anchor[:, 1]].all())
 
 
 def _hub_costs(cert: Certificate, points: Sequence[int]) -> list[int] | None:
@@ -525,7 +554,7 @@ def _hub_costs(cert: Certificate, points: Sequence[int]) -> list[int] | None:
     never runs.
     """
     n = cert.n
-    us, vs = np.nonzero(cert.perm)
+    us, vs = np.divmod(np.flatnonzero(cert.perm), len(cert.perm))  # np.nonzero's order, one pass
     hubbed = np.flatnonzero(cert.alive_after(len(cert.pruned_log)))
     rows = np.concatenate([us, hubbed])
     cols = np.concatenate([vs, np.full(len(hubbed), n)])
@@ -543,15 +572,20 @@ def _ratio_exact(cert: Certificate) -> bool:
 
 
 def verify_certificate(cert: Certificate, metric_axioms_cap: int = 0) -> dict[str, bool]:
-    """Run every per-game audit; all values must be True for a clean game."""
-    bad = _went_bad(cert.perm, cert.cap)
+    """Run every per-game audit; all values must be True for a clean game.
+
+    The transcript, the anchor and perm's degrees are read once and
+    handed to each check that needs them.
+    """
+    entries, anchor, degree = _transcript_arrays(cert.transcript), _anchor_array(cert), _perm_degree(cert.perm)
+    bad = _went_bad(degree, cert.cap)
     good = np.flatnonzero(~bad).tolist()  # empty when the cap marks every vertex bad
     checks = {
-        "consistency": verify_consistency(cert),
-        "path_discipline": verify_path_discipline(cert),
-        "anchor_preserved": _anchor_preserved(cert),
+        "consistency": _replay_arrays(entries, cert.final_metric),
+        "path_discipline": _path_discipline(cert, entries, anchor),
+        "anchor_preserved": _anchor_preserved(cert, anchor),
         "bad_at_most_half": 2 * int(np.count_nonzero(bad)) <= cert.n,
-        "perm_degree_cap": cert.max_perm_degree <= cert.cap + 2,
+        "perm_degree_cap": int(degree.max()) <= cert.cap + 2,
         "ball_growth": ball_growth_ok(cert),
         "best_good_matches": bool(good) and cert.final_metric.cheapest(good) == cert.best_good,
         "ratio_exact": _ratio_exact(cert),

@@ -136,9 +136,11 @@ def _cmd_verify(args) -> int:
 
 
 def _axioms_cap(args) -> int:
-    # Full triangle verification costs n^3 entry checks, a much steeper
-    # scale than the n^2 reference computations --brute-force-cap is
-    # sized for, so clamp it separately.
+    # The triangle pass costs n^2 entry checks per row holding an entry
+    # above twice the smallest one, so n^3 at worst: a much steeper scale
+    # than the n^2 reference computations --brute-force-cap is sized for,
+    # so clamp it separately.  Raising the clamp would add metric_axioms
+    # to the payloads of larger games.
     return min(args.brute_force_cap, 512)
 
 

@@ -242,6 +242,7 @@ class HopMetric:
         self.clique = clique
         self.n = n
         self._rows: dict[int, np.ndarray] = {}
+        self._degrees: np.ndarray | None = None  # per vertex, counted by the first cheapest()
 
     def row(self, a: PointId) -> np.ndarray:
         cached = self._rows.get(a)
@@ -283,17 +284,20 @@ class HopMetric:
         Uses the degree bound cost >= 2*(n-1) - deg to skip BFS runs for
         candidates that cannot win.  A clique vertex's degree counts its
         clique neighbours that ``adjacency`` does not already join it to.
+        The degrees are counted on the first call and kept with the rows.
         """
         cands = sorted(set(int(c) for c in candidates))
         if not cands:
             raise ValueError("no candidates")
         if self.n == 1:
             return cands[0], 0
-        adj, clique = self.adjacency, self.clique
-        # whole-matrix row sums: a gather of the candidates' rows would copy them
-        degs = np.count_nonzero(adj, axis=1)
-        degs += clique * (np.count_nonzero(clique) - 1 - adj.sum(axis=1, where=clique, dtype=np.intp))
-        lower = 2 * (self.n - 1) - degs[cands]
+        if self._degrees is None:
+            adj, clique = self.adjacency, self.clique
+            # whole-matrix row sums: a gather of the candidates' rows would copy them
+            degs = np.count_nonzero(adj, axis=1)
+            degs += clique * (np.count_nonzero(clique) - 1 - adj.sum(axis=1, where=clique, dtype=np.intp))
+            self._degrees = degs
+        lower = 2 * (self.n - 1) - self._degrees[cands]
         order = sorted(range(len(cands)), key=lambda i: (int(lower[i]), cands[i]))
         best_v = cands[order[0]]
         best_cost = self.cost_of(best_v)
@@ -326,7 +330,11 @@ def replay_verify(transcript, metric) -> bool:
     replay False before any distance is asked.  The metric answers the
     whole transcript as one ``distances`` batch.
     """
-    entries = _transcript_arrays(transcript)
+    return _replay_arrays(_transcript_arrays(transcript), metric)
+
+
+def _replay_arrays(entries: np.ndarray | None, metric) -> bool:
+    """:func:`replay_verify` of a transcript already read by :func:`_transcript_arrays`."""
     if entries is None:
         return False  # no point or answer in a metric of n points lies outside int64
     a, b, units, eps = entries
@@ -468,24 +476,50 @@ def _violations(table: MetricTable) -> Iterator[Violation]:
         if x < y:
             yield Violation("symmetry", (int(x), int(y)))
 
+    if n > 2:  # a triangle takes three distinct points
+        rows = _long_rows(table, off)
+        if len(rows):
+            yield from _triangles(table, rows)
+
+
+def _long_rows(table: MetricTable, off: np.ndarray) -> np.ndarray:
+    """The rows holding an entry above 2m, in order.
+
+    m is the table's smallest off-diagonal entry in (units, eps) order;
+    ``off`` masks the off-diagonal cells of a table with n >= 2.  A row
+    whose only such entry is on the diagonal is read and yields nothing.
+    """
+    u, e = table.units, table.eps
+    mu = int(u.min(where=off, initial=u.max()))
+    me = int(e.min(where=off & (u == mu), initial=e.max()))
+    above = (u > 2 * mu) | ((u == 2 * mu) & (e > 2 * me))
+    return np.flatnonzero(above.any(axis=1))
+
+
+def _triangles(table: MetricTable, rows: np.ndarray) -> Iterator[Violation]:
+    """Yield the triangle violations (x, y, z) with x in ``rows``, y then x then z ascending."""
+    n = table.n
     # a two-entry sum is exact in the narrowest type holding 2 * max|entry|;
     # one sum buffer and one mask per table serve every y
     has_eps = table.has_eps()
-    u = _narrowest(u)
-    su, bad = np.empty_like(u), np.empty((n, n), dtype=bool)
+    u = _narrowest(table.units)
+    ux = u if len(rows) == n else u[rows]
+    su, bad = np.empty_like(ux), np.empty(ux.shape, dtype=bool)
     if has_eps:
-        e = _narrowest(e)
-        se, tie, longer = np.empty_like(e), np.empty_like(bad), np.empty_like(bad)
+        e = _narrowest(table.eps)
+        ex = e if len(rows) == n else e[rows]
+        se, tie, longer = np.empty_like(ex), np.empty_like(bad), np.empty_like(bad)
     for y in range(n):
-        np.add(u[:, y, None], u[None, y, :], out=su)
-        np.greater(u, su, out=bad)
+        np.add(ux[:, y, None], u[None, y, :], out=su)
+        np.greater(ux, su, out=bad)
         if has_eps:
-            np.add(e[:, y, None], e[None, y, :], out=se)
-            np.equal(u, su, out=tie)
-            np.greater(e, se, out=longer)
+            np.add(ex[:, y, None], e[None, y, :], out=se)
+            np.equal(ux, su, out=tie)
+            np.greater(ex, se, out=longer)
             tie &= longer
             bad |= tie
-        for x, z in _argwhere_if_any(bad):
+        for i, z in _argwhere_if_any(bad):
+            x = rows[i]
             if x != y and z != y and x != z:
                 yield Violation("triangle", (int(x), int(y), int(z)))
 
@@ -505,6 +539,11 @@ def validate_metric(table: MetricTable) -> list[Violation]:
     Comparisons are lexicographic on (units, eps_count), which matches
     the rational order under the eps regime the glued constructions
     assert.  Returns an empty list iff the table is a metric.
+
+    The triangle pass reads only the rows holding an entry above 2m,
+    m the smallest off-diagonal entry: a violation d(x, z) > d(x, y) +
+    d(y, z) needs d(x, z) above 2m, since in an ordered group p >= m and
+    q >= m give p + q >= 2m.  It costs n**2 per such row, n**3 at worst.
     """
     return list(_violations(table))
 

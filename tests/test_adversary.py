@@ -28,7 +28,7 @@ from medianlab.adversary import (
 from medianlab.distances import ExactDistance
 from medianlab.expander import RegularGraph, build_regular
 from medianlab.harness import play_adversary_game
-from medianlab.metric import CountingOracle, HopMetric, TranscriptEntry, bfs_hop_row, replay_verify
+from medianlab.metric import CountingOracle, HopMetric, TranscriptEntry, bfs_hop_row, is_metric, replay_verify
 from medianlab.players import make_player
 
 K4_EDGES = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
@@ -1026,3 +1026,121 @@ def test_hop_row_dropped_at_prune():
     assert adv.pruned_log[q + 18] == (13,)
     assert adv.answer(13, 20) == 2
     assert adv.paths[-1] == (13, 0, 20)
+
+
+def test_anchor_preserved_rejects_endpoints_outside_the_space():
+    # a negative end must not wrap to row n - 1, and an end at n must not raise
+    cert, checks = play_adversary_game(64, 16, 4, make_player("exact", 16, 0), seed=0)
+    assert all(checks.values())
+    for edge in ((-1, 6), (0, 64)):
+        forged = dataclasses.replace(cert, anchor_edges=cert.anchor_edges + (edge,))
+        audit = verify_certificate(forged)
+        assert audit["anchor_preserved"] is False, edge
+        assert audit["path_discipline"] is False, edge
+
+
+def test_finalize_reads_the_degree_list_not_perm(monkeypatch):
+    anchor = build_regular(32, 4, 4)
+    adv = Adversary(anchor, 24 + 32, minimal_cap(32, 24 + 32, 4))
+    output = make_player("exact", budget=24, seed=4).run(CountingOracle(adv), 32)
+
+    def refused(perm):
+        raise AssertionError("finalize recounted perm")
+
+    monkeypatch.setattr(adversary_module, "_perm_degree", refused)
+    cert = adv.finalize(output)
+    monkeypatch.undo()
+    assert any(cert.pruned_log)
+    good = [v for v in range(cert.n) if v not in cert.bad]
+    assert cert.best_good == HopMetric(cert.perm, cert.final_metric.clique).cheapest(good)
+
+
+def _checks_one_by_one(cert, metric_axioms_cap=0):
+    """verify_certificate's checks, each run on its own through the public functions.
+
+    The perm degrees come from ``cert.bad`` and ``cert.max_perm_degree``,
+    the anchor check from the edge tuples, and ``cheapest`` from a fresh
+    HopMetric, so no count or row is shared with the audit.
+    """
+    n, bad = cert.n, set(cert.bad)
+    good = [v for v in range(n) if v not in bad]
+    fresh = HopMetric(cert.perm, cert.final_metric.clique)
+    checks = {
+        "consistency": verify_consistency(cert),
+        "path_discipline": verify_path_discipline(cert),
+        "anchor_preserved": all(0 <= u < n and 0 <= v < n and cert.perm[u, v] for u, v in cert.anchor_edges),
+        "bad_at_most_half": 2 * len(bad) <= n,
+        "perm_degree_cap": cert.max_perm_degree <= cert.cap + 2,
+        "ball_growth": ball_growth_ok(cert),
+        "best_good_matches": bool(good) and fresh.cheapest(good) == cert.best_good,
+        "ratio_exact": adversary_module._ratio_exact(cert),
+    }
+    if metric_axioms_cap and n <= metric_axioms_cap:
+        checks["metric_axioms"] = is_metric(fresh.to_table(metric_axioms_cap))
+    return checks
+
+
+def _forgeries(cert):
+    """The kinds of forged certificate the tests above build, on any finished game."""
+    n, log, alive = cert.n, cert.pruned_log, cert.final_metric.clique
+    yield "answer", dataclasses.replace(
+        cert, transcript=[cert.transcript[0]._replace(answer=cert.transcript[0].answer + ExactDistance(5))]
+        + cert.transcript[1:],
+    )
+    r = next(i for i, pruned in enumerate(log) if pruned)
+    yield "dropped prune", dataclasses.replace(cert, pruned_log=log[:r] + (log[r][1:],) + log[r + 1 :])
+    reversed_log = iter([u for pruned in log for u in pruned][::-1])
+    traded = tuple(tuple(next(reversed_log) for _ in pruned) for pruned in log)
+    if traded != log:
+        yield "traded prunes", dataclasses.replace(cert, pruned_log=traded)
+    yield "flipped clique vertex", dataclasses.replace(
+        cert, final_metric=HopMetric(cert.perm, np.logical_xor(alive, np.arange(n) == log[r][0]))
+    )
+    u, v = cert.anchor_edges[-1]
+    thinned = cert.perm.copy()
+    thinned[u, v] = thinned[v, u] = False
+    yield "lost anchor edge", dataclasses.replace(cert, final_metric=HopMetric(thinned, alive))
+    x, y = next((x, y) for x in range(n) for y in range(x + 1, n) if not cert.perm[x, y])
+    grown = cert.perm.copy()
+    grown[x, y] = grown[y, x] = True
+    yield "extra edge", dataclasses.replace(cert, final_metric=HopMetric(grown, alive))
+    yield "flipped anchor", dataclasses.replace(cert, anchor_edges=((v, u),) + cert.anchor_edges[1:])
+    for edge in ((-1, 6), (0, n)):
+        yield f"anchor {edge}", dataclasses.replace(cert, anchor_edges=cert.anchor_edges + (edge,))
+    for path in ((0, n), (-1, 0), (0, 1, 0)):
+        yield f"path {path}", dataclasses.replace(cert, paths=cert.paths[:-1] + (path,))
+    yield "reversed path", dataclasses.replace(cert, paths=tuple(p[::-1] for p in cert.paths))
+    yield "swapped paths", dataclasses.replace(cert, paths=cert.paths[1:2] + cert.paths[:1] + cert.paths[2:])
+    yield "extra round", dataclasses.replace(cert, paths=cert.paths + ((0,),), pruned_log=log + ((),))
+    z, (y, y_cost) = cert.z_star_cost, cert.best_good
+    yield "z* cost", dataclasses.replace(cert, z_star_cost=z + 1)
+    yield "best good cost", dataclasses.replace(cert, best_good=(y, y_cost - 1))
+    yield "best good point", dataclasses.replace(cert, best_good=((y + 1) % n, y_cost))
+    yield "cap 0", dataclasses.replace(cert, cap=0)
+    yield "cap 1", dataclasses.replace(cert, cap=1)
+
+
+def test_audit_verdicts_equal_the_checks_one_by_one(monkeypatch):
+    reads = []
+    read = metric_module._transcript_arrays
+
+    def counted(transcript):
+        reads.append(len(transcript))
+        return read(transcript)
+
+    monkeypatch.setattr(adversary_module, "_transcript_arrays", counted)
+    monkeypatch.setattr(metric_module, "_transcript_arrays", counted)
+    audited = 0
+    for n in (24, 64, 256):
+        for algo in ("exact", "pivot", "random"):
+            cert, _ = finished_game(n=n, degree=4, q=n, seed=n, algo=algo)
+            assert any(cert.pruned_log), (n, algo)
+            for name, forged in (("honest", cert), *_forgeries(cert)):
+                cap = 64 if name == "honest" else 0
+                reads.clear()
+                audit = verify_certificate(forged, metric_axioms_cap=cap)
+                assert reads == [len(forged.transcript)], (n, algo, name)
+                assert audit == _checks_one_by_one(forged, cap), (n, algo, name)
+                assert all(audit.values()) == (name == "honest"), (n, algo, name)
+                audited += 1
+    assert audited > 9 * 20

@@ -375,6 +375,78 @@ def test_axiom_checker_matches_reference(table):
     assert is_metric(table) == _reference_is_metric(table)
 
 
+def _tables_around_twice_the_minimum():
+    """Seeded tables whose off-diagonal entries sit at m, at 2m and just either side of 2m.
+
+    One cell holds m, the smallest off-diagonal entry; odd k carry eps
+    parts, every fourth table adds zero and negative entries, and two of
+    three are symmetric.  k = 1 draws only m and exactly 2m; k = 5 breaks
+    the diagonal.
+    """
+    rng = np.random.default_rng(29)
+    for n in (*range(7), 9, 17, 40):
+        for k in range(12):
+            mu, me = int(rng.integers(1, 4)), int(rng.integers(1, 3)) if k % 2 else 0
+            below = (2 * mu, 2 * me - 1) if me else (2 * mu - 1, 0)
+            palette = [(mu, me), (mu, me + 1), below, (2 * mu, 2 * me), (2 * mu, 2 * me + 1), (2 * mu + 1, 0)]
+            if k == 1:
+                palette = [(mu, me), (2 * mu, 2 * me)]
+            if k % 4 == 3:
+                palette += [(0, 0), (-1, 0), (mu, -1)]
+            cells = rng.integers(len(palette), size=(n, n))
+            units, eps = (np.array([entry[i] for entry in palette], dtype=np.int64)[cells] for i in (0, 1))
+            if k % 3:
+                units, eps = (np.triu(t) + np.triu(t, 1).T for t in (units, eps))
+            np.fill_diagonal(units, 0)
+            np.fill_diagonal(eps, 0)
+            if n > 1:
+                units[0, 1] = units[1, 0] = mu
+                eps[0, 1] = eps[1, 0] = me
+            if k == 5 and n:
+                units[n - 1, n - 1] = 1
+            yield n, k, MetricTable(units, eps)
+
+
+def test_axiom_checker_matches_the_full_triangle_loop_around_twice_the_minimum():
+    # the triangle pass skips every row whose entries are all at most 2m;
+    # the reference still scans every row
+    kinds = set()
+    for n, k, table in _tables_around_twice_the_minimum():
+        expected = _reference_validate_metric(table)
+        assert validate_metric(table) == expected, (n, k)
+        assert is_metric(table) == _reference_is_metric(table) == (not expected), (n, k)
+        kinds.update((v.kind, bool(k % 2)) for v in expected)
+        if n > 2 and k == 1:
+            assert not expected, n  # entries of m and 2m only: a metric with no row scanned
+    assert {kind for kind, _ in kinds} == {"identity", "positivity", "symmetry", "triangle"}
+    assert {("triangle", False), ("triangle", True)} <= kinds
+
+
+def test_final_metric_of_diameter_two_makes_no_triangle_pass(monkeypatch):
+    passes = []
+    scan = metric_module._triangles
+
+    def counted(table, rows):
+        passes.append(rows.tolist())
+        yield from scan(table, rows)
+
+    monkeypatch.setattr(metric_module, "_triangles", counted)
+    cert, checks = play_adversary_game(256, 256, 4, make_player("random", 256, 0), seed=0, metric_axioms_cap=256)
+    assert checks["metric_axioms"]
+    table = cert.final_metric.to_table(256)
+    assert int(table.units.max()) == 2
+    passes.clear()
+    assert is_metric(table)
+    assert passes == []
+    # diameter 3: the pass reads exactly the rows that hold a 3
+    cert, _ = play_adversary_game(256, 64, 4, make_player("exact", 64, 0), seed=0, metric_axioms_cap=0)
+    table = cert.final_metric.to_table(256)
+    assert int(table.units.max()) == 3
+    assert is_metric(table)
+    assert passes == [np.flatnonzero((table.units == 3).any(axis=1)).tolist()]
+    assert 0 < len(passes[0]) < 256
+
+
 def test_counting_oracle_counts_repeats(p4):
     o = CountingOracle(p4)
     for _ in range(3):
