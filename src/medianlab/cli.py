@@ -24,7 +24,7 @@ import math
 import sys
 from fractions import Fraction
 
-from .adversary import PadOverflowError
+from .adversary import PadOverflowError, _perm_degree, _went_bad
 from .distances import ExactDistance, eps_value
 from .expander import certify_expansion, build_regular
 from .fileio import load_metric_any, write_edge_list
@@ -139,8 +139,10 @@ def _axioms_cap(args) -> int:
     # The triangle pass costs n^2 entry checks per row holding an entry
     # above twice the smallest one, so n^3 at worst: a much steeper scale
     # than the n^2 reference computations --brute-force-cap is sized for,
-    # so clamp it separately.  Raising the clamp would add metric_axioms
-    # to the payloads of larger games.
+    # so clamp it separately.  The table it checks comes from one
+    # all-sources BFS pass, 2n^3 flops per level, which beats one BFS per
+    # point up to the clamp and loses past about n = 1024.  Raising the
+    # clamp would add metric_axioms to the payloads of larger games.
     return min(args.brute_force_cap, 512)
 
 
@@ -159,6 +161,7 @@ def _cmd_adversary(args) -> int:
         metric_axioms_cap=_axioms_cap(args),
     )
     y, y_cost = cert.best_good
+    degree = _perm_degree(cert.perm)  # one count for both fields; the audit made its own
     payload = {
         "n": cert.n,
         "q": args.q,
@@ -170,8 +173,8 @@ def _cmd_adversary(args) -> int:
         "output_cost": cert.z_star_cost,
         "best_good": y + 1,
         "best_good_cost": y_cost,
-        "bad_count": len(cert.bad),
-        "max_perm_degree": cert.max_perm_degree,
+        "bad_count": int(_went_bad(degree, cert.cap).sum()),
+        "max_perm_degree": int(degree.max()),
         "checks": checks,
     }
     payload.update(_fraction_fields("ratio", cert.ratio))

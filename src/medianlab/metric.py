@@ -38,8 +38,12 @@ repeats included, and can keep a transcript for replay checks.  A
 transcript is a ``list[TranscriptEntry]`` of ``(a, b, answer)`` tuples
 in query order; an entry's round is its list position.
 
-An edge list becomes a CSR (:func:`edge_graph`) read by ``scipy.sparse.csgraph``;
-dense bool matrices (the adversary's) are walked by :func:`bfs_hop_row`.
+An edge list becomes a CSR (:func:`edge_graph`) read by ``scipy.sparse.csgraph``.
+Dense bool matrices (the adversary's) are walked one source at a time by
+:func:`bfs_hop_row`, and a whole table at once by :meth:`HopMetric.to_table`,
+one BFS of all n sources whose levels are float32 BLAS products of the
+frontier block with the adjacency: about levels x 2n**3 flops, exact
+because each product entry counts at most n < 2**24 neighbours.
 """
 
 from __future__ import annotations
@@ -212,14 +216,15 @@ class HopMetric:
 
     The graph is ``adjacency`` together with an edge between every two
     vertices of the bool mask ``clique``; the clique is never built,
-    :func:`bfs_hop_row` walks it through the mask.  Rows are computed on
-    demand and cached, so callers that only need a handful of sources
-    (replay checks, cost lookups) never pay for the full all-pairs
-    matrix.  :meth:`distances` answers a batch of pairs: 0 and 1 from
-    the two arrays, with no row beyond the one connectivity check, and
-    a longer answer from its source's row.  Both arrays are held as
-    given, not copied.  The adjacency must be symmetric, which is
-    checked tile by tile so that no n x n temporary is made.  A point
+    both BFS kernels walk it through the mask.  One row comes from
+    :func:`bfs_hop_row`, on demand and cached, so callers that only need
+    a handful of sources (replay checks, cost lookups) never pay for the
+    full all-pairs matrix; the whole table comes from :meth:`to_table`'s
+    one all-sources pass.  :meth:`distances` answers a batch of pairs: 0
+    and 1 from the two arrays, with no row beyond the one connectivity
+    check, and a longer answer from its source's row.  Both arrays are
+    held as given, not copied.  The adjacency must be symmetric, which
+    is checked tile by tile so that no n x n temporary is made.  A point
     outside 0..n-1 raises ``IndexError``.
     """
 
@@ -311,9 +316,46 @@ class HopMetric:
         return best_v, best_cost
 
     def to_table(self, cap: int = 4096) -> MetricTable:
-        if self.n > cap:
-            raise ValueError(f"refusing to materialize {self.n}x{self.n} table (cap {cap})")
-        units = np.vstack([self.row(a) for a in range(self.n)])
+        """The whole n x n hop table, from one BFS of all n sources at once.
+
+        Row s of a bool block holds source s's frontier, and one float32
+        product of the block with the adjacency reaches every row's next
+        level: the linear-algebra form of BFS (Kepner and Gilbert, 2011),
+        about 2n**3 flops per level, in BLAS.  The clique rule is
+        :func:`bfs_hop_row`'s, applied per row.  The table is exact under
+        any BLAS and thread count: a product entry counts frontier
+        neighbours, at most n < 2**24, which float32 holds exactly, and
+        only its sign is read.  The row cache is neither read nor filled.
+        """
+        n, clique = self.n, self.clique
+        if n > cap:
+            raise ValueError(f"refusing to materialize {n}x{n} table (cap {cap})")
+        # the clique as one more column: there a row's product counts its frontier's mask vertices
+        step = np.empty((n, n + 1), dtype=np.float32)
+        step[:, :n] = self.adjacency
+        step[:, n] = clique
+        # level 1 is the identity block's product: each source's neighbours,
+        # and the whole mask for a source in it (itself included, which
+        # reaches nothing unvisited)
+        frontier = self.adjacency | (clique[:, None] & clique)
+        units = np.where(frontier, 1, -1)
+        np.fill_diagonal(units, 0)
+        unvisited = units < 0
+        unmet = ~clique  # no frontier of the row has met the clique yet
+        level = 1
+        while frontier.any() and unvisited.any():
+            level += 1
+            counts = frontier.astype(np.float32) @ step
+            reach = counts[:, :n] > 0
+            met = unmet & (counts[:, n] > 0)
+            reach[met] |= clique  # the whole mask is reached once; no later level adds to it
+            unmet &= ~met
+            frontier = reach & unvisited
+            unvisited ^= frontier
+            units[frontier] = level
+        cut = unvisited.any(axis=1)
+        if cut.any():
+            raise DisconnectedGraphError(f"vertex {int(cut.argmax())} cannot reach the whole graph")
         return MetricTable(units)
 
 

@@ -184,8 +184,11 @@ class SamplingInner:
         """Score k seeded candidates against k seeded evaluators.
 
         With k >= |S| the routine degenerates to the exact median of S.
+        A step-1 ``range`` is used as it is, already sorted and distinct,
+        so a whole space of n points is never listed: ``random.sample``
+        draws by index, the same points from the range as from its list.
         """
-        pts = sorted(set(S))
+        pts = S if isinstance(S, range) and S.step == 1 else sorted(set(S))
         k = self.sample_size if self.sample_size is not None else max(1, math.isqrt(len(pts)))
         if k < 1:
             raise ValueError("sample size must be positive")

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from medianlab import expander
+from medianlab import adversary, cli, expander
 from medianlab.cli import build_parser, main
 from medianlab.fileio import write_metric_file, write_metric_json
 from medianlab.harness import generate_instance
@@ -83,6 +83,23 @@ def test_adversary_json(capsys):
     assert payload["rounds"] == 36
     assert all(payload["checks"].values())
     assert payload["ratio"] >= 1.0
+
+
+def test_adversary_payload_counts_perm_degrees_once(capsys, monkeypatch):
+    calls = []
+    real = adversary._perm_degree
+
+    def counted(perm):
+        calls.append(perm.shape)
+        return real(perm)
+
+    monkeypatch.setattr(adversary, "_perm_degree", counted)
+    monkeypatch.setattr(cli, "_perm_degree", counted)
+    code, out = run_cli(capsys, "adversary", "--n", "64", "--q", "64", "--d", "4", "--algo", "exact")
+    payload = json.loads(out)
+    assert code == 0 and all(payload["checks"].values())
+    assert payload["bad_count"] > 0
+    assert calls == [(64, 64)] * 2  # the audit's count and the payload's
 
 
 def test_adversary_rejects_bad_cap(capsys):

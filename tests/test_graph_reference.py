@@ -3,7 +3,7 @@
 ``graph_metric`` and the ``table`` generator take their all-pairs
 tables from ``scipy.sparse.csgraph``.  The references here are the
 earlier dense implementations, kept verbatim: a bool matrix filled edge
-by edge and walked by one ``bfs_hop_row`` per row, and an O(n^3) Floyd
+by edge and walked by one ``HopMetric.row`` BFS per row, and an O(n^3) Floyd
 closure of the random weights.  Tables must be equal entry for entry
 and in dtype, and bad edge lists must fail with the same error text.
 """
@@ -30,7 +30,8 @@ def _dense_graph_metric(n, edges) -> MetricTable:
             raise ValueError("self loops are not allowed")
         adj[u, v] = True
         adj[v, u] = True
-    return HopMetric(adj, np.zeros(n, dtype=bool)).to_table(cap=n)
+    walk = HopMetric(adj, np.zeros(n, dtype=bool))
+    return MetricTable(np.vstack([walk.row(a) for a in range(n)]))
 
 
 def _floyd_table(n, rng) -> MetricTable:

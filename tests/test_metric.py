@@ -748,6 +748,74 @@ def test_hop_metric_clique_matches_materialised_graph_in_finished_games():
     assert pruned >= 8
 
 
+def _stacked_rows(adj, clique):
+    """The table as it was built before the all-sources pass: one BFS row per point."""
+    return np.vstack([bfs_hop_row(adj, a, clique=clique) for a in range(len(adj))])
+
+
+def _assert_table_is_the_stacked_rows(adj, clique, tag) -> bool:
+    """Check the table pass against the stacked rows; True iff the graph is disconnected."""
+    want = _stacked_rows(adj, clique)
+    cut = (want < 0).any(axis=1)
+    if cut.any():
+        # the row loop raised at the first row holding a -1
+        with pytest.raises(DisconnectedGraphError, match=f"^vertex {int(cut.argmax())} cannot reach the whole graph$"):
+            HopMetric(adj, clique).to_table(cap=len(adj))
+        return True
+    table = HopMetric(adj, clique).to_table(cap=len(adj))
+    assert table.units.dtype == np.int64 and np.array_equal(table.units, want), tag
+    assert not table.has_eps(), tag
+    return False
+
+
+def test_table_pass_equals_the_stacked_rows():
+    rng = np.random.default_rng(30)
+    cut = 0
+    for n in list(range(1, 41)) + [64, 100, 137, 200]:
+        for trial in range(3):
+            if trial == 2:
+                adj = _random_symmetric(rng, n)  # often disconnected
+            else:
+                adj = _random_connected_adjacency(rng, n, int(rng.integers(0, 2 * n)))
+            masks = {
+                "empty": np.zeros(n, dtype=bool),
+                "full": np.ones(n, dtype=bool),
+                "partial": rng.random(n) < rng.uniform(0.1, 0.9),
+                "one": np.arange(n) == rng.integers(n),
+            }
+            for name, clique in masks.items():
+                cut += _assert_table_is_the_stacked_rows(adj, clique, (n, trial, name))
+    assert cut >= 20
+    # n = 1 and every graph on two points
+    for n, edge in ((1, False), (2, False), (2, True)):
+        adj = np.zeros((n, n), dtype=bool)
+        adj[0, n - 1] = adj[n - 1, 0] = edge
+        for bits in range(2**n):
+            clique = np.array([(bits >> v) & 1 for v in range(n)], dtype=bool)
+            _assert_table_is_the_stacked_rows(adj, clique, (n, edge, bits))
+
+
+@pytest.mark.parametrize("n", [24, 64, 256, 512])
+def test_table_pass_equals_the_stacked_rows_in_finished_games(n):
+    for algo in ("exact", "pivot", "random"):
+        cert, _ = play_adversary_game(n, n, 4, make_player(algo, budget=n, seed=n), seed=n, metric_axioms_cap=0)
+        assert 0 < np.count_nonzero(~cert.final_metric.clique) < n  # a partial clique
+        _assert_table_is_the_stacked_rows(cert.perm, cert.final_metric.clique, (n, algo))
+
+
+def test_table_pass_runs_no_row_bfs(monkeypatch):
+    cert, _ = play_adversary_game(256, 256, 4, make_player("exact", 256, 0), seed=0, metric_axioms_cap=0)
+    want = _stacked_rows(cert.perm, cert.final_metric.clique)
+    calls = []
+    real = metric_module.bfs_hop_row
+    monkeypatch.setattr(metric_module, "bfs_hop_row", lambda adj, s, clique=None: calls.append(s) or real(adj, s, clique=clique))
+    fresh = HopMetric(cert.perm, cert.final_metric.clique)
+    assert np.array_equal(fresh.to_table(256).units, want)
+    assert calls == []
+    fresh.row(3)  # the single-row path still runs the row BFS
+    assert calls == [3]
+
+
 def test_line_metric():
     line = LineMetric(100)
     assert _single(line.distances([3], [77])) == ExactDistance(74)

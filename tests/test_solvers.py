@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -28,7 +29,7 @@ from medianlab.solvers import (
 from medianlab.harness import ConstantBacking, generate_instance
 from medianlab.players import SamplingPlayer
 
-from conftest import subset_size_grid
+from conftest import LineMetric, subset_size_grid
 
 
 def test_subset_size_frozen_values():
@@ -199,6 +200,32 @@ def test_sampling_baseline_smoke():
     res = SamplingInner(rng_seed=1, sample_size=3).solve(o, range(9))
     assert 0 <= res.output < 9
     assert res.queries_used == o.queries_made <= 9
+
+
+def test_sampling_inner_draws_the_same_points_from_a_range_as_from_its_list():
+    for n, lo in ((9, 0), (40, 0), (137, 0), (1000, 0), (60, 7)):
+        for k in (None, 1, 2, 5, 9):
+            for seed in range(4):
+                runs = []
+                # a descending range is sorted like any other sequence
+                for S in (range(lo, n), list(range(lo, n))[::-1], range(n - 1, lo - 1, -1)):
+                    o = CountingOracle(LineMetric(n))
+                    res = SamplingInner(rng_seed=seed, sample_size=k).solve(o, S)
+                    runs.append((res, o.queries_made, [(e.a, e.b) for e in o.transcript]))
+                assert runs[0] == runs[1] == runs[2], (n, lo, k, seed)
+
+
+def test_sampling_inner_over_a_range_lists_no_point():
+    n = 10**6
+    o = CountingOracle(LineMetric(n))
+    tracemalloc.start()
+    try:
+        res = SamplingInner(rng_seed=0, sample_size=3).solve(o, range(n))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.queries_used == o.queries_made == 9
+    assert peak < 64 * 1024, peak  # a list of the n points alone is 8 MB
 
 
 # sha256 over the output, the query pairs and the claimed beta of
