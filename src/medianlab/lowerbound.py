@@ -30,9 +30,7 @@ from .adversary import Certificate, verify_certificate  # noqa: F401
 from .distances import ExactDistance, eps_float, eps_value
 from .expander import InfeasibleError, _refuse_oversize, build_regular  # noqa: F401
 from .harness import play_adversary_game
-from .metric import (
-    _BLOCK, HopMetric, MetricTable, TranscriptEntry, _as_pairs_in, _single, is_metric, replay_verify,
-)
+from .metric import HopMetric, MetricTable, TranscriptEntry, _as_pairs_in, _single, is_metric, replay_verify
 
 __all__ = [
     "BudgetExceededError",
@@ -45,7 +43,7 @@ __all__ = [
     "hard_instance_game",
 ]
 
-_GAME_POINT_BYTES = 76  # a game's largest ru_maxrss rise per point: four players, n = 10**6 and 10**7, q = 10
+_GAME_POINT_BYTES = 62  # a game's largest ru_maxrss rise per point: four players, n = 10**6 and 10**7, q = 10
 
 
 class BudgetExceededError(RuntimeError):
@@ -161,11 +159,12 @@ class GluedMetric:
     Two points sit at the base distance of their stand-ins, plus
     eps = 1/2**n when they are distinct and share one, so y and the
     artificial points form a cluster at mutual distance eps.
-    :meth:`distances` states that rule and every other accessor reads
-    it.  A point outside 0..n-1 raises ``IndexError``, a base other than a
-    :class:`HopMetric` ``TypeError``.  An answer is a hop count below m plus
+    :meth:`distances` states that rule, :meth:`cost_of` reads it and
+    :meth:`to_table` applies it to the base table.  A point outside
+    0..n-1 raises ``IndexError``, a base other than a :class:`HopMetric`
+    ``TypeError``.  An answer is a hop count below m plus
     at most one eps, so a cost, n answers, sums exactly in int64: refusing m**2
-    and n*_GAME_POINT_BYTES bytes past physical memory keeps n*m < 2**63 below 64 TiB.
+    and n*_GAME_POINT_BYTES bytes past physical memory keeps n*m < 2**63 below 60 TiB.
     """
 
     def __init__(self, base: HopMetric, y: int, n: int):
@@ -204,17 +203,15 @@ class GluedMetric:
         return ExactDistance(int(units.sum()), int(eps.sum()))
 
     def to_table(self, cap: int = 4096) -> MetricTable:
+        """The whole table: the base table read at the stand-ins, plus eps
+        between two distinct points that share one."""
         if self.n > cap:
             raise ValueError(f"refusing to materialize {self.n}x{self.n} table (cap {cap})")
-        # batches of whole rows, about _BLOCK pairs and at least one row each,
-        # so no temporary outgrows a block
-        n = self.n
-        units, eps = np.empty(n * n, dtype=np.int64), np.empty(n * n, dtype=np.int64)
-        step = max(1, _BLOCK // n) * n
-        for start in range(0, n * n, step):
-            a, b = np.divmod(np.arange(start, min(start + step, n * n)), n)
-            units[start : start + step], eps[start : start + step] = self.distances(a, b)
-        return MetricTable(units.reshape(n, n), eps.reshape(n, n))
+        stand = np.arange(self.n)
+        stand[self.m :] = self.y
+        eps = stand[:, None] == stand
+        np.fill_diagonal(eps, False)
+        return MetricTable(self.base.to_table(cap).units[np.ix_(stand, stand)], eps)
 
 
 # perfbench/tracer.py wraps glue_metric by name, so the wrapper stays

@@ -30,7 +30,8 @@ backings are provided:
 * :class:`HopMetric`, shortest-path distances over a fixed undirected
   graph plus a clique given as a vertex mask, computed lazily one BFS
   row at a time; ``distances`` answers 0 and 1 from the two arrays
-  without a BFS and reads one row per source of a longer answer.
+  without a BFS and reads one row per source of a longer answer, and
+  ``cheapest`` costs the clique's vertices by a clique rule.
 
 Every algorithm under test talks to a backing through
 :class:`CountingOracle`, which charges one query per pair asked,
@@ -222,10 +223,12 @@ class HopMetric:
     full all-pairs matrix; the whole table comes from :meth:`to_table`'s
     one all-sources pass.  :meth:`distances` answers a batch of pairs: 0
     and 1 from the two arrays, with no row beyond the one connectivity
-    check, and a longer answer from its source's row.  Both arrays are
-    held as given, not copied.  The adjacency must be symmetric, which
-    is checked tile by tile so that no n x n temporary is made.  A point
-    outside 0..n-1 raises ``IndexError``.
+    check, and a longer answer from its source's row.  :meth:`cheapest`
+    costs a clique candidate by its clique rule, from one BFS out of the
+    clique rather than the candidate's row.
+    Both arrays are held as given, not copied.  The adjacency must be
+    symmetric, which is checked tile by tile so that no n x n temporary
+    is made.  A point outside 0..n-1 raises ``IndexError``.
     """
 
     def __init__(self, adjacency: np.ndarray, clique: np.ndarray):
@@ -247,7 +250,6 @@ class HopMetric:
         self.clique = clique
         self.n = n
         self._rows: dict[int, np.ndarray] = {}
-        self._degrees: np.ndarray | None = None  # per vertex, counted by the first cheapest()
 
     def row(self, a: PointId) -> np.ndarray:
         cached = self._rows.get(a)
@@ -286,34 +288,34 @@ class HopMetric:
     def cheapest(self, candidates: Sequence[PointId]) -> tuple[PointId, int]:
         """Minimum-total-distance candidate, ties to the lowest index.
 
-        Uses the degree bound cost >= 2*(n-1) - deg to skip BFS runs for
-        candidates that cannot win.  A clique vertex's degree counts its
-        clique neighbours that ``adjacency`` does not already join it to.
-        The degrees are counted on the first call and kept with the rows.
+        A candidate outside the clique U costs its row's sum; one in U,
+        v, costs (|U| - 1) + sum over x outside U of d(x, v), the clique
+        rule.  If x is one hop from U, d(x, v) = 2 - adjacency[x, v]: x's
+        edges are adjacency edges, and its neighbour in U is v or one
+        clique hop from v.  A deeper x reads its cached row, and a vertex
+        that cannot reach U raises through its row.  The hops come from
+        one BFS out of U, so a call runs that BFS plus one uncached row
+        per deeper x.
         """
-        cands = sorted(set(int(c) for c in candidates))
-        if not cands:
+        cands = np.unique(np.asarray(list(candidates), dtype=np.int64))
+        if not cands.size:
             raise ValueError("no candidates")
-        if self.n == 1:
-            return cands[0], 0
-        if self._degrees is None:
-            adj, clique = self.adjacency, self.clique
-            # whole-matrix row sums: a gather of the candidates' rows would copy them
-            degs = np.count_nonzero(adj, axis=1)
-            degs += clique * (np.count_nonzero(clique) - 1 - adj.sum(axis=1, where=clique, dtype=np.intp))
-            self._degrees = degs
-        lower = 2 * (self.n - 1) - self._degrees[cands]
-        order = sorted(range(len(cands)), key=lambda i: (int(lower[i]), cands[i]))
-        best_v = cands[order[0]]
-        best_cost = self.cost_of(best_v)
-        for i in order[1:]:
-            if int(lower[i]) > best_cost:
-                break
-            v = cands[i]
-            c = self.cost_of(v)
-            if (c, v) < (best_cost, best_v):
-                best_cost, best_v = c, v
-        return best_v, best_cost
+        if cands[0] < 0 or cands[-1] >= self.n:
+            raise IndexError(f"candidate outside space of size {self.n}")
+        inside = self.clique[cands]
+        costs = np.zeros(cands.size, dtype=np.int64)
+        if inside.any():
+            v = cands[inside]
+            hops = bfs_hop_row(self.adjacency, np.flatnonzero(self.clique))
+            near = np.flatnonzero(hops == 1)
+            adjacent = self.adjacency[np.ix_(near, v)].sum(axis=0)  # the near x at 1 from v
+            cost = np.count_nonzero(self.clique) - 1 + 2 * near.size - adjacent
+            for x in np.flatnonzero((hops < 0) | (hops > 1)).tolist():
+                cost += self.row(x)[v]
+            costs[inside] = cost
+        costs[~inside] = [self.cost_of(a) for a in cands[~inside].tolist()]
+        best = int(np.argmin(costs))
+        return int(cands[best]), int(costs[best])
 
     def to_table(self, cap: int = 4096) -> MetricTable:
         """The whole n x n hop table, from one BFS of all n sources at once.

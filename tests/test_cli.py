@@ -158,7 +158,7 @@ WIDE_ERROR = (
          "ValueError: the dense 10000000 x 10000000 perm matrix of the arena needs about "
          "100000000000000 bytes, more than this machine's physical memory"),
         (("lowerbound", "--n", "1000000000000", "--q", "10", "--d", "4"),
-         "ValueError: a glued space of 1000000000000 points needs about 76000000000000 bytes, "
+         "ValueError: a glued space of 1000000000000 points needs about 62000000000000 bytes, "
          "more than this machine's physical memory"),
     ],
     ids=["expander-odd-stubs", "adversary-odd-stubs", "negative-budget", "missing-file",

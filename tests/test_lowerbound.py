@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import medianlab.metric as metric_module
 from medianlab import lowerbound
 from medianlab.adversary import Adversary, minimal_cap
 from medianlab.distances import EPS, ExactDistance
@@ -267,6 +268,18 @@ def test_glued_to_table_peak_stays_near_its_two_tables():
     assert peak < 1.25 * tables, peak / tables
     rows = [g.distances(np.full(n, p), np.arange(n)) for p in range(n)]
     assert table == MetricTable(np.stack([u for u, _ in rows]), np.stack([e for _, e in rows]))
+
+
+def test_glued_to_table_runs_no_row_bfs(monkeypatch):
+    # the glued table is the base's all-sources table read at the stand-ins
+    base, y = _finished_game_metric()
+    fresh = HopMetric(base.adjacency, base.clique)
+    want = glue_metric(base, y, 40).to_table()
+    calls = []
+    real = metric_module.bfs_hop_row
+    monkeypatch.setattr(metric_module, "bfs_hop_row", lambda adj, s, clique=None: calls.append(s) or real(adj, s, clique=clique))
+    assert glue_metric(fresh, y, 40).to_table() == want
+    assert calls == [] and fresh._rows == {}
 
 
 def _glued_reference(base, y, n):

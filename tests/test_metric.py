@@ -697,6 +697,100 @@ def test_hop_metric_cheapest_matches_argmin():
         assert h.cheapest(cands) == (expect_sub, costs[expect_sub])
 
 
+def _adjacency(n, edges):
+    adj = np.zeros((n, n), dtype=bool)
+    for u, v in edges:
+        adj[u, v] = adj[v, u] = True
+    return adj
+
+
+def _mask(n, vertices):
+    return np.isin(np.arange(n), list(vertices))
+
+
+# clique {0, 1, 2, 3}; 4 and 7 one hop from it, 5 two hops, 6 three
+_DEEP_EDGES = [(0, 4), (4, 5), (5, 6), (1, 7)]
+
+
+def test_cheapest_refuses_a_candidate_outside_the_space():
+    path = HopMetric(_adjacency(4, P4_EDGES), np.zeros(4, dtype=bool))
+    clique = HopMetric(_adjacency(8, _DEEP_EDGES), _mask(8, range(4)))
+    for h, cands in ((path, [1, -4]), (path, [-1, 0, 1, 2, 3]), (path, [0, 4]), (clique, [0, -1]), (clique, [0, 8])):
+        with pytest.raises(IndexError):
+            h.cheapest(cands)
+
+
+def test_cheapest_is_the_argmin_of_cost_of_at_every_depth():
+    cases = [
+        (8, _DEEP_EDGES, range(4)),
+        (8, _DEEP_EDGES + [(2, 5)], range(4)),  # 5 and so 6 come nearer
+        (6, [(0, 1), (1, 2), (2, 3), (0, 4), (4, 5)], [0]),  # a one-vertex clique
+        (6, [(0, 1), (1, 2), (2, 3), (0, 4), (4, 5)], [2, 5]),
+        (1, [], [0]),
+        (1, [], []),
+        (2, [(0, 1)], [1]),
+    ]
+    for n, edges, clique in cases:
+        adj, mask = _adjacency(n, edges), _mask(n, clique)
+        costs = [HopMetric(adj, mask).cost_of(v) for v in range(n)]
+        cand_lists = [range(n), list(clique), [v for v in range(n) if v not in clique]]
+        cand_lists += [[v, w] for v in range(n) for w in range(v, n)]
+        for cands in filter(len, cand_lists):
+            want = min(cands, key=lambda v: (costs[v], v))
+            assert HopMetric(adj, mask).cheapest(cands) == (want, costs[want]), (n, edges, clique, list(cands))
+
+
+def test_cheapest_raises_when_a_vertex_cannot_reach_the_clique():
+    for edges in ([(0, 4)], [(0, 4), (5, 6)], [(5, 6), (6, 4)]):
+        h = HopMetric(_adjacency(7, edges), _mask(7, range(4)))
+        for cands in ([0], [0, 1, 2, 3], [4]):
+            with pytest.raises(DisconnectedGraphError):
+                h.cheapest(cands)
+
+
+def _counted_rows(monkeypatch):
+    calls = []
+    real = metric_module.bfs_hop_row
+
+    def counted(adj, source, clique=None):
+        calls.append(source)
+        return real(adj, source, clique=clique)
+
+    monkeypatch.setattr(metric_module, "bfs_hop_row", counted)
+    return calls
+
+
+def test_cheapest_runs_one_bfs_plus_one_row_per_deeper_vertex(monkeypatch):
+    calls = _counted_rows(monkeypatch)
+    # every outside vertex one hop from the clique, and all four clique
+    # vertices tie at cost 10, so none can be skipped unrowed
+    near = HopMetric(_adjacency(8, [(0, 4), (1, 5), (2, 6), (3, 7)]), _mask(8, range(4)))
+    assert near.cheapest(range(4)) == (0, 10)
+    assert len(calls) == 1 and near._rows == {}
+    # 5 and 6 lie deeper: one row each, cached for the next call
+    calls.clear()
+    deep = HopMetric(_adjacency(8, _DEEP_EDGES), _mask(8, range(4)))
+    assert deep.cheapest(range(4)) == (0, 11)
+    assert len(calls) == 3 and sorted(deep._rows) == [5, 6]
+    calls.clear()
+    assert deep.cheapest(range(4)) == (0, 11)
+    assert len(calls) == 1
+
+
+def test_cheapest_in_finished_games_reads_no_row_of_a_near_vertex(monkeypatch):
+    for n, q, algo in ((64, 64, "exact"), (64, 256, "random"), (256, 256, "pivot")):
+        cert, _ = play_adversary_game(n, q, 4, make_player(algo, budget=q, seed=1), seed=1, metric_axioms_cap=0)
+        clique = cert.final_metric.clique
+        hops = bfs_hop_row(cert.perm, np.flatnonzero(clique))
+        deep = int(np.count_nonzero(hops > 1))
+        good = sorted(set(range(n)) - set(cert.bad))
+        assert clique[good].all(), (n, q, algo)  # every good vertex is in the clique
+        calls = _counted_rows(monkeypatch)
+        assert HopMetric(cert.perm, clique).cheapest(good) == cert.best_good, (n, q, algo)
+        assert np.count_nonzero(~clique) and len(calls) == 1 + deep, (n, q, algo)
+        monkeypatch.undo()
+
+
 def _materialised(adj, clique):
     """The same graph with the clique written out as edges, and no mask."""
     full = adj | (clique[:, None] & clique[None, :])
