@@ -53,7 +53,6 @@ import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from typing import Sequence
 
 import numpy as np
 import scipy.sparse.csgraph
@@ -543,43 +542,54 @@ def _anchor_preserved(cert: Certificate, anchor: np.ndarray) -> bool:
     return bool(adjacency[anchor[:, 0], anchor[:, 1]].all())
 
 
-def _hub_costs(cert: Certificate, points: Sequence[int]) -> list[int] | None:
-    """cost(p) for each p, recomputed without the final metric; None if not exact.
+def _hub_costs(cert: Certificate, us, vs, good) -> tuple[int | None, int | None, np.ndarray | None]:
+    """cost(z*), cost(y) and each good vertex's cost, recomputed without the final metric.
 
     The final metric is half the shortest-path metric of the permanent
-    edges at weight 2 plus one hub joined at weight 1 to every vertex
-    that was never pruned: two of those meet through the hub at 2, one
-    live clique hop.  The hub graph is rebuilt from ``perm`` and
-    ``pruned_log`` and walked by csgraph's Dijkstra, which the adversary
-    never runs.
+    edges (us[k], vs[k]) at weight 2 plus a hub joined at weight 1 to
+    each vertex of U, those never pruned: two of those meet through the
+    hub at 2, one live clique hop.  csgraph's Dijkstra, which the
+    adversary never runs, walks it from z*, y and the hub, which sits at
+    2h(x) + 1 from each x, h(x) being x's hops to U.
+
+    A good v lies in U and costs |U| - 1 plus, per x outside U, d(v, x):
+    h(x) if a permanent path of h(x) hops joins x and v, else h(x) + 1.
+    Proof: v is in U, so d(v, x) >= h(x), and x's nearest vertex of U is
+    one clique hop from v; a path of h(x) hops from x meets U only at its
+    end, so it has no clique hop.  At h(x) = 1 it is the edge (x, v); a
+    deeper x reads its own hub row.  A cost is None if a distance it sums
+    is unreachable or odd; the good costs also if none is good or one is not in U.
     """
     n = cert.n
-    us, vs = np.divmod(np.flatnonzero(cert.perm), len(cert.perm))  # np.nonzero's order, one pass
     hubbed = np.flatnonzero(cert.alive_after(len(cert.pruned_log)))
-    rows = np.concatenate([us, hubbed])
-    cols = np.concatenate([vs, np.full(len(hubbed), n)])
+    rows, cols = np.concatenate([us, hubbed]), np.concatenate([vs, np.full(len(hubbed), n)])
     weights = np.concatenate([np.full(len(us), 2.0), np.ones(len(hubbed))])
     graph = scipy.sparse.csr_matrix((weights, (rows, cols)), shape=(n + 1, n + 1))
-    dist = scipy.sparse.csgraph.dijkstra(graph, directed=False, indices=list(points))[:, :n]
-    if not np.isfinite(dist).all() or (dist % 2).any():
-        return None
-    return [int(total) // 2 for total in dist.astype(np.int64).sum(axis=1)]
-
-
-def _ratio_exact(cert: Certificate) -> bool:
-    """cost(z*) and cost(y), whose quotient is the ratio, equal the hub graph's, exactly."""
-    return _hub_costs(cert, [cert.z_star, cert.best_good[0]]) == [cert.z_star_cost, cert.best_good[1]]
+    walk = functools.partial(scipy.sparse.csgraph.dijkstra, graph, directed=False)
+    hub, z, y = walk(indices=[n, cert.z_star, cert.best_good[0]])
+    z_cost, y_cost = (int(row.sum()) // 2 if np.isfinite(row).all() and not (row % 2).any() else None
+                      for row in (z[:n], y[:n]))
+    if not (len(good) and (hub[good] == 1).all() and np.isfinite(hub).all()):  # good in U, every x reaches U
+        return z_cost, y_cost, None
+    deep = walk(indices=np.flatnonzero(hub > 3))[:, good]
+    adjacent = np.bincount(vs[hub[us] == 3], minlength=n)[good]  # per v, the x at h = 1 next to it
+    costs = len(hubbed) - 1 + 2 * np.count_nonzero(hub == 3) - adjacent + deep.sum(axis=0).astype(np.int64) // 2
+    return z_cost, y_cost, None if (deep % 2).any() else costs
 
 
 def verify_certificate(cert: Certificate, metric_axioms_cap: int = 0) -> dict[str, bool]:
     """Run every per-game audit; all values must be True for a clean game.
 
-    The transcript, the anchor and perm's degrees are read once and
-    handed to each check that needs them.
+    The transcript and the anchor are read once, and ``perm`` is scanned
+    once: its edges give the degrees and the hub graph both costs come from.
     """
-    entries, anchor, degree = _transcript_arrays(cert.transcript), _anchor_array(cert), _perm_degree(cert.perm)
+    entries, anchor = _transcript_arrays(cert.transcript), _anchor_array(cert)
+    us, vs = np.divmod(np.flatnonzero(cert.perm), len(cert.perm))  # np.nonzero's order, one pass
+    degree = np.bincount(us, minlength=len(cert.perm))
     bad = _went_bad(degree, cert.cap)
-    good = np.flatnonzero(~bad).tolist()  # empty when the cap marks every vertex bad
+    good = np.flatnonzero(~bad)  # empty when the cap marks every vertex bad
+    z_cost, y_cost, good_costs = _hub_costs(cert, us, vs, good)
+    best = None if good_costs is None else int(good_costs.argmin())  # the lowest index among ties
     checks = {
         "consistency": _replay_arrays(entries, cert.final_metric),
         "path_discipline": _path_discipline(cert, entries, anchor),
@@ -587,8 +597,8 @@ def verify_certificate(cert: Certificate, metric_axioms_cap: int = 0) -> dict[st
         "bad_at_most_half": 2 * int(np.count_nonzero(bad)) <= cert.n,
         "perm_degree_cap": int(degree.max()) <= cert.cap + 2,
         "ball_growth": ball_growth_ok(cert),
-        "best_good_matches": bool(good) and cert.final_metric.cheapest(good) == cert.best_good,
-        "ratio_exact": _ratio_exact(cert),
+        "best_good_matches": best is not None and (int(good[best]), int(good_costs[best])) == cert.best_good,
+        "ratio_exact": [z_cost, y_cost] == [cert.z_star_cost, cert.best_good[1]],
     }
     if metric_axioms_cap and cert.n <= metric_axioms_cap:
         checks["metric_axioms"] = is_metric(cert.final_metric.to_table(metric_axioms_cap))

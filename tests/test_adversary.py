@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse.csgraph
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -911,8 +912,12 @@ def test_hub_graph_costs_match_the_final_metric():
         for q in (8, 48):
             cert, _ = finished_game(n=32, degree=4, q=q, algo=algo)
             assert any(cert.pruned_log)
-            costs = adversary_module._hub_costs(cert, range(cert.n))
-            assert costs == [cert.final_metric.cost_of(v) for v in range(cert.n)], (algo, q)
+            us, vs = np.divmod(np.flatnonzero(cert.perm), cert.n)
+            good = np.flatnonzero(~np.isin(np.arange(cert.n), cert.bad))
+            z_cost, y_cost, good_costs = adversary_module._hub_costs(cert, us, vs, good)
+            cost_of = cert.final_metric.cost_of
+            assert (z_cost, y_cost) == (cost_of(cert.z_star), cost_of(cert.best_good[0])), (algo, q)
+            assert good_costs.tolist() == [cost_of(v) for v in good.tolist()], (algo, q)
 
 
 def test_verdicts_when_the_cap_marks_every_vertex_bad():
@@ -934,6 +939,81 @@ def test_ratio_exact_recomputes_both_costs():
         checks = verify_certificate(tampered)
         assert not checks["ratio_exact"]
         assert checks["best_good_matches"] == (tampered.best_good == cert.best_good)
+
+
+def _failed(checks):
+    return {name for name, ok in checks.items() if not ok}
+
+
+@pytest.mark.parametrize("algo", ["exact", "pivot", "random"])
+def test_each_forged_cost_claim_fails_its_own_check(monkeypatch, algo):
+    n = q = 64
+    adv = Adversary(build_regular(n, 4, 1), q + n, minimal_cap(n, q + n, 4))
+    output = make_player(algo, budget=q, seed=1).run(CountingOracle(adv), n)
+    real = HopMetric.cheapest
+
+    def runner_up(self, candidates):
+        y, _ = real(self, candidates)
+        return real(self, [v for v in candidates if v != y])
+
+    # a finalize that reports the second-cheapest good point, with its true cost
+    monkeypatch.setattr(HopMetric, "cheapest", runner_up)
+    second = adv.finalize(output)
+    monkeypatch.undo()
+    assert any(second.pruned_log)
+    good = [v for v in range(n) if v not in second.bad]
+    honest = dataclasses.replace(second, best_good=real(HopMetric(second.perm, second.final_metric.clique), good))
+    assert honest.best_good != second.best_good
+    assert _failed(verify_certificate(honest)) == set()
+    assert _failed(verify_certificate(second)) == {"best_good_matches"}
+    y, y_cost = honest.best_good
+    off_by_one = dataclasses.replace(honest, best_good=(y, y_cost - 1))
+    assert _failed(verify_certificate(off_by_one)) == {"best_good_matches", "ratio_exact"}
+    z_off = dataclasses.replace(honest, z_star_cost=honest.z_star_cost + 1)
+    assert _failed(verify_certificate(z_off)) == {"ratio_exact"}
+    # a cap over every degree counts each pruned vertex as good, and a good vertex outside U fails
+    raised = verify_certificate(dataclasses.replace(honest, cap=honest.max_perm_degree + 1))
+    assert not raised["best_good_matches"] and raised["ratio_exact"]
+
+
+def test_audit_runs_no_cheapest(monkeypatch):
+    certs = [finished_game(n=n, q=n, seed=n, algo=algo)[0] for n in (32, 256) for algo in ("exact", "random")]
+    calls = []
+    real = HopMetric.cheapest
+
+    def counted(self, candidates):
+        calls.append(candidates)
+        return real(self, candidates)
+
+    monkeypatch.setattr(HopMetric, "cheapest", counted)
+    for cert in certs:
+        assert all(verify_certificate(cert).values())
+    assert calls == []
+
+
+def test_audit_reads_the_hub_row_of_a_vertex_two_hops_from_the_clique(monkeypatch):
+    # adversary --n 1024 --q 256 --algo exact --seed 0, where z* sits two hops from U
+    cert, checks = play_adversary_game(1024, 256, 8, make_player("exact", 256, 0), seed=0, metric_axioms_cap=0)
+    assert all(checks.values())
+    clique = cert.alive_after(len(cert.pruned_log))
+    hops = bfs_hop_row(cert.perm, np.flatnonzero(clique))
+    assert np.flatnonzero(hops > 1).tolist() == [cert.z_star] and hops[cert.z_star] == 2
+    sources = []
+    real = scipy.sparse.csgraph.dijkstra
+
+    def counted(*args, indices, **kwargs):
+        sources.append(np.asarray(indices).tolist())
+        return real(*args, indices=indices, **kwargs)
+
+    monkeypatch.setattr(scipy.sparse.csgraph, "dijkstra", counted)
+    assert all(verify_certificate(cert).values())
+    assert sources == [[cert.n, cert.z_star, cert.best_good[0]], [cert.z_star]]
+    monkeypatch.undo()
+    # the clique rule's costs are every good vertex's BFS row sum
+    us, vs = np.divmod(np.flatnonzero(cert.perm), cert.n)
+    good = np.flatnonzero(~np.isin(np.arange(cert.n), cert.bad))
+    fresh = HopMetric(cert.perm, clique)
+    assert adversary_module._hub_costs(cert, us, vs, good)[2].tolist() == [fresh.cost_of(v) for v in good.tolist()]
 
 
 def test_invariants_raise_under_optimize_flag():
@@ -1059,12 +1139,14 @@ def _checks_one_by_one(cert, metric_axioms_cap=0):
     """verify_certificate's checks, each run on its own through the public functions.
 
     The perm degrees come from ``cert.bad`` and ``cert.max_perm_degree``,
-    the anchor check from the edge tuples, and ``cheapest`` from a fresh
-    HopMetric, so no count or row is shared with the audit.
+    the anchor check from the edge tuples, and both costs from BFS rows of
+    a fresh HopMetric on the clique ``pruned_log`` leaves, so no count,
+    row or hub-graph walk is shared with the audit.
     """
     n, bad = cert.n, set(cert.bad)
     good = [v for v in range(n) if v not in bad]
-    fresh = HopMetric(cert.perm, cert.final_metric.clique)
+    fresh = HopMetric(cert.perm, cert.alive_after(len(cert.pruned_log)))
+    in_clique = bool(fresh.clique[good].all())
     checks = {
         "consistency": verify_consistency(cert),
         "path_discipline": verify_path_discipline(cert),
@@ -1072,11 +1154,13 @@ def _checks_one_by_one(cert, metric_axioms_cap=0):
         "bad_at_most_half": 2 * len(bad) <= n,
         "perm_degree_cap": cert.max_perm_degree <= cert.cap + 2,
         "ball_growth": ball_growth_ok(cert),
-        "best_good_matches": bool(good) and fresh.cheapest(good) == cert.best_good,
-        "ratio_exact": adversary_module._ratio_exact(cert),
+        "best_good_matches": bool(good) and in_clique and fresh.cheapest(good) == cert.best_good,
+        "ratio_exact": [fresh.cost_of(cert.z_star), fresh.cost_of(cert.best_good[0])]
+        == [cert.z_star_cost, cert.best_good[1]],
     }
     if metric_axioms_cap and n <= metric_axioms_cap:
-        checks["metric_axioms"] = is_metric(fresh.to_table(metric_axioms_cap))
+        final = HopMetric(cert.perm, cert.final_metric.clique)
+        checks["metric_axioms"] = is_metric(final.to_table(metric_axioms_cap))
     return checks
 
 
