@@ -35,6 +35,9 @@ checks that no anchor edge was lost before its first round and after
 its last; the rounds in between are not checked one by one.  A batch of
 one pair is one ``answer``, which checks the anchor after its round.
 
+``finalize`` lets go of that state after the padding; its
+:class:`Certificate` derives the final graph from the game's record.
+
 The cost of the construction is that heavily queried vertices end up
 isolated behind their few permanent edges, far from everything, while
 at least half the space (the "good" vertices, permanent degree below C)
@@ -60,7 +63,6 @@ import scipy.sparse.csgraph
 from .distances import ExactDistance
 from .metric import (
     HopMetric, TranscriptEntry, _as_pairs, _as_pairs_in, _replay_arrays, _transcript_arrays, bfs_hop_row, is_metric,
-    replay_verify,
 )
 from .expander import RegularGraph
 
@@ -165,6 +167,8 @@ class Adversary:
         left = self.rounds - self.rounds_served
         if len(a) > left:
             raise BudgetExhaustedError(f"a batch of {len(a)} rounds with {left} of {self.rounds} left")
+        if not len(a):
+            return a, a.copy()  # no round to check, nor any graph left once finalize has run
         # a lost anchor cell that a later round of the batch hardens again
         # would pass the check after the batch, so check before it too
         self._check_anchor()
@@ -284,11 +288,13 @@ class Adversary:
     # -- settle --------------------------------------------------------
 
     def finalize(self, output: int) -> "Certificate":
-        """Pad to the full budget, freeze the metric, and grade the output.
+        """Pad to the full budget, then grade the output on the graph the record fixes.
 
         Padding first queries (output, x) for every point x, then
         repeats (output, output+1 mod n) until exactly ``rounds`` rounds
         have been served; the whole padding is one ``distances`` batch.
+        Both claims are read from the graph the certificate derives from
+        its record, which keeps the rows they cached.
         """
         if not (0 <= output < self.n):
             raise IndexError(f"output {output} outside space of size {self.n}")
@@ -301,25 +307,17 @@ class Adversary:
         pad[: self.n] = np.arange(self.n)
         self.distances(np.full(len(pad), output, dtype=np.int64), pad)
 
-        # no copies: every later answer raises BudgetExhaustedError
-        final = HopMetric(self._perm, self._alive)
-        good = np.flatnonzero(~_went_bad(np.asarray(self._degree), self.cap))
+        # the padded game is over: free its m x m before the certificate builds its own
+        self._perm = self._alive = self._hop_row = None
+        cert = Certificate(n=self.n, degree=self.anchor.d, cap=self.cap, anchor_edges=self.anchor.edges,
+                           paths=tuple(self.paths), pruned_log=tuple(self.pruned_log), transcript=self.transcript,
+                           z_star=output, z_star_cost=0, best_good=(output, 0))  # the claims are set below
+        final = cert.final_metric
+        good = np.flatnonzero(~_went_bad(cert.perm_degree, self.cap))
         if not len(good):
             raise AssertionError("fewer than half the points may go bad")
-        z_cost = final.cost_of(output)
-        return Certificate(
-            n=self.n,
-            degree=self.anchor.d,
-            cap=self.cap,
-            final_metric=final,
-            anchor_edges=self.anchor.edges,
-            paths=tuple(self.paths),
-            pruned_log=tuple(self.pruned_log),
-            transcript=self.transcript,
-            z_star=output,
-            z_star_cost=z_cost,
-            best_good=final.cheapest(good.tolist()),
-        )
+        cert.z_star_cost, cert.best_good = final.cost_of(output), final.cheapest(good.tolist())
+        return cert
 
 
 def _went_bad(degree: np.ndarray, cap: int) -> np.ndarray:
@@ -327,26 +325,31 @@ def _went_bad(degree: np.ndarray, cap: int) -> np.ndarray:
     return degree >= cap
 
 
-def _perm_degree(perm: np.ndarray) -> np.ndarray:
-    """Each vertex's permanent degree, counted from ``perm``."""
-    return np.count_nonzero(perm, axis=1)
+def _check_in_space(vertices: np.ndarray, n: int, what: str) -> None:
+    """Raise ValueError naming the first of ``vertices`` outside 0..n-1."""
+    outside = (vertices < 0) | (vertices >= n)
+    if outside.any():
+        raise ValueError(f"{what} {vertices[outside.argmax()]} outside space of size {n}")
 
 
 @dataclass
 class Certificate:
-    """Everything needed to audit one finished game, each fact stored once.
+    """One finished game as its record and its claims, each fact stored once; no field is an array.
 
-    The fields hold the game's configuration, its record and its claims
-    (``z_star``, ``z_star_cost``, ``best_good``).  ``perm``, ``bad``,
-    ``rounds`` and ``ratio`` are read-only views of them: ``bad`` is read
-    from the permanent edges that path discipline audits.  ``final_metric``
-    walks ``perm`` plus a clique on the vertices never pruned.
+    The record is the anchor edges, every reply path, the vertices each
+    round pruned and the transcript.  The final graph is derived from it
+    on first read and cached, so the record must not change after that
+    (``dataclasses.replace`` makes a new certificate): ``perm_edges`` are
+    the anchor's and the paths' edges, each once as a row u < v, ``perm``
+    and ``perm_degree`` their matrix and count per vertex, and
+    ``final_metric`` walks ``perm`` plus a clique on the vertices never
+    pruned.  A record naming a vertex outside 0..n-1, or joining one to
+    itself, fixes no graph: those views raise ValueError.
     """
 
     n: int
     degree: int
     cap: int
-    final_metric: HopMetric
     anchor_edges: tuple[Edge, ...]
     paths: tuple[tuple[int, ...], ...]
     pruned_log: tuple[tuple[int, ...], ...]
@@ -355,13 +358,54 @@ class Certificate:
     z_star_cost: int
     best_good: tuple[int, int]
 
-    @property
+    @functools.cached_property
+    def transcript_arrays(self) -> np.ndarray | None:
+        return _transcript_arrays(self.transcript)
+
+    @functools.cached_property
+    def _record(self) -> tuple[np.ndarray, ...]:
+        """The anchor and the paths read once, for the graph and for path discipline.
+
+        The anchor as a (k, 2) array, each path's length, the paths' vertices end to end, and
+        per step inside one path, in round order, its round and its lower and higher end.
+        """
+        anchor = np.fromiter(chain.from_iterable(self.anchor_edges), dtype=np.int64).reshape(-1, 2)
+        lengths = np.fromiter(map(len, self.paths), dtype=np.int64, count=len(self.paths))
+        walk = np.fromiter(chain.from_iterable(self.paths), dtype=np.int64, count=int(lengths.sum()))
+        step_round = np.repeat(np.arange(len(self.paths)), lengths)
+        inside = step_round[:-1] == step_round[1:]
+        u, v = walk[:-1][inside], walk[1:][inside]
+        return anchor, lengths, walk, step_round[:-1][inside], np.minimum(u, v), np.maximum(u, v)
+
+    @functools.cached_property
+    def perm_edges(self) -> np.ndarray:
+        anchor, _, walk, _, lo, hi = self._record
+        _check_in_space(np.concatenate([anchor.ravel(), walk]), self.n, "vertex")
+        u, v = anchor.T
+        lo, hi = np.concatenate([np.minimum(u, v), lo]), np.concatenate([np.maximum(u, v), hi])
+        if (lo == hi).any():
+            raise ValueError(f"the record joins vertex {lo[(lo == hi).argmax()]} to itself")
+        keys = np.sort(lo * self.n + hi)
+        return np.column_stack(np.divmod(keys[_starts(keys)], self.n))
+
+    @functools.cached_property
     def perm(self) -> np.ndarray:
-        return self.final_metric.adjacency
+        u, v = self.perm_edges.T
+        perm = np.zeros((self.n, self.n), dtype=bool)
+        perm[u, v] = perm[v, u] = True
+        return perm
+
+    @functools.cached_property
+    def perm_degree(self) -> np.ndarray:
+        return np.bincount(self.perm_edges.ravel(), minlength=self.n)
+
+    @functools.cached_property
+    def final_metric(self) -> HopMetric:
+        return HopMetric(self.perm, self.alive_after(len(self.pruned_log)))
 
     @property
     def bad(self) -> tuple[int, ...]:
-        return tuple(np.flatnonzero(_went_bad(_perm_degree(self.perm), self.cap)).tolist())
+        return tuple(np.flatnonzero(_went_bad(self.perm_degree, self.cap)).tolist())
 
     @property
     def rounds(self) -> int:
@@ -373,7 +417,7 @@ class Certificate:
 
     @property
     def max_perm_degree(self) -> int:
-        return int(_perm_degree(self.perm).max())
+        return int(self.perm_degree.max())
 
     def alive_after(self, i: int) -> np.ndarray:
         """Mask of the vertices not pruned by the end of round i (0 = before any query).
@@ -381,12 +425,15 @@ class Certificate:
         The graph after round i is the permanent edges plus a clique on
         these vertices.  The final ``perm`` serves every round: an edge
         turns permanent only while both its ends are unpruned, so every
-        later one lies inside that clique anyway.
+        later one lies inside that clique anyway.  A pruned vertex
+        outside 0..n-1 raises ``ValueError``.
         """
         if not (0 <= i <= len(self.pruned_log)):
             raise IndexError(f"round {i} out of range")
+        pruned = np.fromiter(chain.from_iterable(self.pruned_log[:i]), dtype=np.int64)
+        _check_in_space(pruned, self.n, "pruned vertex")
         alive = np.ones(self.n, dtype=bool)
-        alive[[v for pruned in self.pruned_log[:i] for v in pruned]] = False
+        alive[pruned] = False
         return alive
 
 
@@ -395,48 +442,36 @@ class Certificate:
 
 def verify_consistency(cert: Certificate) -> bool:
     """Every answer ever given equals the final metric's distance."""
-    return replay_verify(cert.transcript, cert.final_metric)
-
-
-def _anchor_array(cert: Certificate) -> np.ndarray:
-    """The anchor edges as a (k, 2) int64 array."""
-    return np.fromiter(chain.from_iterable(cert.anchor_edges), dtype=np.int64).reshape(-1, 2)
+    return _replay_arrays(cert.transcript_arrays, cert.final_metric)
 
 
 def verify_path_discipline(cert: Certificate) -> bool:
     """Re-derive the permanence timeline and the pruning from the reply paths.
 
-    Checks, per round: the reply path runs from its transcript entry's a
-    to its b in answer + 1 vertices, repeats no edge, at most two of its
-    edges touch any one vertex, it contained at most one edge that was
-    not yet permanent when it was picked, that edge did not touch a
-    pruned vertex, and the round pruned exactly the vertices whose
-    permanent degree first exceeded the cap in it.  The final metric
-    must walk exactly the recomputed permanent edges plus a clique on
-    the vertices never pruned.
+    Checks that each anchor edge is given once, as (u, v) with u < v
+    inside the space, and, per round: the reply path runs from its
+    transcript entry's a to its b in answer + 1 vertices, never steps in
+    place, repeats no edge, at most two of its edges touch any one vertex,
+    it contained at most one edge that was not yet permanent when it was
+    picked, that edge did not touch a pruned vertex, and the round pruned
+    exactly the vertices whose permanent degree first exceeded the cap in
+    it.  The final graph is the certificate's, built from these same
+    steps, so there is none to compare.
 
     The timeline depends on the paths and the anchor alone; the log is
     only compared with it.  So every round is replayed at once, in
     array passes over all path edges, and the verdict is the one a
     round-by-round walk that stops at the first failing round gives.
     """
-    return _path_discipline(cert, _transcript_arrays(cert.transcript), _anchor_array(cert))
-
-
-def _path_discipline(cert: Certificate, entries: np.ndarray | None, anchor: np.ndarray) -> bool:
-    """:func:`verify_path_discipline` on the transcript and anchor already read as arrays."""
-    n, rounds = cert.n, len(cert.paths)
+    n, rounds, entries = cert.n, len(cert.paths), cert.transcript_arrays
+    anchor, lengths, walk, edge_round, lo, hi = cert._record
     if len(cert.pruned_log) != rounds or entries is None or entries.shape[1] != rounds:
         return False
-    if ((anchor < 0) | (anchor >= n)).any():
-        return False
     anchor_keys = np.sort(anchor[:, 0] * n + anchor[:, 1])
-    anchor_keys = anchor_keys[_starts(anchor_keys)]
-
-    # every path edge, in round order, as a (u < v) key tagged with its round
-    lengths = np.fromiter(map(len, cert.paths), dtype=np.int64, count=rounds)
-    walk = np.fromiter(chain.from_iterable(cert.paths), dtype=np.int64, count=int(lengths.sum()))
-    if ((walk < 0) | (walk >= n)).any():
+    if not (((anchor[:, 0] >= 0) & (anchor[:, 0] < anchor[:, 1]) & (anchor[:, 1] < n)).all()
+            and _starts(anchor_keys).all()):
+        return False
+    if ((walk < 0) | (walk >= n)).any() or (lo == hi).any():
         return False
     # a round's path runs from its pair's a to its b, one vertex per hop of an answer without eps
     a, b, units, eps = entries
@@ -445,18 +480,14 @@ def _path_discipline(cert: Certificate, entries: np.ndarray | None, anchor: np.n
     ends = np.cumsum(lengths)
     if not (np.array_equal(walk[ends - lengths], a) and np.array_equal(walk[ends - 1], b)):
         return False
-    step_round = np.repeat(np.arange(rounds), lengths)
-    inside = step_round[:-1] == step_round[1:]
-    u, v, edge_round = walk[:-1][inside], walk[1:][inside], step_round[:-1][inside]
-    lo, hi = np.minimum(u, v), np.maximum(u, v)
-    keys = lo * n + hi
+    keys = lo * n + hi  # every path edge, in round order, tagged with its round by edge_round
     # one stable sort of the keys: each key's uses sit together, in round order
     order = np.argsort(keys, kind="stable")
     starts = _starts(keys[order])
     if (~starts[1:] & (np.diff(edge_round[order]) == 0)).any():
         return False  # reply paths are simple
     # a (round, vertex) pair as round * n + vertex, far inside int64 as lo * n + hi is
-    touches = np.sort(np.concatenate([edge_round * n + u, edge_round * n + v]))
+    touches = np.sort(np.concatenate([edge_round * n + lo, edge_round * n + hi]))
     if (touches[2:] == touches[:-2]).any():
         return False  # at most two of a path's edges touch any one vertex
 
@@ -473,7 +504,7 @@ def _path_discipline(cert: Certificate, entries: np.ndarray | None, anchor: np.n
     incidences = np.concatenate([lo[fresh], hi[fresh]]) * rounds + np.concatenate([fresh_round, fresh_round])
     touched, touch_round = np.divmod(np.sort(incidences), rounds)
     rank = np.arange(len(touched)) - np.searchsorted(touched, touched) + 1
-    anchor_degree = np.bincount(np.concatenate([anchor_keys // n, anchor_keys % n]), minlength=n)
+    anchor_degree = np.bincount(anchor.ravel(), minlength=n)
     over = anchor_degree[touched] + rank > cert.cap
     if np.bincount(touched[over], minlength=n).max(initial=0) > 1:
         return False  # pruning cut every flexible edge at a pruned vertex
@@ -483,23 +514,7 @@ def _path_discipline(cert: Certificate, entries: np.ndarray | None, anchor: np.n
     logged = np.fromiter(map(len, cert.pruned_log), dtype=np.int64, count=rounds)
     if not np.array_equal(np.bincount(due_round, minlength=rounds), logged):
         return False
-    if not np.array_equal(due[order], np.fromiter(chain.from_iterable(cert.pruned_log), dtype=np.int64)):
-        return False
-
-    # the final metric walks the anchor plus every path edge, and the
-    # clique it never pruned.  Its adjacency is symmetric with an empty
-    # diagonal, so holding every recomputed (u < v) edge and no more
-    # cells than those edges fill is the same edge set.
-    final = cert.final_metric
-    if final.adjacency.shape != (n, n):
-        return False
-    # the anchor and the fresh edges are disjoint and each holds no key twice
-    rows, cols = np.divmod(np.concatenate([anchor_keys, keys[fresh]]), n)
-    if not ((rows < cols).all() and final.adjacency[rows, cols].all()):
-        return False
-    if np.count_nonzero(final.adjacency) != 2 * len(rows):
-        return False
-    return bool(np.array_equal(final.clique, cert.alive_after(len(cert.pruned_log))))
+    return bool(np.array_equal(due[order], np.fromiter(chain.from_iterable(cert.pruned_log), dtype=np.int64)))
 
 
 def _starts(ordered: np.ndarray) -> np.ndarray:
@@ -534,19 +549,18 @@ def ball_growth_ok(cert: Certificate) -> bool:
     return True
 
 
-def _anchor_preserved(cert: Certificate, anchor: np.ndarray) -> bool:
-    """Every anchor edge joins two points of the space by a permanent edge of the final metric."""
-    adjacency = cert.final_metric.adjacency
-    if ((anchor < 0) | (anchor >= len(adjacency))).any():
-        return False
-    return bool(adjacency[anchor[:, 0], anchor[:, 1]].all())
+def _anchor_preserved(cert: Certificate) -> bool:
+    """The anchor is a loop-free ``degree``-regular graph on the space; ``perm``, built from it, holds it."""
+    anchor = cert._record[0]
+    inside = ((anchor >= 0) & (anchor < cert.n)).all() and (anchor[:, 0] != anchor[:, 1]).all()
+    return bool(inside and (np.bincount(anchor.ravel(), minlength=cert.n) == cert.degree).all())
 
 
-def _hub_costs(cert: Certificate, us, vs, good) -> tuple[int | None, int | None, np.ndarray | None]:
+def _hub_costs(cert: Certificate, good) -> tuple[int | None, int | None, np.ndarray | None]:
     """cost(z*), cost(y) and each good vertex's cost, recomputed without the final metric.
 
     The final metric is half the shortest-path metric of the permanent
-    edges (us[k], vs[k]) at weight 2 plus a hub joined at weight 1 to
+    edges (u, v) at weight 2 plus a hub joined at weight 1 to
     each vertex of U, those never pruned: two of those meet through the
     hub at 2, one live clique hop.  csgraph's Dijkstra, which the
     adversary never runs, walks it from z*, y and the hub, which sits at
@@ -561,6 +575,7 @@ def _hub_costs(cert: Certificate, us, vs, good) -> tuple[int | None, int | None,
     is unreachable or odd; the good costs also if none is good or one is not in U.
     """
     n = cert.n
+    us, vs = cert.perm_edges.T
     hubbed = np.flatnonzero(cert.alive_after(len(cert.pruned_log)))
     rows, cols = np.concatenate([us, hubbed]), np.concatenate([vs, np.full(len(hubbed), n)])
     weights = np.concatenate([np.full(len(us), 2.0), np.ones(len(hubbed))])
@@ -572,7 +587,7 @@ def _hub_costs(cert: Certificate, us, vs, good) -> tuple[int | None, int | None,
     if not (len(good) and (hub[good] == 1).all() and np.isfinite(hub).all()):  # good in U, every x reaches U
         return z_cost, y_cost, None
     deep = walk(indices=np.flatnonzero(hub > 3))[:, good]
-    adjacent = np.bincount(vs[hub[us] == 3], minlength=n)[good]  # per v, the x at h = 1 next to it
+    adjacent = np.bincount(np.concatenate([vs[hub[us] == 3], us[hub[vs] == 3]]), minlength=n)[good]  # x at h = 1
     costs = len(hubbed) - 1 + 2 * np.count_nonzero(hub == 3) - adjacent + deep.sum(axis=0).astype(np.int64) // 2
     return z_cost, y_cost, None if (deep % 2).any() else costs
 
@@ -580,26 +595,32 @@ def _hub_costs(cert: Certificate, us, vs, good) -> tuple[int | None, int | None,
 def verify_certificate(cert: Certificate, metric_axioms_cap: int = 0) -> dict[str, bool]:
     """Run every per-game audit; all values must be True for a clean game.
 
-    The transcript and the anchor are read once, and ``perm`` is scanned
-    once: its edges give the degrees and the hub graph both costs come from.
+    The checks read the record, the claims and the graph the record fixes
+    (the certificate's views), so the transcript, the anchor and the paths
+    are each read once.  A record that fixes no graph (a vertex outside the
+    space, or one joined to itself) fails every check that reads one.
     """
-    entries, anchor = _transcript_arrays(cert.transcript), _anchor_array(cert)
-    us, vs = np.divmod(np.flatnonzero(cert.perm), len(cert.perm))  # np.nonzero's order, one pass
-    degree = np.bincount(us, minlength=len(cert.perm))
-    bad = _went_bad(degree, cert.cap)
+    axioms = bool(metric_axioms_cap) and cert.n <= metric_axioms_cap
+    checks = dict.fromkeys(["consistency", "path_discipline", "anchor_preserved", "bad_at_most_half",
+                            "perm_degree_cap", "ball_growth", "best_good_matches", "ratio_exact"]
+                           + ["metric_axioms"] * axioms, False)
+    checks.update(path_discipline=verify_path_discipline(cert), anchor_preserved=_anchor_preserved(cert))
+    try:
+        final = cert.final_metric
+    except ValueError:
+        return checks
+    bad = _went_bad(cert.perm_degree, cert.cap)
     good = np.flatnonzero(~bad)  # empty when the cap marks every vertex bad
-    z_cost, y_cost, good_costs = _hub_costs(cert, us, vs, good)
+    z_cost, y_cost, good_costs = _hub_costs(cert, good)
     best = None if good_costs is None else int(good_costs.argmin())  # the lowest index among ties
-    checks = {
-        "consistency": _replay_arrays(entries, cert.final_metric),
-        "path_discipline": _path_discipline(cert, entries, anchor),
-        "anchor_preserved": _anchor_preserved(cert, anchor),
+    checks.update({
+        "consistency": _replay_arrays(cert.transcript_arrays, final),
         "bad_at_most_half": 2 * int(np.count_nonzero(bad)) <= cert.n,
-        "perm_degree_cap": int(degree.max()) <= cert.cap + 2,
+        "perm_degree_cap": cert.max_perm_degree <= cert.cap + 2,
         "ball_growth": ball_growth_ok(cert),
         "best_good_matches": best is not None and (int(good[best]), int(good_costs[best])) == cert.best_good,
         "ratio_exact": [z_cost, y_cost] == [cert.z_star_cost, cert.best_good[1]],
-    }
-    if metric_axioms_cap and cert.n <= metric_axioms_cap:
-        checks["metric_axioms"] = is_metric(cert.final_metric.to_table(metric_axioms_cap))
+    })
+    if axioms:
+        checks["metric_axioms"] = is_metric(final.to_table(metric_axioms_cap))
     return checks

@@ -30,7 +30,7 @@ from .adversary import Certificate, verify_certificate  # noqa: F401
 from .distances import ExactDistance, eps_float, eps_value
 from .expander import InfeasibleError, _refuse_oversize, build_regular  # noqa: F401
 from .harness import play_adversary_game
-from .metric import HopMetric, MetricTable, TranscriptEntry, _as_pairs_in, _single, is_metric, replay_verify
+from .metric import HopMetric, MetricTable, TranscriptEntry, _as_pairs_in, _replay_arrays, _single, is_metric
 
 __all__ = [
     "BudgetExceededError",
@@ -380,7 +380,7 @@ def _game_checks(report: GameReport, glued: GluedMetric) -> dict[str, bool]:
     # own transcript, not a list the proxy keeps, so a proxy that forwards the wrong pair fails
     renamed = [TranscriptEntry(fwd.get(a), fwd.get(b), answer) for a, b, answer in run.inner_transcript]
     out["transcripts_aligned"] = renamed == cert.transcript[: len(renamed)]
-    out["replay_glued"] = replay_verify(cert.transcript, glued)
+    out["replay_glued"] = _replay_arrays(cert.transcript_arrays, glued)  # the arrays the audit read
     z, (y, base_y) = cert.z_star, cert.best_good
     dzy = _dist_z_y(cert)
     spread = glued.n - glued.m

@@ -1,10 +1,12 @@
 import ast
+import copy
 import dataclasses
 import functools
 import os
 import random
 import subprocess
 import sys
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +21,7 @@ from medianlab.adversary import (
     Adversary,
     BadConstantError,
     BudgetExhaustedError,
+    Certificate,
     PadOverflowError,
     ball_growth_ok,
     minimal_cap,
@@ -160,7 +163,7 @@ def test_degree_list_stays_in_step_with_perm():
         cert, oracle = finished_game(n=32, degree=4, q=24, algo=algo)
         adv = oracle.backing
         assert any(cert.pruned_log)
-        assert adv._degree == np.count_nonzero(adv._perm, axis=1).tolist(), algo
+        assert adv._degree == np.count_nonzero(cert.perm, axis=1).tolist() == cert.perm_degree.tolist(), algo
 
 
 def test_hardening_a_permanent_edge_raises():
@@ -179,33 +182,54 @@ def test_anchor_survives_every_round():
 
 
 def test_final_metric_walks_perm_with_the_alive_mask():
+    # the record rebuilds the adversary's own graph: its perm and its alive mask
     n, q = 32, 8
     adv = Adversary(build_regular(n, 4, 4), q + n, minimal_cap(n, q + n, 4))
     output = make_player("exact", budget=q, seed=4).run(CountingOracle(adv), n)
+    perm, alive = adv._perm, adv._alive  # the padding fills them in place
     cert = adv.finalize(output)
-    assert cert.perm is adv._perm
-    assert cert.final_metric.clique is adv._alive
+    assert cert.final_metric.adjacency is cert.perm
+    assert not (np.shares_memory(cert.perm, perm) or np.shares_memory(cert.final_metric.clique, alive))
+    assert np.array_equal(cert.perm, perm)
+    assert np.array_equal(cert.final_metric.clique, alive)
     assert np.array_equal(cert.final_metric.clique, cert.alive_after(cert.rounds))
     assert not cert.final_metric.clique.all()
 
 
 def test_anchor_preserved_sees_one_lost_edge():
+    # perm is built from the anchor, so it loses no anchor edge; an edge
+    # lost from the record itself breaks the anchor's regularity, even one
+    # that no reply path walks and no other check reads
     cert, _ = finished_game(n=24, degree=4, q=16)
     assert verify_certificate(cert)["anchor_preserved"]
-    clique = cert.final_metric.clique
-    for u, v in (cert.anchor_edges[0], cert.anchor_edges[-1]):
-        perm = cert.perm.copy()
-        perm[u, v] = perm[v, u] = False
-        thinned = dataclasses.replace(cert, final_metric=HopMetric(perm, clique))
-        assert not verify_certificate(thinned)["anchor_preserved"], (u, v)
-    # losing a non-anchor edge is another check's business
-    anchor = np.zeros_like(cert.perm)
-    for u, v in cert.anchor_edges:
-        anchor[u, v] = anchor[v, u] = True
-    u, v = map(int, np.argwhere(np.triu(cert.perm & ~anchor))[0])
-    perm = cert.perm.copy()
-    perm[u, v] = perm[v, u] = False
-    assert verify_certificate(dataclasses.replace(cert, final_metric=HopMetric(perm, clique)))["anchor_preserved"]
+    walked = {_norm_edge(u, w) for path in cert.paths for u, w in zip(path, path[1:])}
+    unwalked = [k for k, edge in enumerate(cert.anchor_edges) if edge not in walked]
+    for k in (0, len(cert.anchor_edges) - 1, unwalked[0]):
+        thinned = dataclasses.replace(cert, anchor_edges=cert.anchor_edges[:k] + cert.anchor_edges[k + 1 :])
+        assert not verify_certificate(thinned)["anchor_preserved"], k
+    assert _failed(verify_certificate(thinned)) == {"anchor_preserved"}  # the unwalked edge: no other check reads it
+
+
+def test_certificate_shares_no_array_with_the_adversary():
+    n, q = 64, 64
+    adv = Adversary(build_regular(n, 4, 1), q + n, minimal_cap(n, q + n, 4))
+    output = make_player("exact", budget=q, seed=1).run(CountingOracle(adv), n)
+    own = [adv._perm, adv._alive, adv._anchor_flat]
+    cert = adv.finalize(output)
+    assert adv._perm is adv._alive is adv._hop_row is None  # let go before the certificate built its graph
+    assert adv.distances([], [])[0].shape == (0,)  # a spent adversary still serves an empty batch
+    with pytest.raises(BudgetExhaustedError):
+        adv.answer(0, 1)
+    assert all(verify_certificate(cert).values())
+    final = cert.final_metric
+    views = [cert.perm, cert.perm_edges, cert.perm_degree, cert.transcript_arrays, final.adjacency, final.clique]
+    assert cert.z_star in final._rows  # finalize's row, which the certificate keeps
+    for view in views + list(final._rows.values()):
+        assert not any(np.shares_memory(view, array) for array in own)
+    # no field holds an array or a metric: the record and the claims are plain values
+    for f in dataclasses.fields(cert):
+        assert not any(name in str(f.type) for name in ("ndarray", "HopMetric")), f.name
+        assert not isinstance(getattr(cert, f.name), (np.ndarray, HopMetric)), f.name
 
 
 def test_snapshots_only_lose_edges():
@@ -257,6 +281,8 @@ def _per_round_path_discipline(cert):
     """``verify_path_discipline`` as a per-round walk, as it stood; kept as the reference."""
     if not len(cert.pruned_log) == len(cert.paths) == len(cert.transcript):
         return False
+    if len(set(cert.anchor_edges)) < len(cert.anchor_edges) or not all(0 <= u < v < cert.n for u, v in cert.anchor_edges):
+        return False  # the anchor's form: each edge once, as (u, v) with u < v
     perm = set(cert.anchor_edges)
     degree = [0] * cert.n
     for u, v in perm:
@@ -266,8 +292,10 @@ def _per_round_path_discipline(cert):
     for path, pruned, (a, b, answer) in zip(cert.paths, cert.pruned_log, cert.transcript):
         if answer.eps_count or len(path) != answer.units + 1 or path[0] != a or path[-1] != b:
             return False  # the path answers its round: a to b, one vertex per hop
+        if not all(0 <= x < cert.n for x in path):
+            return False
         edges = [_norm_edge(u, v) for u, v in zip(path, path[1:])]
-        if len(edges) != len(set(edges)):
+        if any(u == v for u, v in edges) or len(edges) != len(set(edges)):
             return False  # reply paths are simple
         fresh = [e for e in edges if e not in perm]
         if len(fresh) > 1:
@@ -288,16 +316,9 @@ def _per_round_path_discipline(cert):
             return False
         pruned_so_far.update(due)
         perm.update(edges)
-    us, vs = np.nonzero(np.triu(cert.perm, 1))
-    if set(zip(us.tolist(), vs.tolist())) != perm:
-        return False
-    # the log now matches the cap rule in every round, so the final
-    # metric must be the recorded edges plus the clique it never pruned
-    final = cert.final_metric
-    return bool(
-        np.array_equal(final.adjacency, cert.perm)
-        and np.array_equal(final.clique, cert.alive_after(len(cert.pruned_log)))
-    )
+    # the log matches the cap rule in every round; the final graph is the
+    # certificate's own, built from these paths and this log
+    return True
 
 
 def _round_of(path):
@@ -319,9 +340,6 @@ def test_path_discipline_detects_tampering():
     bad_paths = cert.paths[:-1] + ((0, 1, 0),)
     tampered = dataclasses.replace(cert, paths=bad_paths, transcript=cert.transcript[:-1] + [_round_of((0, 1, 0))])
     assert not _discipline(tampered)
-    # and the final metric's edges must match the replayed timeline
-    wiped = dataclasses.replace(cert, final_metric=HopMetric(np.zeros_like(cert.perm), cert.final_metric.clique))
-    assert not _discipline(wiped)
 
     # pruning must follow the cap rule round by round; this game prunes
     # two vertices, each of which loses some flexible edges
@@ -343,40 +361,6 @@ def test_path_discipline_detects_tampering():
     never_due = min(set(range(cert.n)) - pruned_ever)
     assert not _discipline(relogged({0: tuple(sorted(log[0] + (never_due,)))}))
 
-    # the final clique must hold exactly the vertices never pruned: one
-    # missing takes its flexible edges away, one pruned gives them back
-    alive = cert.final_metric.clique
-    w_free = next(u for u in range(cert.n) if u != v and not cert.perm[v, u])
-    for flipped in (never_due, v):
-        mask = alive.copy()
-        mask[flipped] = not mask[flipped]
-        forged = dataclasses.replace(cert, final_metric=HopMetric(cert.perm, mask))
-        assert not _discipline(forged), flipped
-
-    # the final metric is audited by value: an equal copy of the edges
-    # passes, one extra edge fails
-    assert _discipline(dataclasses.replace(cert, final_metric=HopMetric(cert.perm.copy(), alive)))
-    grown = cert.perm.copy()
-    grown[v, w_free] = grown[w_free, v] = True
-    assert not _discipline(dataclasses.replace(cert, final_metric=HopMetric(grown, alive)))
-
-    # the final edge set is audited cell by cell: an edge inside the
-    # never-pruned clique changes no distance and still fails, and so
-    # does a hardened edge taken away
-    inside = np.flatnonzero(alive)
-    x, y = next((x, y) for x in inside for y in inside if x < y and not cert.perm[x, y])
-    extra = cert.perm.copy()
-    extra[x, y] = extra[y, x] = True
-    assert not _discipline(dataclasses.replace(cert, final_metric=HopMetric(extra, alive)))
-    anchor = set(cert.anchor_edges)
-    x, y = next(_norm_edge(u, w) for path in cert.paths for u, w in zip(path, path[1:]) if _norm_edge(u, w) not in anchor)
-    missing = cert.perm.copy()
-    missing[x, y] = missing[y, x] = False
-    assert not _discipline(dataclasses.replace(cert, final_metric=HopMetric(missing, alive)))
-    # both at once keep the count of cells
-    extra[x, y] = extra[y, x] = False
-    assert extra.sum() == cert.perm.sum()
-    assert not _discipline(dataclasses.replace(cert, final_metric=HopMetric(extra, alive)))
     # the anchor's pairs are read as given: (w, u) for (u, w) is no anchor
     # edge, even one that no reply path walks
     walked = {_norm_edge(u, w) for path in cert.paths for u, w in zip(path, path[1:])}
@@ -386,19 +370,16 @@ def test_path_discipline_detects_tampering():
     assert not _discipline(dataclasses.replace(cert, anchor_edges=flipped))
 
     # an extra round may not reopen an edge that pruning cut, even with
-    # the log and the final graph forged to match
+    # the log forged to match
     w = next(
         u for u in range(cert.n)
         if u != v and not cert.perm[v, u] and u not in pruned_ever and cert.perm[u].sum() < cert.cap
     )
-    perm = cert.perm.copy()
-    perm[v, w] = perm[w, v] = True
     reopened = dataclasses.replace(
         cert,
         paths=cert.paths + ((v, w),),
         pruned_log=cert.pruned_log + ((v,),),
         transcript=cert.transcript + [_round_of((v, w))],
-        final_metric=HopMetric(perm, cert.final_metric.clique),
     )
     assert not _discipline(reopened)
 
@@ -429,20 +410,17 @@ def test_path_discipline_detects_tampering():
     )
     assert not _discipline(three)
 
-    # an extra round with two fresh edges, forged into every other record
+    # an extra round with two fresh edges, forged into the rest of the record
     low = [u for u in range(cert.n) if u not in pruned_ever and cert.perm[u].sum() + 2 <= cert.cap]
     p, s, t = next(
         (p, s, t) for s in low for p in low for t in low
         if len({p, s, t}) == 3 and not (cert.perm[p, s] or cert.perm[s, t])
     )
-    perm = cert.perm.copy()
-    perm[p, s] = perm[s, p] = perm[s, t] = perm[t, s] = True
     two_fresh = dataclasses.replace(
         cert,
         paths=cert.paths + ((p, s, t),),
         pruned_log=cert.pruned_log + ((),),
         transcript=cert.transcript + [_round_of((p, s, t))],
-        final_metric=HopMetric(perm, cert.final_metric.clique),
     )
     assert not _discipline(two_fresh)
 
@@ -450,6 +428,15 @@ def test_path_discipline_detects_tampering():
     for forged_path in ((0, cert.n), (-1, 0)):
         assert not verify_path_discipline(dataclasses.replace(cert, paths=cert.paths[:-1] + (forged_path,)))
     assert not verify_path_discipline(dataclasses.replace(cert, anchor_edges=cert.anchor_edges + ((-1, 5),)))
+    # nor is a step that stays at its vertex, or an anchor edge given twice
+    looped = dataclasses.replace(
+        cert,
+        paths=cert.paths + ((x, x),),
+        pruned_log=cert.pruned_log + ((),),
+        transcript=cert.transcript + [_round_of((x, x))],
+    )
+    assert not _discipline(looped)
+    assert not _discipline(dataclasses.replace(cert, anchor_edges=cert.anchor_edges + cert.anchor_edges[-1:]))
 
 
 def test_path_discipline_ties_each_path_to_its_round():
@@ -735,6 +722,7 @@ def test_matches_dense_reference():
             assert adv.answer(a, b) == ref.answer(a, b), (game, a, b)
             assert (adv.paths[-1], adv.pruned_log[-1]) == (ref.paths[-1], ref.pruned_log[-1]), (game, a, b)
         pruned_in_play += any(ref.pruned_log)
+        assert np.array_equal(adv._perm, ref.perm), game  # the audit reads the record, never this matrix
         cert = adv.finalize(output)
         final, bad, z_cost, best_good = ref.finalize(output)
         long_answers += sum(dist >= 2 for dist in ref.answers)
@@ -750,6 +738,38 @@ def test_matches_dense_reference():
     # the streams reach the cases the two representations handle differently
     assert pruned_in_play >= 10
     assert long_answers >= 500
+
+
+def test_dense_reference_catches_a_hardened_edge_left_out_of_perm(monkeypatch):
+    # the audit reads the certificate's record, never the adversary's own
+    # matrix, so an adversary that drops the first edge it hardens from that
+    # matrix is the reference's to catch
+    real = Adversary._harden
+
+    def forgetful(self, u, v):
+        pruned = real(self, u, v)
+        if not getattr(self, "_forgot", False):
+            self._perm[u, v] = self._perm[v, u] = False
+            self._forgot = True
+        return pruned
+
+    monkeypatch.setattr(Adversary, "_harden", forgetful)
+    caught = diverged = 0
+    for game in range(40):
+        anchor, rounds, cap, queries, _ = _dense_regime(game)
+        adv, ref = Adversary(anchor, rounds, cap), _DenseReference(anchor, rounds, cap)
+        try:
+            same_play = all(
+                adv.answer(a, b) == ref.answer(a, b)
+                and (adv.paths[-1], adv.pruned_log[-1]) == (ref.paths[-1], ref.pruned_log[-1])
+                for a, b in queries
+            )
+        except AssertionError:
+            same_play = False
+        diverged += not same_play
+        caught += same_play and not np.array_equal(adv._perm, ref.perm)
+    # 15 games harden the dropped edge again before play ends, which hides it
+    assert (caught, diverged) == (20, 5)
 
 
 def _source_sweeps(rng, n, q):
@@ -797,6 +817,7 @@ def test_matches_dense_reference_across_a_prune_in_play():
                     reasked += 1
                 bfs_source, pruned_since = a, False
             pruned_since = pruned_since or bool(ref.pruned_log[-1])
+        assert np.array_equal(adv._perm, ref.perm), game
     # long answers from the last BFS source with a prune since its BFS
     assert reasked >= 20
 
@@ -847,15 +868,16 @@ def test_batches_match_pair_by_pair_and_dense_reference():
             pairwise.answer(a, b)
             ref.answer(a, b)
         early_prunes += _ask_in_batches(batched, queries, random.Random(1000 + game))
-        if output is not None:
-            pairwise.finalize(output)
-            batched.finalize(output)
-            ref.finalize(output)
         assert _same_game(batched, pairwise), game
+        assert np.array_equal(batched._perm, ref.perm), game
+        if output is not None:
+            cert = pairwise.finalize(output)
+            assert batched.finalize(output) == cert, game
+            ref.finalize(output)
+            assert np.array_equal(cert.perm, ref.perm), game
         assert [e.answer.units for e in batched.transcript] == ref.answers, game
         assert batched.paths == ref.paths, game
         assert batched.pruned_log == ref.pruned_log, game
-        assert np.array_equal(batched._perm, ref.perm), game
     assert early_prunes >= 30
 
 
@@ -912,9 +934,8 @@ def test_hub_graph_costs_match_the_final_metric():
         for q in (8, 48):
             cert, _ = finished_game(n=32, degree=4, q=q, algo=algo)
             assert any(cert.pruned_log)
-            us, vs = np.divmod(np.flatnonzero(cert.perm), cert.n)
             good = np.flatnonzero(~np.isin(np.arange(cert.n), cert.bad))
-            z_cost, y_cost, good_costs = adversary_module._hub_costs(cert, us, vs, good)
+            z_cost, y_cost, good_costs = adversary_module._hub_costs(cert, good)
             cost_of = cert.final_metric.cost_of
             assert (z_cost, y_cost) == (cost_of(cert.z_star), cost_of(cert.best_good[0])), (algo, q)
             assert good_costs.tolist() == [cost_of(v) for v in good.tolist()], (algo, q)
@@ -1010,10 +1031,9 @@ def test_audit_reads_the_hub_row_of_a_vertex_two_hops_from_the_clique(monkeypatc
     assert sources == [[cert.n, cert.z_star, cert.best_good[0]], [cert.z_star]]
     monkeypatch.undo()
     # the clique rule's costs are every good vertex's BFS row sum
-    us, vs = np.divmod(np.flatnonzero(cert.perm), cert.n)
     good = np.flatnonzero(~np.isin(np.arange(cert.n), cert.bad))
     fresh = HopMetric(cert.perm, clique)
-    assert adversary_module._hub_costs(cert, us, vs, good)[2].tolist() == [fresh.cost_of(v) for v in good.tolist()]
+    assert adversary_module._hub_costs(cert, good)[2].tolist() == [fresh.cost_of(v) for v in good.tolist()]
 
 
 def test_invariants_raise_under_optimize_flag():
@@ -1119,79 +1139,130 @@ def test_anchor_preserved_rejects_endpoints_outside_the_space():
         assert audit["path_discipline"] is False, edge
 
 
-def test_finalize_reads_the_degree_list_not_perm(monkeypatch):
+def test_prune_log_vertices_outside_the_space_get_a_verdict():
+    # a pruned -1 must not wrap to n - 1, and a pruned n must not raise numpy's IndexError
+    cert, checks = play_adversary_game(64, 16, 4, make_player("exact", 16, 0), seed=0)
+    assert all(checks.values())
+    log = cert.pruned_log
+    r = next(i for i, pruned in enumerate(log) if pruned)
+    for x in (-1, 64):
+        forged = dataclasses.replace(cert, pruned_log=log[:r] + (log[r] + (x,),) + log[r + 1 :])
+        assert np.array_equal(forged.alive_after(r), cert.alive_after(r))
+        with pytest.raises(ValueError, match=f"^pruned vertex {x} outside space of size 64$"):
+            forged.alive_after(r + 1)
+        audit = verify_certificate(forged)
+        assert audit["path_discipline"] is False, x
+        assert audit == {**dict.fromkeys(audit, False), "anchor_preserved": True}  # the log fixes no graph
+
+
+def test_certificate_rebuilt_from_deep_copies_of_its_fields():
+    for algo in ("exact", "random"):
+        cert, checks = play_adversary_game(256, 256, 4, make_player(algo, 256, 0), seed=0)
+        assert all(checks.values())
+        copied = Certificate(**{f.name: copy.deepcopy(getattr(cert, f.name)) for f in dataclasses.fields(cert)})
+        assert copied == cert
+        assert copied.perm.tobytes() == cert.perm.tobytes()
+        assert verify_certificate(copied, metric_axioms_cap=512) == checks
+
+
+def test_finalize_grades_on_the_certificate_degree_count():
+    # finalize's good set is the one cert.bad leaves: both read the count
+    # of the certificate's edges, which equals the adversary's degree list
     anchor = build_regular(32, 4, 4)
     adv = Adversary(anchor, 24 + 32, minimal_cap(32, 24 + 32, 4))
     output = make_player("exact", budget=24, seed=4).run(CountingOracle(adv), 32)
-
-    def refused(perm):
-        raise AssertionError("finalize recounted perm")
-
-    monkeypatch.setattr(adversary_module, "_perm_degree", refused)
     cert = adv.finalize(output)
-    monkeypatch.undo()
     assert any(cert.pruned_log)
+    assert cert.perm_degree.tolist() == adv._degree
     good = [v for v in range(cert.n) if v not in cert.bad]
-    assert cert.best_good == HopMetric(cert.perm, cert.final_metric.clique).cheapest(good)
+    assert cert.best_good == HopMetric(cert.perm.copy(), cert.alive_after(cert.rounds)).cheapest(good)
+
+
+def _perm_from_record(cert):
+    """The anchor plus every reply-path edge, set pair by pair; None if the record fixes no graph.
+
+    A vertex outside the space, in the anchor, a path or the prune log,
+    or an edge from a vertex to itself fixes no graph.
+    """
+    n = cert.n
+    edges = [*cert.anchor_edges, *(step for path in cert.paths for step in zip(path, path[1:]))]
+    pruned = [x for log in cert.pruned_log for x in log]
+    if not all(0 <= x < n for x in [*chain.from_iterable(edges), *pruned]) or any(u == v for u, v in edges):
+        return None
+    perm = np.zeros((n, n), dtype=bool)
+    for u, v in edges:
+        perm[u, v] = perm[v, u] = True
+    return perm
 
 
 def _checks_one_by_one(cert, metric_axioms_cap=0):
     """verify_certificate's checks, each run on its own through the public functions.
 
-    The perm degrees come from ``cert.bad`` and ``cert.max_perm_degree``,
-    the anchor check from the edge tuples, and both costs from BFS rows of
-    a fresh HopMetric on the clique ``pruned_log`` leaves, so no count,
-    row or hub-graph walk is shared with the audit.
+    The final graph is rebuilt pair by pair from the record and must
+    equal the certificate's.  The perm degrees are its row counts, the
+    anchor check reads the edge tuples, and both costs come from BFS rows
+    of a fresh HopMetric on it and the clique ``pruned_log`` leaves, so no
+    count, row or hub-graph walk is shared with the audit.  A record that
+    fixes no graph fails every check that reads one.
     """
-    n, bad = cert.n, set(cert.bad)
-    good = [v for v in range(n) if v not in bad]
-    fresh = HopMetric(cert.perm, cert.alive_after(len(cert.pruned_log)))
-    in_clique = bool(fresh.clique[good].all())
+    n = cert.n
     checks = {
-        "consistency": verify_consistency(cert),
         "path_discipline": verify_path_discipline(cert),
-        "anchor_preserved": all(0 <= u < n and 0 <= v < n and cert.perm[u, v] for u, v in cert.anchor_edges),
-        "bad_at_most_half": 2 * len(bad) <= n,
-        "perm_degree_cap": cert.max_perm_degree <= cert.cap + 2,
+        "anchor_preserved": all(0 <= u < n and 0 <= v < n and u != v for u, v in cert.anchor_edges)
+        and sorted(chain.from_iterable(cert.anchor_edges)) == [x for x in range(n) for _ in range(cert.degree)],
+    }
+    perm = _perm_from_record(cert)
+    if perm is None:
+        with pytest.raises(ValueError, match="outside space of size|to itself"):
+            cert.final_metric
+        graph_checks = ["consistency", "bad_at_most_half", "perm_degree_cap", "ball_growth", "best_good_matches",
+                        "ratio_exact"] + ["metric_axioms"] * bool(metric_axioms_cap and n <= metric_axioms_cap)
+        return checks | dict.fromkeys(graph_checks, False)
+    assert np.array_equal(cert.perm, perm)
+    degree = perm.sum(axis=1)
+    good = [v for v in range(n) if degree[v] < cert.cap]
+    fresh = HopMetric(perm, cert.alive_after(len(cert.pruned_log)))
+    in_clique = bool(fresh.clique[good].all())
+    checks |= {
+        "consistency": verify_consistency(cert),
+        "bad_at_most_half": 2 * (n - len(good)) <= n,
+        "perm_degree_cap": degree.max() <= cert.cap + 2,
         "ball_growth": ball_growth_ok(cert),
         "best_good_matches": bool(good) and in_clique and fresh.cheapest(good) == cert.best_good,
         "ratio_exact": [fresh.cost_of(cert.z_star), fresh.cost_of(cert.best_good[0])]
         == [cert.z_star_cost, cert.best_good[1]],
     }
     if metric_axioms_cap and n <= metric_axioms_cap:
-        final = HopMetric(cert.perm, cert.final_metric.clique)
-        checks["metric_axioms"] = is_metric(final.to_table(metric_axioms_cap))
+        checks["metric_axioms"] = is_metric(fresh.to_table(metric_axioms_cap))
     return checks
 
 
 def _forgeries(cert):
-    """The kinds of forged certificate the tests above build, on any finished game."""
-    n, log, alive = cert.n, cert.pruned_log, cert.final_metric.clique
+    """The kinds of forged record or claim the tests above build, on any finished game."""
+    n, log = cert.n, cert.pruned_log
     yield "answer", dataclasses.replace(
         cert, transcript=[cert.transcript[0]._replace(answer=cert.transcript[0].answer + ExactDistance(5))]
         + cert.transcript[1:],
     )
     r = next(i for i, pruned in enumerate(log) if pruned)
     yield "dropped prune", dataclasses.replace(cert, pruned_log=log[:r] + (log[r][1:],) + log[r + 1 :])
+    for x in (-1, n):
+        yield f"pruned {x}", dataclasses.replace(cert, pruned_log=log[:r] + (log[r] + (x,),) + log[r + 1 :])
     reversed_log = iter([u for pruned in log for u in pruned][::-1])
     traded = tuple(tuple(next(reversed_log) for _ in pruned) for pruned in log)
     if traded != log:
         yield "traded prunes", dataclasses.replace(cert, pruned_log=traded)
-    yield "flipped clique vertex", dataclasses.replace(
-        cert, final_metric=HopMetric(cert.perm, np.logical_xor(alive, np.arange(n) == log[r][0]))
-    )
     u, v = cert.anchor_edges[-1]
-    thinned = cert.perm.copy()
-    thinned[u, v] = thinned[v, u] = False
-    yield "lost anchor edge", dataclasses.replace(cert, final_metric=HopMetric(thinned, alive))
-    x, y = next((x, y) for x in range(n) for y in range(x + 1, n) if not cert.perm[x, y])
-    grown = cert.perm.copy()
-    grown[x, y] = grown[y, x] = True
-    yield "extra edge", dataclasses.replace(cert, final_metric=HopMetric(grown, alive))
     yield "flipped anchor", dataclasses.replace(cert, anchor_edges=((v, u),) + cert.anchor_edges[1:])
-    for edge in ((-1, 6), (0, n)):
+    yield "repeated anchor edge", dataclasses.replace(cert, anchor_edges=cert.anchor_edges + ((u, v),))
+    walked = {_norm_edge(a, b) for path in cert.paths for a, b in zip(path, path[1:])}
+    k = next(k for k, edge in enumerate(cert.anchor_edges) if edge not in walked)
+    yield "lost anchor edge", dataclasses.replace(cert, anchor_edges=cert.anchor_edges[:k] + cert.anchor_edges[k + 1 :])
+    extra = next((a, b) for a in range(n) for b in range(a + 1, n) if (a, b) not in walked | set(cert.anchor_edges))
+    yield "extra anchor edge", dataclasses.replace(cert, anchor_edges=tuple(sorted(cert.anchor_edges + (extra,))))
+    for edge in ((-1, 6), (0, n), (3, 3)):
         yield f"anchor {edge}", dataclasses.replace(cert, anchor_edges=cert.anchor_edges + (edge,))
-    for path in ((0, n), (-1, 0), (0, 1, 0)):
+    for path in ((0, n), (-1, 0), (0, 1, 0), (0, 0)):
         yield f"path {path}", dataclasses.replace(cert, paths=cert.paths[:-1] + (path,))
     yield "reversed path", dataclasses.replace(cert, paths=tuple(p[::-1] for p in cert.paths))
     yield "swapped paths", dataclasses.replace(cert, paths=cert.paths[1:2] + cert.paths[:1] + cert.paths[2:])

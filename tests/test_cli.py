@@ -1,4 +1,5 @@
 import argparse
+import functools
 import hashlib
 import io
 import json
@@ -10,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from medianlab import adversary, cli, expander
+from medianlab import adversary, expander
 from medianlab.cli import build_parser, main
 from medianlab.fileio import write_metric_file, write_metric_json
 from medianlab.harness import generate_instance
@@ -86,20 +87,22 @@ def test_adversary_json(capsys):
 
 
 def test_adversary_payload_counts_perm_degrees_once(capsys, monkeypatch):
+    # finalize, the audit and the payload all read the certificate's one count
     calls = []
-    real = adversary._perm_degree
+    real = adversary.Certificate.perm_degree.func
 
-    def counted(perm):
-        calls.append(perm.shape)
-        return real(perm)
+    def counted(cert):
+        calls.append(cert.n)
+        return real(cert)
 
-    monkeypatch.setattr(adversary, "_perm_degree", counted)
-    monkeypatch.setattr(cli, "_perm_degree", counted)
+    once = functools.cached_property(counted)
+    once.__set_name__(adversary.Certificate, "perm_degree")
+    monkeypatch.setattr(adversary.Certificate, "perm_degree", once)
     code, out = run_cli(capsys, "adversary", "--n", "64", "--q", "64", "--d", "4", "--algo", "exact")
     payload = json.loads(out)
     assert code == 0 and all(payload["checks"].values())
     assert payload["bad_count"] > 0
-    assert calls == [(64, 64)]  # the payload's; the audit counts the edges of its one scan of perm
+    assert calls == [64]
 
 
 def test_adversary_rejects_bad_cap(capsys):

@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import medianlab.adversary as adversary_module
 import medianlab.metric as metric_module
 from medianlab import lowerbound
 from medianlab.adversary import Adversary, minimal_cap
@@ -280,6 +281,22 @@ def test_glued_to_table_runs_no_row_bfs(monkeypatch):
     monkeypatch.setattr(metric_module, "bfs_hop_row", lambda adj, s, clique=None: calls.append(s) or real(adj, s, clique=clique))
     assert glue_metric(fresh, y, 40).to_table() == want
     assert calls == [] and fresh._rows == {}
+
+
+def test_hard_instance_game_reads_its_transcript_once(monkeypatch):
+    # the audit and replay_glued share the certificate's transcript arrays
+    reads = []
+    real = metric_module._transcript_arrays
+
+    def counted(transcript):
+        reads.append(len(transcript))
+        return real(transcript)
+
+    monkeypatch.setattr(metric_module, "_transcript_arrays", counted)
+    monkeypatch.setattr(adversary_module, "_transcript_arrays", counted)
+    report = hard_instance_game(make_player("exact", 20, seed=0), n=256, q=20, degree=4, seed=0)
+    assert report.all_ok and report.checks["replay_glued"]
+    assert reads == [report.certificate.rounds]
 
 
 def _glued_reference(base, y, n):
