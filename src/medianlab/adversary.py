@@ -19,7 +19,10 @@ clique of their own.  A round only hardens edges between alive
 vertices, which were live already, so the live graph changes only when
 a vertex is pruned: a round keeps the last source's full hop row, with
 the vertex list of each level it walked back through, and reuses both
-until the next prune.
+across rounds.  A prune keeps them too when a test linear in n proves
+that the pruned vertices' lost clique edges carried no distance of the
+row, and then forgets only the levels that held a pruned vertex;
+otherwise it drops them.
 
 A round is one pass.  The branch that picks the answer also names the
 reply path's one edge that may not be permanent yet: none for 0, the
@@ -129,16 +132,16 @@ class Adversary:
         self.cap = cap
         self.anchor = anchor
 
-        exp = np.asarray(anchor.edges, dtype=np.int64)
+        exp = anchor.edge_array
         u, v = exp[:, 0], exp[:, 1]
         self._perm = np.zeros((n, n), dtype=bool)
         self._perm[u, v] = self._perm[v, u] = True
         self._anchor_flat = u * n + v  # anchor cells of perm, flattened
         self._degree = np.bincount(exp.ravel(), minlength=n).tolist()  # perm's row counts, kept in step
         self._alive = np.ones(n, dtype=bool)
-        # the last answer BFS, exact until a prune: its source, full hop
-        # row, and per level walked back through, (sorted vertices, lowest
-        # alive one or n)
+        # the last answer BFS, exact until a prune that may change it: its
+        # source, full hop row, and per level walked back through, (sorted
+        # vertices, lowest alive one or n)
         self._hop_row: tuple[int, np.ndarray, dict[int, tuple[np.ndarray, int]]] | None = None
 
         self.transcript: list[TranscriptEntry] = []
@@ -222,6 +225,12 @@ class Adversary:
         level's lowest alive vertex, a clique hop.  a is the only vertex
         at level 0.  A clique hop taken that way, or a last step into a
         that is not permanent, is the only edge that can be fresh.
+
+        The hop row from a is the cached one when it has the same source:
+        it outlives every round that prunes nothing, and every prune that
+        :meth:`_row_survives` proves left it unchanged.  A level's vertex
+        list and lowest alive vertex are cached as the walk first reads
+        them.
         """
         perm, alive = self._perm, self._alive
         if self._hop_row is not None and self._hop_row[0] == a:
@@ -271,19 +280,60 @@ class Adversary:
 
         A pruned vertex leaves the alive clique and keeps only its
         permanent edges, so it is never touched again and never pruned
-        twice.
+        twice.  The live graph loses edges only here; the cached hop row
+        stays when :meth:`_row_survives` proves the prune left it as it
+        was, and is dropped otherwise.
         """
-        perm, degree = self._perm, self._degree
+        perm, degree, cap = self._perm, self._degree, self.cap
         if perm[u, v]:
             raise AssertionError("fresh edge already permanent")
         perm[u, v] = perm[v, u] = True
         degree[u] += 1
         degree[v] += 1
-        pruned = tuple(x for x in ((u, v) if u < v else (v, u)) if degree[x] > self.cap)
-        if pruned:
-            self._alive[list(pruned)] = False
-            self._hop_row = None  # the live graph just lost edges
+        if degree[u] <= cap and degree[v] <= cap:
+            return ()  # most rounds prune nothing
+        pruned = tuple(x for x in ((u, v) if u < v else (v, u)) if degree[x] > cap)
+        self._alive[list(pruned)] = False
+        if self._hop_row is not None and not self._row_survives(pruned):
+            self._hop_row = None
         return pruned
+
+    def _row_survives(self, pruned: tuple[int, ...]) -> bool:
+        """Whether the cached hop row is still exact now that ``pruned`` left the clique.
+
+        Let a be the row's source, h(x) its hops, and L the least h over
+        the vertices alive before the prune.  The row stands if a was not
+        pruned and every pruned x has a permanent neighbour at level
+        h(x) - 1 and, if h(x) = L, some vertex still alive sits at level L.
+        That last clause holds for every pruned x exactly when each h(x)
+        is at least the least h over the vertices still alive, which is
+        what the code tests.
+
+        Proof.  A pruned vertex loses only clique edges, so no distance
+        falls; by induction on the level k of a vertex w != a, none rises
+        either.  Take the last hop (p, w) of a shortest path from a: p
+        stays at level k - 1 by induction, so if the prune kept the edge,
+        w stays at k.  Else it was a clique hop with a pruned end.  Into a
+        pruned w: w's permanent edge from level k - 1 replaces it.  Out of
+        a pruned p: w is still alive, and every vertex alive before the
+        prune is within L + 1 of a, one clique hop from a level-L one, so
+        h(p) = L, and the hop into w from the level-L vertex still alive
+        replaces it.
+
+        On a kept row only the levels holding a pruned vertex may change
+        their lowest alive vertex, so their cached entries go.
+        """
+        source, row, levels = self._hop_row
+        if source in pruned:
+            return False
+        least_alive = row.min(where=self._alive, initial=self.n)  # n when none is left
+        for x in pruned:
+            level = int(row[x])
+            if level < least_alive or not (self._perm[x] & (row == level - 1)).any():
+                return False
+        for x in pruned:
+            levels.pop(int(row[x]), None)
+        return True
 
     # -- settle --------------------------------------------------------
 

@@ -15,8 +15,8 @@ it with seeded double-edge swaps, which keep it simple and d-regular,
 swapping on until the graph is connected and its lambda2 clears the
 acceptance threshold.
 
-A graph holds its sorted edges and one CSR adjacency, and every check
-reads that CSR: connectivity, the lambda2 solve, the exhaustive
+A graph holds its sorted edges, as int pairs and as one int64 array,
+and one CSR adjacency, and every check reads that CSR: connectivity, the lambda2 solve, the exhaustive
 neighbour masks and the BFS levels.
 """
 
@@ -68,7 +68,11 @@ class NotRegularError(ValueError):
 
 
 class RegularGraph:
-    """An undirected d-regular graph: sorted ``edges`` (u < v) and their ``csr`` adjacency."""
+    """An undirected d-regular graph: sorted ``edges`` (u < v) and their ``csr`` adjacency.
+
+    ``edge_array`` holds the same edges, in the same order, as a read-only
+    int64 (E, 2) array; ``edges`` holds them as pairs of Python ints.
+    """
 
     def __init__(self, n: int, d: int, edges: Iterable[tuple[int, int]]):
         self.csr = edge_graph(n, edges)
@@ -78,7 +82,10 @@ class RegularGraph:
         self.n = n
         self.d = d
         u, v = scipy.sparse.triu(self.csr, 1).nonzero()
-        self.edges = tuple(sorted(zip(u.tolist(), v.tolist())))
+        order = np.lexsort((v, u))
+        self.edge_array = np.column_stack([u[order], v[order]]).astype(np.int64, copy=False)
+        self.edge_array.flags.writeable = False
+        self.edges = tuple(zip(*self.edge_array.T.tolist()))
         # populated by build_regular for reporting
         self.build_attempts: int | None = None
         self.expansion: ExpansionReport | None = None
@@ -237,9 +244,9 @@ def build_regular(n: int, d: int, seed: int) -> RegularGraph:
     Deterministic for a fixed (n, d, seed).  An (n, d) whose n*d/2 edges
     at _EDGE_BYTES each exceed physical memory is refused up front.
 
-    The graph's ``csr`` arrays are read-only.  The process keeps the last
-    graph built: a repeat call with the same (n, d, seed) returns that
-    same object.  ``seed=None`` is never kept, the old graph is let go
+    The graph's ``csr`` arrays and its ``edge_array`` are read-only.  The
+    process keeps the last graph built: a repeat call with the same
+    (n, d, seed) returns that same object.  ``seed=None`` is never kept, the old graph is let go
     before a new one is built, and a failed build keeps nothing.
     """
     global _last_anchor

@@ -1128,6 +1128,66 @@ def test_hop_row_dropped_at_prune():
     assert adv.paths[-1] == (13, 0, 20)
 
 
+def _play_grid(seeds):
+    """Finish the adversary-grid games, degree 8: n 64..1024, q n/4..4n, three players, each seed."""
+    for n in (64, 256, 1024):
+        for q in (n // 4, n, 4 * n):
+            for algo in ("exact", "pivot", "random"):
+                for seed in seeds:
+                    finished_game(n=n, degree=8, q=q, seed=seed, algo=algo)
+
+
+@pytest.mark.parametrize("x, kept", [(5, True), (3, False)])
+def test_prune_at_level_one_keeps_the_row_only_over_a_perm_edge(x, kept):
+    # with the source s = 0 alive every other alive vertex is at level 1; pruning
+    # x cuts its clique hop from s, which only a perm edge (0, 5) replaces
+    adv = small_game(n=16, rounds=40)
+    s, y = 0, 12
+    assert adv._perm[s, x] == kept and not adv._perm[x, y]
+    adv._hop_row = (s, bfs_hop_row(adv._perm, s, clique=adv._alive), {})
+    adv._degree[x] = adv.cap  # hardening (x, y) takes x over the cap
+    assert adv.answer(x, y) == 1 and adv.pruned_log[-1] == (x,)
+    assert (adv._hop_row is not None) == kept
+    assert adv.answer(s, x) == bfs_hop_row(adv._perm, s, clique=adv._alive)[x] == (1 if kept else 2)
+
+
+def test_a_kept_hop_row_matches_a_fresh_bfs(monkeypatch):
+    # every prune that meets a cached row is checked against a fresh BFS on
+    # the graph after it: a kept row, and each level entry it keeps, must
+    # match; some prune in the corpus must also change its row, so both of
+    # the rule's outcomes are reached
+    real = Adversary._row_survives
+    seen = {"kept": 0, "changed": 0}
+
+    def checked(self, pruned):
+        source, row, levels = self._hop_row
+        kept = real(self, pruned)
+        fresh = bfs_hop_row(self._perm, source, clique=self._alive)
+        seen["changed"] += not np.array_equal(fresh, row)
+        if kept:
+            seen["kept"] += 1
+            assert np.array_equal(fresh, row), (source, pruned)
+            for level, (vertices, lowest) in levels.items():
+                alive_there = vertices[self._alive[vertices]]
+                assert lowest == (alive_there[0] if len(alive_there) else self.n), (source, pruned, level)
+        return kept
+
+    monkeypatch.setattr(Adversary, "_row_survives", checked)
+    _play_grid(seeds=range(3))
+    assert seen["kept"] > 10 * seen["changed"] > 0, seen
+
+
+def test_grid_pass_answer_rows(monkeypatch):
+    # one seed-5 pass of the perfbench adversary-grid games, played without
+    # the audit: the adversary's BFS rows, counted, so a change that gives
+    # back row reuse shows here (878 when every prune dropped the row)
+    calls = []
+    real = adversary_module.bfs_hop_row
+    monkeypatch.setattr(adversary_module, "bfs_hop_row", lambda *args, **kwargs: calls.append(1) or real(*args, **kwargs))
+    _play_grid(seeds=[5])
+    assert len(calls) == 263
+
+
 def test_anchor_preserved_rejects_endpoints_outside_the_space():
     # a negative end must not wrap to row n - 1, and an end at n must not raise
     cert, checks = play_adversary_game(64, 16, 4, make_player("exact", 16, 0), seed=0)

@@ -38,8 +38,12 @@ def test_regular_graph_validation():
         RegularGraph(4, 3, K4_EDGES + [(0, 0)])
     with pytest.raises(ValueError, match=r"edge \(7, 7\) outside vertex range"):
         RegularGraph(4, 3, K4_EDGES + [(7, 7)])
-    # reversed, repeated and unsorted pairs normalise to the sorted edge set
-    assert RegularGraph(4, 3, [(v, u) for u, v in reversed(K4_EDGES)] + K4_EDGES).edges == tuple(K4_EDGES)
+    # reversed, repeated and unsorted pairs normalise to the sorted edge set,
+    # held both as int pairs and as one read-only int64 array
+    g = RegularGraph(4, 3, [(v, u) for u, v in reversed(K4_EDGES)] + K4_EDGES)
+    assert g.edges == tuple(K4_EDGES)
+    assert g.edge_array.dtype == np.int64 and g.edge_array.tolist() == [list(e) for e in K4_EDGES]
+    assert not g.edge_array.flags.writeable
 
 
 def test_connectivity_of_a_large_graph_stays_sparse():
