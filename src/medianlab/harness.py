@@ -86,9 +86,14 @@ def _random_table(n: int, rng: random.Random) -> MetricTable:
     return MetricTable(_path_table(units))
 
 
-def _require_kind(kind: str) -> None:
+def _require_instance(kind: str, n: int) -> None:
+    """Refuse an instance before anything is built: no points, an unknown
+    kind, or an n x n int64 table past physical memory."""
+    if n < 1:
+        raise ValueError("instances need at least one point")
     if kind not in INSTANCE_KINDS:
         raise ValueError(f"unknown instance kind {kind!r} (have {', '.join(INSTANCE_KINDS)})")
+    _refuse_oversize(f"the {n} x {n} int64 table of a {kind} instance", 8 * n * n)
 
 
 # the last (kind, n, seed) built and its table, or None
@@ -104,11 +109,10 @@ def generate_instance(kind: str, n: int, seed: int = 0) -> MetricTable:
     sweep builds each instance once.  ``seed=None`` draws fresh entropy
     and is never kept.  The old table is let go before a new one is
     built, so no two are held at once, and a failed build keeps nothing.
+    A table past physical memory is refused before anything is allocated.
     """
     global _last_instance
-    if n < 1:
-        raise ValueError("instances need at least one point")
-    _require_kind(kind)
+    _require_instance(kind, n)
     key, last = (kind, n, seed), _last_instance
     if seed is not None and last is not None and last[0] == key:
         return last[1]
@@ -197,7 +201,7 @@ def sweep_upper_bound(configs: Sequence[SweepConfig], brute_force_cap: int = 409
     for cfg in configs:
         if cfg.n > brute_force_cap:
             raise ValueError(f"n={cfg.n} exceeds the brute-force cap {brute_force_cap}")
-        _require_kind(cfg.kind)
+        _require_instance(cfg.kind, cfg.n)
     inners = [make_inner(cfg.inner, rng_seed=cfg.seed) for cfg in configs]
     rows = []
     for cfg, inner in zip(configs, inners):

@@ -39,7 +39,14 @@ repeats included, and can keep a transcript for replay checks.  A
 transcript is a ``list[TranscriptEntry]`` of ``(a, b, answer)`` tuples
 in query order; an entry's round is its list position.
 
-An edge list becomes a CSR (:func:`edge_graph`) read by ``scipy.sparse.csgraph``.
+An edge list becomes a CSR (:func:`edge_graph`), and :func:`graph_metric`
+builds its table with one of two exact kernels.  One csgraph BFS from
+vertex 0 finds ecc(0), and with it a bound of 2 ecc(0) + 1 levels on a
+BFS of all n sources at once, bit-parallel with 64 sources per word:
+O(levels x edges x ceil(n/64)) word operations.  When
+(2 ecc(0) + 1) x ceil(n/64) <= n, that bound is no dearer than
+``scipy.sparse.csgraph``'s Dijkstra from every source, about n x edges
+steps, and the bit kernel runs; otherwise csgraph does.
 Dense bool matrices (the adversary's) are walked one source at a time by
 :func:`bfs_hop_row`, and a whole table at once by :meth:`HopMetric.to_table`,
 one BFS of all n sources whose levels are float32 BLAS products of the
@@ -84,6 +91,12 @@ PointId = int
 # HopMetric's symmetry check compares one t x t tile with its mirror at a
 # time: no n x n temporary, and the mirror's strided reads stay in cache
 _TILE = 256
+
+# _bit_bfs_table packs 64 sources per word, and unpacks its bit planes into
+# the int64 table about this many entries at a time, so the block's
+# temporaries stay small beside the table
+_WORDS = np.dtype("<u8")
+_UNPACK = 1 << 18
 
 # exact_median asks whole rows of its pair triangle in blocks of about this
 # many pairs: one oracle round trip serves many short rows, and a block's
@@ -631,12 +644,102 @@ def _path_table(graph) -> np.ndarray:
     return ints
 
 
+def _bit_bfs_planes(graph) -> list[np.ndarray]:
+    """The hop levels of every pair of a connected unit-weight CSR graph, as packed bit planes.
+
+    Multi-source BFS with bit-parallel frontiers (Then et al., "The More
+    the Merrier", PVLDB 8(4), 2014): bit s of row v's ceil(n/64) words
+    says whether source s reaches vertex v at this level.  A level is one
+    gather of the frontier rows over the CSR neighbour lists and one
+    ``bitwise_or.reduceat`` per vertex, O(edges x ceil(n/64)) word
+    operations.  Bit b of a pair's level is its bit in plane b, and
+    there are ceil(log2(levels + 1)) planes.  The BFS's own arrays are
+    let go on return, before the caller builds its table.
+    """
+    n = graph.shape[0]
+    indptr, indices = graph.indptr, graph.indices
+    if n > 1 and not np.diff(indptr).all():
+        # an isolated vertex; reduceat would also read a neighbour's row for it
+        raise DisconnectedGraphError("vertex 0 cannot reach the whole graph")
+    v = np.arange(n)
+    # little-endian words, so a byte view lists the sources in order
+    frontier = np.zeros((n, -(-n // 64)), dtype=_WORDS)
+    frontier[v, v >> 6] = _WORDS.type(1) << (v & 63).astype(_WORDS)
+    unseen = ~frontier
+    if n % 64:
+        unseen[:, -1] &= _WORDS.type((1 << n % 64) - 1)  # no source sits past n
+    gathered = np.empty((indices.size, frontier.shape[1]), dtype=_WORDS)
+    planes: list[np.ndarray] = []
+    level = 0
+    while unseen.any() and frontier.any():
+        level += 1
+        np.take(frontier, indices, axis=0, out=gathered)
+        np.bitwise_or.reduceat(gathered, indptr[:-1], axis=0, out=frontier)
+        frontier &= unseen
+        unseen ^= frontier
+        if level >> len(planes):
+            planes.append(np.zeros_like(frontier))
+        for bit, plane in enumerate(planes):
+            if level >> bit & 1:
+                plane |= frontier
+    if unseen.any():
+        raise DisconnectedGraphError("vertex 0 cannot reach the whole graph")
+    return planes
+
+
+def _bit_bfs_table(graph) -> np.ndarray:
+    """All-pairs hops of a connected unit-weight CSR graph, as int64, from :func:`_bit_bfs_planes`.
+
+    The planes are unpacked a block of rows at a time into the smallest
+    unsigned block that holds every level, which is then cast into the
+    table.  Plane row v holds v's hops from every source; the hops are
+    symmetric, so that is also table row v.
+    """
+    planes = _bit_bfs_planes(graph)
+    n = graph.shape[0]
+    table = np.empty((n, n), dtype=np.int64)
+    rows = max(1, _UNPACK // max(n, 1))
+    small = np.min_scalar_type((1 << len(planes)) - 1)
+    for r in range(0, n, rows):
+        block = np.zeros((min(rows, n - r), n), dtype=small)
+        for bit, plane in enumerate(planes):
+            ones = np.unpackbits(plane[r : r + rows].view(np.uint8), axis=1, count=n, bitorder="little")
+            block |= np.left_shift(ones, bit, dtype=small)
+        table[r : r + rows] = block
+    return table
+
+
 def graph_metric(n: int, edges: Iterable[tuple[int, int]]) -> MetricTable:
     """All-pairs hop distances of a connected undirected graph, from its edge list.
 
+    One of two exact kernels builds the table.  csgraph's
+    ``shortest_path`` runs a Dijkstra from every source, about n x edges
+    steps whatever the diameter.  :func:`_bit_bfs_table` runs levels x
+    edges x ceil(n/64) word operations, where levels is the largest
+    eccentricity, at most 2 ecc(0) by way of vertex 0.  So one csgraph
+    BFS from vertex 0 prices the bit kernel, which is taken when that
+    price is no dearer: (2 ecc(0) + 1) x ceil(n/64) <= n.  Low-diameter
+    graphs (grids and random graphs of a few hundred points) take the
+    bit kernel, and long paths stay on csgraph.  Both give the same
+    table.
+
     Raises DisconnectedGraphError when some pair has no path.
     """
-    return MetricTable(_path_table(edge_graph(n, edges)))
+    graph = edge_graph(n, edges)
+    if n:
+        order, parent = scipy.sparse.csgraph.breadth_first_order(graph, 0, return_predecessors=True)
+        if order.size < n:
+            raise DisconnectedGraphError("vertex 0 cannot reach the whole graph")
+        # the BFS lists the vertices level by level, so the last is ecc(0)
+        # hops from 0; climb its parents no further than the rule allows
+        v, words = order[-1], -(-n // 64)
+        for _ in range((n // words - 1) // 2):
+            if v == 0:
+                break
+            v = parent[v]
+        if v == 0:
+            return MetricTable(_bit_bfs_table(graph))
+    return MetricTable(_path_table(graph))
 
 
 def exact_median(oracle, S: Iterable[PointId]) -> tuple[PointId, ExactDistance]:

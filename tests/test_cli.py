@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -182,6 +183,23 @@ def test_bad_input_reports_json_error(capsys, tmp_path, monkeypatch, argv, error
     code, out = run_cli(capsys, *argv)
     assert code == 1
     assert json.loads(out) == {"error": error}
+
+
+def test_sweep_refuses_an_oversize_instance_before_allocating(capsys):
+    argv = ("sweep", "--kinds", "grid", "--sizes", "1000000", "--factors", "1", "--brute-force-cap", "1000000")
+    tracemalloc.start()
+    try:
+        code, out = run_cli(capsys, *argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1
+    assert json.loads(out) == {
+        "error": "ValueError: the 1000000 x 1000000 int64 table of a grid instance needs about "
+        "8000000000000 bytes, more than this machine's physical memory"
+    }
+    # the grid's edge list alone would hold about two million tuples
+    assert peak < 1 << 22
 
 
 def test_zero_budget_adversary_game(capsys, monkeypatch):

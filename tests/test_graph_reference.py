@@ -1,11 +1,15 @@
 """Edge-list graphs against the dense code that computed them before.
 
-``graph_metric`` and the ``table`` generator take their all-pairs
-tables from ``scipy.sparse.csgraph``.  The references here are the
-earlier dense implementations, kept verbatim: a bool matrix filled edge
-by edge and walked by one ``HopMetric.row`` BFS per row, and an O(n^3) Floyd
-closure of the random weights.  Tables must be equal entry for entry
-and in dtype, and bad edge lists must fail with the same error text.
+``graph_metric`` takes its all-pairs table from one of two kernels: a
+bit-parallel BFS of all sources at once (``metric._bit_bfs_table``) for
+graphs whose BFS from vertex 0 prices it no dearer, and
+``scipy.sparse.csgraph``'s all-sources Dijkstra for the rest; the
+``table`` generator's weighted closure is csgraph's too.  The references
+here are the earlier dense implementations, kept verbatim: a bool matrix
+filled edge by edge and walked by one ``HopMetric.row`` BFS per row, and
+an O(n^3) Floyd closure of the random weights.  Tables must be equal
+entry for entry and in dtype, on either kernel, and bad edge lists must
+fail with the same error text.
 """
 
 import random
@@ -13,9 +17,9 @@ import random
 import numpy as np
 import pytest
 
-from medianlab import harness
+from medianlab import harness, metric
 from medianlab.harness import INSTANCE_KINDS, generate_instance
-from medianlab.metric import HopMetric, MetricTable, graph_metric
+from medianlab.metric import HopMetric, MetricTable, edge_graph, graph_metric
 
 SIZES = list(range(1, 17)) + [24, 40, 256, 768]
 SEEDS = (0, 1, 2)
@@ -92,6 +96,8 @@ def _outcome(build, n, edges):
         (5, [(0, 1), (1, 2), (3, 4)]),
         (1, []),
         (3, [(0, 1), (1, 0), (0, 1), (2, 1)]),  # a repeated edge counts once
+        (6, [(0, 1), (1, 2), (2, 3), (3, 4)]),  # an isolated vertex
+        (70, [(i, i + 1) for i in range(68)]),  # vertex 69, in the second word of sources, isolated
     ],
 )
 def test_graph_metric_edge_cases_match_dense_reference(n, edges):
@@ -101,3 +107,58 @@ def test_graph_metric_edge_cases_match_dense_reference(n, edges):
     else:
         assert type(got) is type(want)
         assert str(got) == str(want)
+
+
+KERNEL_SIZES = (1, 2, 63, 64, 65, 127, 129, 256)
+
+
+def _kernel_edges(shape, n):
+    if shape == "path":
+        return [(i, i + 1) for i in range(n - 1)]
+    if shape == "star":
+        return [(0, leaf) for leaf in range(1, n)]
+    if shape == "grid":
+        return harness._grid_edges(n)
+    if shape == "random-graph":
+        return harness._random_graph_edges(n, random.Random(n))
+    # every path edge three times, once reversed
+    path = [(i, i + 1) for i in range(n - 1)]
+    return path + [(j, i) for i, j in path] + path
+
+
+@pytest.mark.parametrize("n", KERNEL_SIZES)
+@pytest.mark.parametrize("shape", ["path", "star", "grid", "random-graph", "repeated-edge"])
+def test_bit_bfs_kernel_matches_dense_reference(shape, n):
+    # called directly, so a long path runs on the bit kernel too, past the rule that keeps it on csgraph
+    edges = _kernel_edges(shape, n)
+    _assert_same_table(MetricTable(metric._bit_bfs_table(edge_graph(n, edges))), _dense_graph_metric(n, edges))
+
+
+@pytest.mark.parametrize(
+    "n, edges",
+    [
+        (4, [(0, 1), (2, 3)]),
+        (6, [(0, 1), (1, 2), (2, 3), (3, 4)]),  # an isolated vertex
+        (130, [(i, i + 1) for i in range(129) if i != 100]),  # the cut in a later word of sources
+    ],
+)
+def test_bit_bfs_kernel_disconnected_error_matches_dense_reference(n, edges):
+    got = _outcome(lambda n, edges: metric._bit_bfs_table(edge_graph(n, edges)), n, edges)
+    want = _outcome(_dense_graph_metric, n, edges)
+    assert type(got) is type(want) is metric.DisconnectedGraphError
+    assert str(got) == str(want)
+
+
+@pytest.mark.parametrize(
+    "kind, kernel", [("grid", "_bit_bfs_table"), ("random-graph", "_bit_bfs_table"), ("star-path", "_path_table")]
+)
+def test_benchmark_kinds_keep_their_kernel_at_256(monkeypatch, kind, kernel):
+    # solve-sweep's three kinds at n = 256 sit on both sides of graph_metric's rule
+    calls = []
+    for name in ("_bit_bfs_table", "_path_table"):
+        run = getattr(metric, name)
+        monkeypatch.setattr(metric, name, lambda graph, name=name, run=run: calls.append(name) or run(graph))
+    monkeypatch.setattr(harness, "_last_instance", None)
+    for seed in SEEDS:
+        generate_instance(kind, 256, seed)
+    assert calls == [kernel] * len(SEEDS)

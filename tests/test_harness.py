@@ -90,6 +90,12 @@ def test_generate_instance_keeps_nothing_it_should_not(monkeypatch):
     assert harness._last_instance is None
 
 
+def test_generate_instance_refuses_a_table_past_physical_memory(monkeypatch):
+    monkeypatch.setattr(harness, "_grid_edges", None)  # never reached
+    with pytest.raises(ValueError, match=r"^the 1000000 x 1000000 int64 table of a grid instance needs about "):
+        generate_instance("grid", 10**6, 0)
+
+
 def _cold_builds(monkeypatch):
     """Make every generate_instance call forget the last table first."""
     build = harness.generate_instance
@@ -122,8 +128,8 @@ def test_sweep_builds_each_instance_once(monkeypatch):
     ]
     monkeypatch.setattr(harness, "_last_instance", None)
     tables = []
-    path_table = metric_module._path_table
-    monkeypatch.setattr(metric_module, "_path_table", lambda graph: tables.append(graph) or path_table(graph))
+    graph_metric = harness.graph_metric
+    monkeypatch.setattr(harness, "graph_metric", lambda n, edges: tables.append(n) or graph_metric(n, edges))
     rows = sweep_upper_bound(configs)
     assert len(tables) == 4  # one per (kind, n), not one per cell
     columns = ("kind", "n", "f_of_n", "inner", "seed")
